@@ -22,7 +22,7 @@ import dataclasses
 import math
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -280,40 +280,58 @@ def _grid_specs(kind, xs, thetas, phis, ns):
                     )
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+def _write_csv(path: str, header: str, chunks: Iterable[str]) -> bool:
+    """Stream the header and row chunks to ``path`` atomically.
+
+    The text goes to a temp file beside ``path``, which is renamed over
+    ``path`` once complete.  Any error while the rows are computed or
+    written removes the temp file, leaves ``path`` as it was and is
+    reported on stderr, with its type; the caller then exits 2.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        try:
+            with open(tmp, "x", encoding="ascii", newline="\n") as fh:
+                fh.write(header + "\n")
+                for chunk in chunks:
+                    fh.write(chunk)
+            os.replace(tmp, path)
+        finally:
+            if os.path.lexists(tmp):
+                os.unlink(tmp)
+    except Exception as exc:
+        print(f"cannot write {path!r}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
-def _sweep_rows(kind, xs, thetas, phis, ns, measures=("l1", "relative_entropy")) -> list[str]:
-    """CSV rows in grid order, evaluated one batched (x, theta) plane per (phi, N)."""
-    want_cr = "relative_entropy" in measures
-    want_l1 = "l1" in measures
-    planes = {}
+_ROW_VALUES = "%.12g,%.12g,%.12g,%.12g"  # same bytes as _fmt on each field
+
+
+def _sweep_rows(kind, xs, thetas, phis, ns) -> Iterator[str]:
+    """CSV rows in grid order (x outer, then theta, phi, N), one chunk per x.
+
+    Every (phi, N) plane is evaluated whole before the first chunk, so an
+    invalid grid fails before any row is produced.
+    """
+    keys, planes = [], []
     for phi in phis:
         for n in ns:
-            planes[(phi, n)] = strategies.batched_grid(
-                kind, xs, thetas, phi, n, with_relative_entropy=want_cr
-            )
-    rows = []
+            closed = strategies.closed_form_l1_plane(kind, xs, thetas, phi, n)
+            c_l1, c_r = strategies.batched_grid(kind, xs, thetas, phi, n)
+            keys.append(f"{_fmt(float(phi))},{int(n)},")
+            planes.append((c_l1, c_r, closed, np.abs(c_l1 - closed)))
+    # values[ix, it, plane, column]
+    values = np.array(planes).transpose(2, 3, 0, 1)
+    prefixes = [f"{_fmt(float(t))},{key}" for t in thetas for key in keys]
     for ix, x in enumerate(xs):
-        for it, theta in enumerate(thetas):
-            for phi in phis:
-                for n in ns:
-                    c_l1_arr, c_r_arr = planes[(phi, n)]
-                    c_l1 = float(c_l1_arr[ix, it]) if want_l1 else float("nan")
-                    c_r = float(c_r_arr[ix, it])
-                    spec = strategies.StrategySpec(
-                        kind, float(x), int(n), GateParams(float(theta), float(phi))
-                    )
-                    c_closed = strategies.closed_form_l1(spec)
-                    dev = abs(c_l1 - c_closed)
-                    rows.append(
-                        f"{kind},{_fmt(float(x))},{_fmt(float(theta))},"
-                        f"{_fmt(float(phi))},{int(n)},{_fmt(c_l1)},{_fmt(c_r)},"
-                        f"{_fmt(c_closed)},{_fmt(dev)}"
-                    )
-    return rows
+        head = f"{kind},{_fmt(float(x))},"
+        quads = values[ix].reshape(-1, 4).tolist()
+        yield "".join(
+            f"{head}{prefix}{_ROW_VALUES % tuple(quad)}\n"
+            for prefix, quad in zip(prefixes, quads)
+        )
 
 
 def cmd_sweep(args) -> int:
@@ -330,12 +348,9 @@ def cmd_sweep(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     rows = _sweep_rows(args.strategy, xs, thetas, phis, ns)
-    try:
-        _write_text(args.out, SWEEP_HEADER + "\n" + "\n".join(rows) + "\n")
-    except OSError as exc:
-        print(f"cannot write {args.out!r}: {exc}", file=sys.stderr)
+    if not _write_csv(args.out, SWEEP_HEADER, rows):
         return 2
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {len(xs) * len(thetas) * len(phis) * len(ns)} rows to {args.out}")
     return 0
 
 
@@ -348,12 +363,9 @@ def cmd_figure(args) -> int:
     xs = np.linspace(0.0, 1.0, 101)
     thetas = np.linspace(0.0, 2.0 * np.pi, 256)
     rows = _sweep_rows(kind, xs, thetas, [math.pi / 4.0], [n])
-    try:
-        _write_text(args.out, SWEEP_HEADER + "\n" + "\n".join(rows) + "\n")
-    except OSError as exc:
-        print(f"cannot write {args.out!r}: {exc}", file=sys.stderr)
+    if not _write_csv(args.out, SWEEP_HEADER, rows):
         return 2
-    print(f"wrote figure {args.id} grid ({len(rows)} rows) to {args.out}")
+    print(f"wrote figure {args.id} grid ({len(xs) * len(thetas)} rows) to {args.out}")
     return 0
 
 
@@ -411,20 +423,16 @@ def cmd_compare(args) -> int:
         )
         report = strategies.DiscrepancyReport(filtered, report.flags)
 
-    rows = []
-    for r in report.records:
-        rows.append(
-            f"{r.kind},{_fmt(r.x)},{_fmt(r.theta)},{_fmt(r.phi)},{r.n_uses},"
-            f"{_fmt(r.c_l1_sim)},{_fmt(r.c_l1_closed)},{_fmt(r.c_l1_appendix)},"
-            f"{_fmt(r.deviation_closed)},{_fmt(r.deviation_appendix)}"
-        )
-    try:
-        _write_text(args.out, COMPARE_HEADER + "\n" + "\n".join(rows) + "\n")
-    except OSError as exc:
-        print(f"cannot write {args.out!r}: {exc}", file=sys.stderr)
+    rows = (
+        f"{r.kind},{_fmt(r.x)},{_fmt(r.theta)},{_fmt(r.phi)},{r.n_uses},"
+        f"{_fmt(r.c_l1_sim)},{_fmt(r.c_l1_closed)},{_fmt(r.c_l1_appendix)},"
+        f"{_fmt(r.deviation_closed)},{_fmt(r.deviation_appendix)}\n"
+        for r in report.records
+    )
+    if not _write_csv(args.out, COMPARE_HEADER, rows):
         return 2
     print(report.format_summary())
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {len(report.records)} rows to {args.out}")
     return 0
 
 

@@ -54,13 +54,22 @@ class StrategySpec:
     gate: GateParams
 
     def __post_init__(self):
-        if self.kind not in (ONE_QUBIT, TWO_QUBIT):
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
+        _check_kind(self.kind)
         if not 0.0 <= self.x <= 1.0:
             raise ValueError(f"x must lie in [0, 1], got {self.x!r}")
-        if int(self.n_uses) < 1:
-            raise ValueError(f"n_uses must be a positive integer, got {self.n_uses!r}")
+        _check_uses(self.n_uses)
         object.__setattr__(self, "n_uses", int(self.n_uses))
+
+
+def _check_kind(kind) -> None:
+    if kind not in (ONE_QUBIT, TWO_QUBIT):
+        raise ValueError(f"unknown strategy kind {kind!r}")
+
+
+def _check_uses(n) -> None:
+    """N must be an integer >= 1; floats (even 2.0) and bools are rejected."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n_uses must be a positive integer, got {n!r}")
 
 
 def prepare_one_qubit_input(x: float) -> DensityMatrix:
@@ -199,15 +208,71 @@ def batched_grid(
 # ---------------------------------------------------------------------------
 
 
-def _one_qubit_params(x: float, theta: float, phi: float, n: int):
-    """Shared parameter set of the one-qubit closed form and element formulas."""
-    eps = math.sqrt(2.0 * x * (1.0 - x))
-    alpha = 4.0 * (1.0 - 2.0 * x) * math.sin(2.0 * n * theta)
+# The closed forms are written once, over operands that are either floats
+# or arrays broadcast over an (x, theta) plane.  Factors that depend on x
+# only or on theta only are evaluated with ``math`` on floats (once per x
+# or per theta on a plane); they are combined with + - * /, abs and sqrt,
+# which IEEE 754 rounds exactly, in the order the formulas are stated, so
+# the plane and the scalar evaluation agree bit for bit.
+
+
+def _eps(x):
+    return math.sqrt(2.0 * x * (1.0 - x))
+
+
+def _alpha(x, sin_2nt):
+    return 4.0 * (1.0 - 2.0 * x) * sin_2nt
+
+
+def _float_square(a):
+    """a**2 by CPython's float power (libm pow), element by element on arrays.
+
+    numpy's square is the correctly rounded a*a, which differs from libm pow
+    in the last bit on some inputs; the plane evaluator must reproduce the
+    scalar formulas bit for bit.
+    """
+    if isinstance(a, np.ndarray):
+        return np.array([v**2 for v in a.ravel().tolist()]).reshape(a.shape)
+    return a**2
+
+
+def _sqrt(a):
+    # Both are correctly rounded; math.sqrt keeps the scalar path fast.
+    return np.sqrt(a) if isinstance(a, np.ndarray) else math.sqrt(a)
+
+
+def _one_qubit_theta_terms(theta: float, phi: float, n: int):
+    """sin(2 N theta), beta, gamma and the odd/even cos^4 or sin^4 factor."""
+    sin_nt = math.sin(n * theta)
     cos_nt2 = math.cos(n * theta) ** 2
     beta = math.sin(phi) * cos_nt2 + math.cos(phi) * (2.0 - 3.0 * cos_nt2)
-    gamma = -4.0 * math.sin(n * theta) ** 2 * math.cos(2.0 * n * theta)
+    gamma = -4.0 * sin_nt**2 * math.cos(2.0 * n * theta)
+    trig4 = math.cos(n * theta) ** 4 if n % 2 == 1 else sin_nt**4
+    return math.sin(2.0 * n * theta), beta, gamma, trig4
+
+
+def _one_qubit_l1(x, eps, eps_sq, sin_2nt, beta, gamma, trig4, phi: float):
+    alpha = _alpha(x, sin_2nt)
     delta = 1.0 - math.sin(2.0 * phi)
-    return alpha, beta, gamma, delta, eps
+    big_delta = _float_square(alpha) / 8.0 + alpha * beta * eps + 2.0 * eps_sq * gamma
+    return 0.5 * _sqrt(abs(big_delta + 4.0 * delta * eps_sq * trig4))
+
+
+def _two_qubit_theta_terms(theta: float, n: int):
+    """b and the odd/even root and tail factors of the two-qubit form."""
+    a = (-1.0) ** (n + 1) * math.cos(2.0 * n * theta)
+    b = abs(math.sin(2.0 * n * theta)) / math.sqrt(2.0)
+    if n % 2 == 1:
+        root = math.sqrt(abs(a + 5.0 * math.sin(n * theta) ** 4))
+        tail = math.cos(n * theta) ** 2
+    else:
+        root = math.sqrt(abs(a + 5.0 * math.cos(n * theta) ** 4))
+        tail = math.sin(n * theta) ** 2
+    return b, root, tail
+
+
+def _two_qubit_l1(eps, b, root, tail):
+    return 0.5 * (2.0 * b + math.sqrt(2.0) * eps * (2.0 * b + root + tail))
 
 
 def closed_form_l1_one_qubit(x: float, theta: float, phi: float, n: int) -> float:
@@ -224,13 +289,10 @@ def closed_form_l1_one_qubit(x: float, theta: float, phi: float, n: int) -> floa
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    alpha, beta, gamma, delta, eps = _one_qubit_params(x, theta, phi, n)
-    big_delta = alpha**2 / 8.0 + alpha * beta * eps + 2.0 * eps**2 * gamma
-    if n % 2 == 1:
-        trig4 = math.cos(n * theta) ** 4
-    else:
-        trig4 = math.sin(n * theta) ** 4
-    return 0.5 * math.sqrt(abs(big_delta + 4.0 * delta * eps**2 * trig4))
+    _check_uses(n)
+    eps = _eps(x)
+    terms = _one_qubit_theta_terms(theta, phi, n)
+    return _one_qubit_l1(x, eps, eps**2, *terms, phi)
 
 
 def closed_form_l1_two_qubit(x: float, theta: float, n: int) -> float:
@@ -242,16 +304,38 @@ def closed_form_l1_two_qubit(x: float, theta: float, n: int) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    eps = math.sqrt(2.0 * x * (1.0 - x))
-    a = (-1.0) ** (n + 1) * math.cos(2.0 * n * theta)
-    b = abs(math.sin(2.0 * n * theta)) / math.sqrt(2.0)
-    if n % 2 == 1:
-        root = math.sqrt(abs(a + 5.0 * math.sin(n * theta) ** 4))
-        tail = math.cos(n * theta) ** 2
-    else:
-        root = math.sqrt(abs(a + 5.0 * math.cos(n * theta) ** 4))
-        tail = math.sin(n * theta) ** 2
-    return 0.5 * (2.0 * b + math.sqrt(2.0) * eps * (2.0 * b + root + tail))
+    _check_uses(n)
+    return _two_qubit_l1(_eps(x), *_two_qubit_theta_terms(theta, n))
+
+
+def closed_form_l1_plane(
+    kind: StrategyKind, xs: np.ndarray, thetas: np.ndarray, phi: float, n: int
+) -> np.ndarray:
+    """Closed-form coherence over an (x, theta) plane at fixed phi and N.
+
+    Returns an array of shape (len(xs), len(thetas)) whose entries equal
+    ``closed_form_l1_one_qubit`` / ``closed_form_l1_two_qubit`` at each
+    point bit for bit.  The inputs are validated once for the whole plane.
+    """
+    _check_kind(kind)
+    _check_uses(n)
+    xs = np.asarray(xs, dtype=float)
+    thetas = np.asarray(thetas, dtype=float)
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
+        raise ValueError("x values must lie in [0, 1]")
+    if not (np.all(np.isfinite(thetas)) and math.isfinite(phi)):
+        raise ValueError("angles must be finite")
+    n = int(n)
+    eps = [_eps(x) for x in xs.tolist()]
+    eps_col = np.array(eps)[:, None]
+    if kind == ONE_QUBIT:
+        eps_sq_col = np.array([e**2 for e in eps])[:, None]
+        terms = [_one_qubit_theta_terms(t, phi, n) for t in thetas.tolist()]
+        per_theta = np.array(terms, dtype=float).reshape(len(thetas), 4).T
+        return _one_qubit_l1(xs[:, None], eps_col, eps_sq_col, *per_theta, phi)
+    terms = [_two_qubit_theta_terms(t, n) for t in thetas.tolist()]
+    per_theta = np.array(terms, dtype=float).reshape(len(thetas), 3).T
+    return _two_qubit_l1(eps_col, *per_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +365,8 @@ def elementwise_reduced_one_qubit(
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    alpha, _, _, _, eps = _one_qubit_params(x, theta, phi, n)
+    eps = _eps(x)
+    alpha = _alpha(x, math.sin(2.0 * n * theta))
     odd = n % 2 == 1
     base = math.cos(n * theta) if odd else math.sin(n * theta)
     if abs(base) < POLE_WINDOW:
@@ -320,7 +405,7 @@ def elementwise_reduced_two_qubit(
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    eps = math.sqrt(2.0 * x * (1.0 - x))
+    eps = _eps(x)
     root = math.sqrt(x * (1.0 - x))
     odd = n % 2 == 1
     s2 = math.sin(n * theta) ** 2

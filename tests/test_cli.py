@@ -1,10 +1,48 @@
 import math
 
+import numpy as np
 import pytest
 
 from ybc import cli
 from ybc.braid_ybe import GateParams
-from ybc.strategies import ONE_QUBIT, StrategySpec, simulated_l1
+from ybc.strategies import (
+    ONE_QUBIT,
+    StrategySpec,
+    batched_grid,
+    closed_form_l1,
+    simulated_l1,
+)
+
+
+def reference_sweep_csv(kind, xs, thetas, phis, ns) -> str:
+    """A sweep CSV rendered point by point: scalar closed form, _fmt per field."""
+    planes = {(phi, n): batched_grid(kind, xs, thetas, phi, n) for phi in phis for n in ns}
+    rows = [cli.SWEEP_HEADER]
+    for ix, x in enumerate(xs):
+        for it, theta in enumerate(thetas):
+            for phi in phis:
+                for n in ns:
+                    c_l1, c_r = (float(a[ix, it]) for a in planes[(phi, n)])
+                    closed = closed_form_l1(
+                        StrategySpec(kind, float(x), n, GateParams(float(theta), phi))
+                    )
+                    angles = ",".join(cli._fmt(v) for v in (float(x), float(theta), phi))
+                    values = (c_l1, c_r, closed, abs(c_l1 - closed))
+                    rows.append(
+                        f"{kind},{angles},{n}," + ",".join(cli._fmt(v) for v in values)
+                    )
+    return "\n".join(rows) + "\n"
+
+
+def failing_after_first_chunk(rows):
+    """Wrap a row generator so that it fails after yielding one chunk."""
+
+    def wrapped(*args, **kwargs):
+        chunks = rows(*args, **kwargs)
+        yield next(chunks)
+        raise OSError(28, "No space left on device")
+
+    return wrapped
 
 
 class TestVerify:
@@ -68,20 +106,27 @@ class TestSweep:
         assert abs(float(fields[5]) - 1.0) <= 1e-10  # c_l1_sim at the fixed point
 
     def test_rows_in_grid_order(self, tmp_path):
-        out = tmp_path / "grid.csv"
-        assert cli.main([
-            "sweep", "--strategy", "two", "--x", "0:1:2", "--theta", "0:1:3",
-            "--phi", "0,0.25", "--n", "1,2", "--out", str(out),
-        ]) == 0
-        lines = out.read_text().splitlines()[1:]
-        assert len(lines) == 2 * 3 * 2 * 2
-        # x outer, then theta, then phi, then N
-        xs = [float(line.split(",")[1]) for line in lines]
-        assert xs == sorted(xs)
-        first_block = [line.split(",") for line in lines[:4]]
-        assert [row[4] for row in first_block] == ["1", "2", "1", "2"]
-        assert float(first_block[0][3]) == 0.0
-        assert abs(float(first_block[2][3]) - math.pi / 4) <= 1e-12
+        for kind in ("one", "two"):
+            out = tmp_path / f"grid_{kind}.csv"
+            assert cli.main([
+                "sweep", "--strategy", kind, "--x", "0:1:3", "--theta", "0:1:5",
+                "--phi", "0,0.25", "--n", "1,2,3", "--out", str(out),
+            ]) == 0
+            text = out.read_text()
+            lines = text.splitlines()[1:]
+            assert len(lines) == 3 * 5 * 2 * 3
+            # x outer, then theta, then phi, then N
+            xs = [float(line.split(",")[1]) for line in lines]
+            assert xs == sorted(xs)
+            first_block = [line.split(",") for line in lines[:6]]
+            assert [row[4] for row in first_block] == ["1", "2", "3", "1", "2", "3"]
+            assert float(first_block[0][3]) == 0.0
+            assert abs(float(first_block[3][3]) - math.pi / 4) <= 1e-12
+            # The streamed plane-wise rows equal a point-by-point rendering.
+            assert text == reference_sweep_csv(
+                kind, np.linspace(0.0, 1.0, 3), np.linspace(0.0, math.pi, 5),
+                [0.0, 0.25 * math.pi], [1, 2, 3],
+            )
 
     def test_values_reparse_to_computed_doubles(self, tmp_path):
         out = tmp_path / "re.csv"
@@ -123,6 +168,36 @@ class TestSweep:
         ])
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failure_mid_stream_leaves_destination(
+        self, tmp_path, capsys, monkeypatch, existing
+    ):
+        monkeypatch.setattr(cli, "_sweep_rows", failing_after_first_chunk(cli._sweep_rows))
+        out = tmp_path / "grid.csv"
+        if existing:
+            out.write_text("previous contents\n")
+        code = cli.main([
+            "sweep", "--strategy", "two", "--x", "0:1:3", "--theta", "0:1:5",
+            "--phi", "0", "--n", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
+        if existing:
+            assert out.read_text() == "previous contents\n"
+        else:
+            assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["grid.csv"] if existing else [])
+
+    def test_success_replaces_existing_file(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        out.write_text("previous contents\n")
+        assert cli.main([
+            "sweep", "--strategy", "one", "--x", "0:1:2", "--theta", "0:1:2",
+            "--phi", "0", "--n", "1", "--out", str(out),
+        ]) == 0
+        assert out.read_text().startswith(cli.SWEEP_HEADER + "\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
 
     def test_config_file_provides_defaults(self, tmp_path):
         config = tmp_path / "sweep.cfg"
@@ -171,7 +246,27 @@ class TestFigure:
         assert abs(float(first[3]) - math.pi / 4) <= 1e-12
 
 
+    def test_failure_mid_stream_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_sweep_rows", failing_after_first_chunk(cli._sweep_rows))
+        assert cli.main(["figure", "4a", "--out", str(tmp_path / "f.csv")]) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCompare:
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch):
+        def refuse(src, dst):
+            raise OSError(30, "Read-only file system")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        code = cli.main([
+            "compare", "--strategy", "two", "--x", "0:1:2", "--theta", "0:1:2",
+            "--phi", "0.25", "--n", "1", "--out", str(tmp_path / "cmp.csv"),
+        ])
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_small_grid_completes(self, tmp_path, capsys):
         out = tmp_path / "cmp.csv"
         code = cli.main([

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ybc.strategies import (
     apply_channel,
     batched_grid,
     closed_form_l1_one_qubit,
+    closed_form_l1_plane,
     closed_form_l1_two_qubit,
     discrepancy_report,
     elementwise_reduced_one_qubit,
@@ -77,6 +80,15 @@ class TestPrepare:
             StrategySpec("three", 0.5, 1, GateParams(0.0, 0.0))
         with pytest.raises(ValueError, match="n_uses"):
             StrategySpec(ONE_QUBIT, 0.5, 0, GateParams(0.0, 0.0))
+
+    @pytest.mark.parametrize("n", [1.7, 2.0, True, "3", None])
+    def test_spec_rejects_non_integral_uses(self, n):
+        with pytest.raises(ValueError, match="n_uses"):
+            StrategySpec(ONE_QUBIT, 0.5, n, GateParams(0.0, 0.0))
+
+    def test_spec_accepts_numpy_integer_uses(self):
+        s = StrategySpec(TWO_QUBIT, 0.5, np.int64(3), GateParams(0.0, 0.0))
+        assert s.n_uses == 3 and type(s.n_uses) is int
 
 
 class TestApplyChannel:
@@ -353,6 +365,48 @@ class TestBatchedGrid:
         )
         assert np.isfinite(c_l1).all()
         assert np.isnan(c_r).all()
+
+
+class TestClosedFormPlane:
+    XS = np.concatenate([np.linspace(0.0, 1.0, 21), [0.5, 1e-300, 1.0 - 1e-16, 1.0 / 3.0]])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10**6 + 1])
+    def test_bitwise_equal_to_scalar_forms(self, n):
+        poles = [k * math.pi / (2 * n) for k in range(-2, 4 * n + 3)] if n < 10 else [
+            k * math.pi / (2 * n) for k in (-1, 0, 1, 2, 3, 1000, 10**6 + 1)
+        ]
+        thetas = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 37), poles, [1e-9, -2.5]])
+        for phi in (0.0, math.pi / 4.0, 0.13 * math.pi, 1.7 * math.pi, -2.3):
+            one = closed_form_l1_plane(ONE_QUBIT, self.XS, thetas, phi, n)
+            two = closed_form_l1_plane(TWO_QUBIT, self.XS, thetas, phi, n)
+            assert one.shape == two.shape == (len(self.XS), len(thetas))
+            for i, x in enumerate(self.XS.tolist()):
+                for j, theta in enumerate(thetas.tolist()):
+                    assert one[i, j] == closed_form_l1_one_qubit(x, theta, phi, n)
+                    assert two[i, j] == closed_form_l1_two_qubit(x, theta, n)
+
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    def test_validates_whole_plane(self, kind):
+        xs, thetas = np.array([0.0, 0.5]), np.array([0.1, 0.2])
+        for bad_xs in ([0.0, 1.5], [-0.1, 0.5], [0.5, np.nan]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                closed_form_l1_plane(kind, np.array(bad_xs), thetas, 0.0, 1)
+        for n in (0, -1, 1.7, 2.0, True):
+            with pytest.raises(ValueError, match="n_uses"):
+                closed_form_l1_plane(kind, xs, thetas, 0.0, n)
+        for bad_thetas, phi in (([0.1, np.inf], 0.0), ([0.1, np.nan], 0.0), ([0.1], np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                closed_form_l1_plane(kind, xs, np.array(bad_thetas), phi, 1)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind"):
+            closed_form_l1_plane("three", [0.5], [0.1], 0.0, 1)
+
+    def test_scalar_forms_reject_non_integral_uses(self):
+        with pytest.raises(ValueError, match="n_uses"):
+            closed_form_l1_one_qubit(0.5, 0.3, 0.0, 1.7)
+        with pytest.raises(ValueError, match="n_uses"):
+            closed_form_l1_two_qubit(0.5, 0.3, True)
 
 
 class TestDiscrepancyReport:
