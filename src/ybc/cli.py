@@ -403,10 +403,12 @@ def cmd_compare(args) -> int:
         return 2
 
     kinds = ("one", "two") if args.strategy == "all" else (args.strategy,)
-    specs = []
-    for kind in kinds:
-        specs.extend(_grid_specs(kind, xs, thetas, phis, ns))
-    report = strategies.discrepancy_report(specs)
+    specs = (spec for kind in kinds for spec in _grid_specs(kind, xs, thetas, phis, ns))
+    try:
+        report = strategies.discrepancy_report(specs)
+    except ValueError as exc:
+        print(f"compare: {exc}", file=sys.stderr)
+        return 2
     if formula != "all":
         # Blank the non-selected formula columns; the summary drops them too.
         nan = float("nan")

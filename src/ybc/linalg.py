@@ -16,7 +16,6 @@ DEFAULT_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-12
-PSD_TOL = 1e-10
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -169,9 +168,6 @@ class DensityMatrix:
 
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues()[0])
-
-    def is_positive(self, tol: float = PSD_TOL) -> bool:
-        return self.min_eigenvalue() >= -tol
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

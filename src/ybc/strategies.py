@@ -29,7 +29,7 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .braid_ybe import GateParams, build_r_theta_phi
-from .coherence import l1_coherence, relative_entropy_coherence
+from .coherence import DEFAULT_TOL, EIG_CLAMP, l1_coherence
 from .linalg import DensityMatrix, PureState, identity, kron, partial_trace
 
 StrategyKind = Literal["one", "two"]
@@ -103,18 +103,6 @@ def prepare_input(spec: StrategySpec) -> DensityMatrix:
     return _prepared_input(spec.kind, spec.x)
 
 
-def _input_amplitudes(kind: StrategyKind, x: float) -> np.ndarray:
-    if kind == ONE_QUBIT:
-        amps = np.zeros(4, dtype=complex)
-        amps[0] = math.sqrt(1.0 - x)
-        amps[2] = math.sqrt(x)
-    else:
-        amps = np.zeros(8, dtype=complex)
-        amps[2] = math.sqrt(1.0 - x)
-        amps[4] = math.sqrt(x)
-    return amps
-
-
 @lru_cache(maxsize=65536)
 def _channel_unitary(kind: StrategyKind, theta: float, phi: float, n: int) -> np.ndarray:
     r = build_r_theta_phi(GateParams(theta, phi))
@@ -162,6 +150,82 @@ def simulated_l1(spec: StrategySpec) -> float:
     return l1_coherence(simulate_reduced(spec))
 
 
+# Basis indices of the two nonzero input amplitudes, sqrt(1-x) and sqrt(x)
+# (see prepare_one_qubit_input and prepare_two_qubit_input).
+_INPUT_SUPPORT = {ONE_QUBIT: [0, 2], TWO_QUBIT: [2, 4]}
+
+
+def _per_value(fn, values: np.ndarray) -> list[np.ndarray]:
+    """Evaluate ``fn`` once per distinct entry of ``values`` and broadcast back.
+
+    ``fn`` takes a float and returns a tuple; the result has one array per
+    tuple element, of shape ``values.shape`` plus that element's own shape.
+    """
+    distinct, inverse = np.unique(values, return_inverse=True)
+    inverse = inverse.reshape(values.shape)
+    return [np.array(column)[inverse] for column in zip(*map(fn, distinct.tolist()))]
+
+
+def _check_points(kind, x: np.ndarray, theta: np.ndarray, phi: float, n) -> None:
+    """Validate a whole batch of points once: kind, N, x in [0, 1], finite angles."""
+    _check_kind(kind)
+    _check_uses(n)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError("x values must lie in [0, 1]")
+    if not (np.all(np.isfinite(theta)) and math.isfinite(phi)):
+        raise ValueError("angles must be finite")
+
+
+def _simulate(kind, x, theta, phi, n, with_relative_entropy=True):
+    """The simulation kernel over broadcastable x and theta arrays at fixed phi, N.
+
+    Same mathematics as ``simulate_reduced`` point by point.  For a unitary
+    channel on a pure input, U rho U^dagger = (U psi)(U psi)^dagger exactly,
+    and psi has two nonzero amplitudes, so U psi is the sum of the two gate
+    columns they select; the ancilla is contracted out of the outer product.
+    The gate is looked up once per distinct theta.  As in the pointwise
+    measures, a reduced state whose trace is off 1 by more than
+    ``coherence.DEFAULT_TOL``, or that has an eigenvalue below
+    ``-coherence.EIG_CLAMP``, raises ValueError; smaller negatives are
+    clamped to 0.  Returns (c_l1, c_r) in the broadcast shape of x and theta.
+    """
+    _check_points(kind, x, theta, phi, n)
+    phi, n = float(phi), int(n)
+    support = _INPUT_SUPPORT[kind]
+    (columns,) = _per_value(lambda t: (_channel_unitary(kind, t, phi, n)[:, support],), theta)
+    x = x[..., None]
+    evolved = columns[..., 0] * np.sqrt(1.0 - x) + columns[..., 1] * np.sqrt(x)
+    ds = evolved.shape[-1] // 2
+    v = evolved.reshape(evolved.shape[:-1] + (ds, 2))
+    sigma = np.einsum("...sa,...ra->...sr", v, v.conj())
+    # Drop temporaries once used: the spectra below set the peak memory of a plane.
+    del evolved, v
+    diag = np.einsum("...ss->...s", sigma).real
+    trace_error = np.abs(diag.sum(axis=-1) - 1.0)
+    if not np.all(trace_error <= DEFAULT_TOL):
+        raise ValueError(
+            f"reduced state trace is off 1 by {trace_error.max()!r}, "
+            f"expected within {DEFAULT_TOL}"
+        )
+    absolute = np.abs(sigma)
+    span = np.arange(ds)
+    absolute[..., span, span] = 0.0
+    c_l1 = absolute.sum(axis=(-2, -1))
+    del absolute
+    if not with_relative_entropy:
+        return c_l1, np.full_like(c_l1, np.nan)
+    diag_p = np.clip(diag, 0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shannon = -np.where(diag_p > 0, diag_p * np.log2(diag_p), 0.0).sum(axis=-1)
+        lam = np.linalg.eigvalsh(sigma)
+        if lam.min() < -EIG_CLAMP:
+            raise ValueError(f"reduced state has a negative eigenvalue: {lam.min()!r}")
+        lam = np.clip(lam, 0.0, None)
+        s_rho = -np.where(lam > 0, lam * np.log2(lam), 0.0).sum(axis=-1)
+    c_r = np.clip(shannon - s_rho, 0.0, None)
+    return c_l1, c_r
+
+
 def batched_grid(
     kind: StrategyKind,
     xs: np.ndarray,
@@ -172,35 +236,14 @@ def batched_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized oracle over an (x, theta) grid at fixed phi and N.
 
-    Same mathematics as ``simulate_reduced`` point by point: the cached
-    channel unitaries are applied to the pure inputs and the ancilla is
-    contracted out of the outer product (for a unitary channel on a pure
-    input, U rho U^dagger = (U psi)(U psi)^dagger exactly).  Returns
-    (c_l1, c_r) arrays of shape (len(xs), len(thetas)); c_r is NaN-filled
-    when not requested.  Tests pin this path against the pointwise one.
+    Returns (c_l1, c_r) arrays of shape (len(xs), len(thetas)) from the
+    simulation kernel that ``discrepancy_report`` also uses; c_r is
+    NaN-filled when not requested.  Tests pin this path against the
+    pointwise one.
     """
     xs = np.asarray(xs, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
-    gates = np.stack([_channel_unitary(kind, float(t), float(phi), int(n)) for t in thetas])
-    psis = np.stack([_input_amplitudes(kind, float(x)) for x in xs])
-    evolved = np.einsum("tij,xj->xti", gates, psis)
-    ds = 2 if kind == ONE_QUBIT else 4
-    v = evolved.reshape(len(xs), len(thetas), ds, 2)
-    sigma = np.einsum("xtsa,xtra->xtsr", v, v.conj())
-    absolute = np.abs(sigma)
-    diag = np.einsum("xtss->xts", sigma).real
-    span = np.arange(ds)
-    absolute[..., span, span] = 0.0
-    c_l1 = absolute.sum(axis=(-2, -1))
-    if not with_relative_entropy:
-        return c_l1, np.full_like(c_l1, np.nan)
-    diag_p = np.clip(diag, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shannon = -np.where(diag_p > 0, diag_p * np.log2(diag_p), 0.0).sum(axis=-1)
-        lam = np.clip(np.linalg.eigvalsh(sigma), 0.0, None)
-        s_rho = -np.where(lam > 0, lam * np.log2(lam), 0.0).sum(axis=-1)
-    c_r = np.clip(shannon - s_rho, 0.0, None)
-    return c_l1, c_r
+    return _simulate(kind, xs[:, None], thetas[None, :], phi, n, with_relative_entropy)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +351,22 @@ def closed_form_l1_two_qubit(x: float, theta: float, n: int) -> float:
     return _two_qubit_l1(_eps(x), *_two_qubit_theta_terms(theta, n))
 
 
+def _closed_form_l1(kind, x, theta, phi, n) -> np.ndarray:
+    """Closed-form coherence over broadcastable x and theta arrays at fixed phi, N.
+
+    Each entry equals ``closed_form_l1_one_qubit`` / ``closed_form_l1_two_qubit``
+    at its point bit for bit.  The x-only and theta-only factors are evaluated
+    with ``math`` once per distinct value; the inputs are validated once.
+    """
+    _check_points(kind, x, theta, phi, n)
+    n = int(n)
+    (eps,) = _per_value(lambda v: (_eps(v),), x)
+    if kind == ONE_QUBIT:
+        terms = _per_value(lambda t: _one_qubit_theta_terms(t, phi, n), theta)
+        return _one_qubit_l1(x, eps, _float_square(eps), *terms, phi)
+    return _two_qubit_l1(eps, *_per_value(lambda t: _two_qubit_theta_terms(t, n), theta))
+
+
 def closed_form_l1_plane(
     kind: StrategyKind, xs: np.ndarray, thetas: np.ndarray, phi: float, n: int
 ) -> np.ndarray:
@@ -317,25 +376,9 @@ def closed_form_l1_plane(
     ``closed_form_l1_one_qubit`` / ``closed_form_l1_two_qubit`` at each
     point bit for bit.  The inputs are validated once for the whole plane.
     """
-    _check_kind(kind)
-    _check_uses(n)
     xs = np.asarray(xs, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
-    if not np.all((xs >= 0.0) & (xs <= 1.0)):
-        raise ValueError("x values must lie in [0, 1]")
-    if not (np.all(np.isfinite(thetas)) and math.isfinite(phi)):
-        raise ValueError("angles must be finite")
-    n = int(n)
-    eps = [_eps(x) for x in xs.tolist()]
-    eps_col = np.array(eps)[:, None]
-    if kind == ONE_QUBIT:
-        eps_sq_col = np.array([e**2 for e in eps])[:, None]
-        terms = [_one_qubit_theta_terms(t, phi, n) for t in thetas.tolist()]
-        per_theta = np.array(terms, dtype=float).reshape(len(thetas), 4).T
-        return _one_qubit_l1(xs[:, None], eps_col, eps_sq_col, *per_theta, phi)
-    terms = [_two_qubit_theta_terms(t, n) for t in thetas.tolist()]
-    per_theta = np.array(terms, dtype=float).reshape(len(thetas), 3).T
-    return _two_qubit_l1(eps_col, *per_theta)
+    return _closed_form_l1(kind, xs[:, None], thetas[None, :], phi, n)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +389,88 @@ def closed_form_l1_plane(
 def _identity_channel_one_qubit(x: float) -> np.ndarray:
     root = math.sqrt(x * (1.0 - x))
     return np.array([[1.0 - x, root], [root, x]], dtype=complex)
+
+
+def _abs(z):
+    """|z| by libm hypot, as Python and numpy scalars compute it.
+
+    numpy's vectorized complex absolute differs from hypot in the last bit
+    on some inputs; the array assemblies must reproduce the scalar ones.
+    """
+    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+
+
+# The element assemblies are written once, over operands that are either
+# floats or arrays broadcast over a batch of points.  The x-only and
+# theta-only factors are evaluated with ``math`` per value.  No complex
+# value is multiplied by another complex value, which numpy's vectorized
+# loops round differently from scalar arithmetic, and moduli go through
+# ``_abs``, so the batched and the scalar evaluation agree bit for bit.
+
+
+def _one_qubit_element_theta_terms(theta: float, n: int):
+    """Pole flag, 1/base^2, sin(2 N theta) and base^2 of the one-qubit assembly.
+
+    base is cos(N theta) for odd N and sin(N theta) for even N.  Inside
+    ``POLE_WINDOW`` of a zero of base, 1/base^2 is returned as 0 and the
+    caller substitutes the analytic limit; a pole whose companion
+    sin(2 N theta) does not vanish is a genuine divergence and raises.
+    """
+    base = math.cos(n * theta) if n % 2 == 1 else math.sin(n * theta)
+    sin2nt = math.sin(2.0 * n * theta)
+    pole = abs(base) < POLE_WINDOW
+    if pole and abs(sin2nt) > 2.0 * POLE_WINDOW:
+        raise ValueError(
+            f"sec/csc pole at theta={theta!r}, N={n} with non-vanishing "
+            "companion: the element expression diverges here"
+        )
+    inv_sq = 0.0 if pole else 1.0 / base**2
+    return pole, inv_sq, sin2nt, base**2
+
+
+def _one_qubit_elements(x, eps, inv_sq, sin2nt, trig2, phi: float, odd: bool):
+    """sigma_11 and sigma_12 of the one-qubit assembly off its poles."""
+    alpha = _alpha(x, sin2nt)
+    s11 = 0.5 * (1.0 + alpha * inv_sq / 8.0 - eps * math.cos(phi) * sin2nt)
+    bracket = eps * (2.0 - (2.0 - 1j + np.exp(2j * phi)) * trig2)
+    alpha_term = math.sqrt(2.0) * alpha * np.exp(1j * phi) / 4.0
+    s12 = 0.5 * (bracket + alpha_term) if odd else 0.5 * (bracket - alpha_term)
+    return s11, s12
+
+
+def _check_finite(s11, s12, x, theta, phi: float, n: int) -> None:
+    finite = np.isfinite(s11) & np.isfinite(s12.real) & np.isfinite(s12.imag)
+    if not np.all(finite):
+        first = int(np.argmin(finite))
+        x, theta = (float(np.broadcast_to(v, np.shape(finite)).flat[first]) for v in (x, theta))
+        raise ValueError(
+            f"non-finite element at x={x!r}, theta={theta!r}, phi={phi!r}, N={n}"
+        )
+
+
+def _two_qubit_element_theta_terms(theta: float, phi: float, n: int):
+    """sin^2 and cos^2 of N theta, the sigma_12 chain factor and the sigma_23 bracket."""
+    s2 = math.sin(n * theta) ** 2
+    c2 = math.cos(n * theta) ** 2
+    sin2nt = math.sin(2.0 * n * theta)
+    chain = (-1.0) ** n / (2.0 * math.sqrt(2.0)) * np.exp(1j * phi) * sin2nt
+    bracket = (2.0 + 1j) * s2 - 1j if n % 2 == 1 else (2.0 - 1j) * c2 + 1j
+    return s2, c2, chain, bracket
+
+
+def _two_qubit_elements(x, eps, root, s2, c2, chain, bracket, phi: float, odd: bool):
+    """The diagonal and the six upper off-diagonal entries of the 4x4 assembly."""
+    s11 = 0.5 * (1.0 - x) * (c2 if odd else s2)
+    s22 = 0.5 * (1.0 - x) * ((1.0 + s2) if odd else (1.0 + c2))
+    s33 = 0.5 * x * ((1.0 + s2) if odd else (1.0 + c2))
+    s44 = 1.0 - s11 - s22 - s33
+    s12 = (1.0 - x) * chain
+    s13 = root * chain
+    s14 = eps / math.sqrt(2.0) * np.exp(2j * phi) * (c2 if odd else s2)
+    s23 = eps / math.sqrt(2.0) * bracket
+    s24 = -root * chain
+    s34 = -x * chain
+    return (s11, s22, s33, s44), (s12, s13, s14, s23, s24, s34)
 
 
 def elementwise_reduced_one_qubit(
@@ -365,30 +490,13 @@ def elementwise_reduced_one_qubit(
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    eps = _eps(x)
-    alpha = _alpha(x, math.sin(2.0 * n * theta))
-    odd = n % 2 == 1
-    base = math.cos(n * theta) if odd else math.sin(n * theta)
-    if abs(base) < POLE_WINDOW:
-        if abs(math.sin(2.0 * n * theta)) > 2.0 * POLE_WINDOW:
-            raise ValueError(
-                f"sec/csc pole at theta={theta!r}, N={n} with non-vanishing "
-                "companion: the element expression diverges here"
-            )
+    pole, inv_sq, sin2nt, trig2 = _one_qubit_element_theta_terms(theta, n)
+    if pole:
         sigma = _identity_channel_one_qubit(x)
         return sigma, 2.0 * abs(sigma[0, 1])
-    inv_sq = 1.0 / base**2
-    sin2nt = math.sin(2.0 * n * theta)
-    s11 = 0.5 * (1.0 + alpha * inv_sq / 8.0 - eps * math.cos(phi) * sin2nt)
-    trig2 = math.cos(n * theta) ** 2 if odd else math.sin(n * theta) ** 2
-    bracket = eps * (2.0 - (2.0 - 1j + np.exp(2j * phi)) * trig2)
-    alpha_term = math.sqrt(2.0) * alpha * np.exp(1j * phi) / 4.0
-    s12 = 0.5 * (bracket + alpha_term) if odd else 0.5 * (bracket - alpha_term)
+    s11, s12 = _one_qubit_elements(x, _eps(x), inv_sq, sin2nt, trig2, phi, n % 2 == 1)
+    _check_finite(s11, s12, x, theta, phi, n)
     sigma = np.array([[s11, s12], [np.conj(s12), 1.0 - s11]], dtype=complex)
-    if not np.all(np.isfinite(sigma.view(float))):
-        raise ValueError(
-            f"non-finite element at x={x!r}, theta={theta!r}, phi={phi!r}, N={n}"
-        )
     return sigma, 2.0 * abs(s12)
 
 
@@ -405,31 +513,12 @@ def elementwise_reduced_two_qubit(
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    eps = _eps(x)
-    root = math.sqrt(x * (1.0 - x))
-    odd = n % 2 == 1
-    s2 = math.sin(n * theta) ** 2
-    c2 = math.cos(n * theta) ** 2
-    sin2nt = math.sin(2.0 * n * theta)
-    sign_n = (-1.0) ** n
-
-    s11 = 0.5 * (1.0 - x) * (c2 if odd else s2)
-    s22 = 0.5 * (1.0 - x) * ((1.0 + s2) if odd else (1.0 + c2))
-    s33 = 0.5 * x * ((1.0 + s2) if odd else (1.0 + c2))
-    s44 = 1.0 - s11 - s22 - s33
-
-    chain = sign_n / (2.0 * math.sqrt(2.0)) * np.exp(1j * phi) * sin2nt
-    s12 = (1.0 - x) * chain
-    s13 = root * chain
-    s24 = -root * chain
-    s34 = -x * chain
-    s14 = eps / math.sqrt(2.0) * np.exp(2j * phi) * (c2 if odd else s2)
-    s23 = (
-        eps / math.sqrt(2.0) * ((2.0 + 1j) * s2 - 1j)
-        if odd
-        else eps / math.sqrt(2.0) * ((2.0 - 1j) * c2 + 1j)
+    terms = _two_qubit_element_theta_terms(theta, phi, n)
+    diagonal, upper = _two_qubit_elements(
+        x, _eps(x), math.sqrt(x * (1.0 - x)), *terms, phi, n % 2 == 1
     )
-
+    s11, s22, s33, s44 = diagonal
+    s12, s13, s14, s23, s24, s34 = upper
     sigma = np.array(
         [
             [s11, s12, s13, s14],
@@ -439,19 +528,32 @@ def elementwise_reduced_two_qubit(
         ],
         dtype=complex,
     )
-    c_l1 = 2.0 * (abs(s12) + abs(s13) + abs(s14) + abs(s23) + abs(s24) + abs(s34))
-    return sigma, c_l1
+    return sigma, 2.0 * sum(_abs(z) for z in upper)
 
 
-def elementwise_l1(spec: StrategySpec) -> float:
-    """l1 value of the element assembly matching the strategy kind."""
-    if spec.kind == ONE_QUBIT:
-        return elementwise_reduced_one_qubit(
-            spec.x, spec.gate.theta, spec.gate.phi, spec.n_uses
-        )[1]
-    return elementwise_reduced_two_qubit(
-        spec.x, spec.gate.theta, spec.gate.phi, spec.n_uses
-    )[1]
+def _elementwise_l1(kind, x, theta, phi, n) -> tuple[np.ndarray, float]:
+    """Element-assembly l1 values over broadcastable x and theta at fixed phi, N.
+
+    Each entry equals the l1 value of ``elementwise_reduced_one_qubit`` /
+    ``elementwise_reduced_two_qubit`` at its point bit for bit; the pole
+    window is applied as a mask.  Also returns the smallest diagonal entry
+    of the 4x4 assemblies (0.0 for the one-qubit kind, whose 2x2 assembly
+    can leave the density-matrix set near its poles).
+    """
+    _check_points(kind, x, theta, phi, n)
+    n = int(n)
+    odd = n % 2 == 1
+    eps, root = _per_value(lambda v: (_eps(v), math.sqrt(v * (1.0 - v))), x)
+    if kind == ONE_QUBIT:
+        pole, inv_sq, sin2nt, trig2 = _per_value(
+            lambda t: _one_qubit_element_theta_terms(t, n), theta
+        )
+        s11, s12 = _one_qubit_elements(x, eps, inv_sq, sin2nt, trig2, phi, odd)
+        _check_finite(s11, s12, x, theta, phi, n)
+        return np.where(pole, 2.0 * root, 2.0 * _abs(s12)), 0.0
+    terms = _per_value(lambda t: _two_qubit_element_theta_terms(t, phi, n), theta)
+    diagonal, upper = _two_qubit_elements(x, eps, root, *terms, phi, odd)
+    return 2.0 * sum(_abs(z) for z in upper), float(min(d.min() for d in diagonal))
 
 
 def closed_form_l1(spec: StrategySpec) -> float:
@@ -549,44 +651,6 @@ class DiscrepancyReport:
         return "\n".join(lines)
 
 
-def evaluate_record(spec: StrategySpec) -> tuple[SimRecord, float]:
-    """Run the oracle and both reference evaluators at one grid point.
-
-    Returns the record together with the smallest diagonal entry of the
-    4x4 element assembly (0.0 for the one-qubit kind, whose 2x2 assembly
-    can leave the density-matrix set near its poles), so callers can flag
-    negative diagonals where they would signal an assembly inconsistency.
-    """
-    reduced = simulate_reduced(spec)
-    c_sim = l1_coherence(reduced)
-    c_r = relative_entropy_coherence(reduced)
-    c_closed = closed_form_l1(spec)
-    if spec.kind == ONE_QUBIT:
-        sigma, c_appendix = elementwise_reduced_one_qubit(
-            spec.x, spec.gate.theta, spec.gate.phi, spec.n_uses
-        )
-        min_diag = 0.0
-    else:
-        sigma, c_appendix = elementwise_reduced_two_qubit(
-            spec.x, spec.gate.theta, spec.gate.phi, spec.n_uses
-        )
-        min_diag = float(np.diag(sigma).real.min())
-    record = SimRecord(
-        kind=spec.kind,
-        x=spec.x,
-        theta=spec.gate.theta,
-        phi=spec.gate.phi,
-        n_uses=spec.n_uses,
-        c_l1_sim=c_sim,
-        c_r_sim=c_r,
-        c_l1_closed=c_closed,
-        c_l1_appendix=c_appendix,
-        deviation_closed=abs(c_sim - c_closed),
-        deviation_appendix=abs(c_sim - c_appendix),
-    )
-    return record, min_diag
-
-
 def default_grid(kinds: Iterable[StrategyKind] = (ONE_QUBIT, TWO_QUBIT)):
     """Default cross-validation grid: 11 x-values, 64 angles, two phases, N 1..4."""
     xs = [round(0.1 * i, 10) for i in range(11)]
@@ -607,19 +671,37 @@ def discrepancy_report(specs: Iterable[StrategySpec]) -> DiscrepancyReport:
     """Evaluate every grid point and summarize deviations per formula.
 
     The simulation is the ground truth; deviations quantify the
-    reference formulas.  Assembled element matrices with a diagonal entry below
-    -1e-10 are flagged rather than clamped.
+    reference formulas.  ``specs`` is consumed once.  Its points are
+    grouped by (kind, phi, N) in first-seen order, and each group is
+    evaluated whole by the simulation kernel, the closed form and the
+    element assembly; the records come back in input order, each with its
+    own spec's x, theta, phi and N.  Assembled element matrices with a
+    diagonal entry below -1e-10 are flagged rather than clamped.
     """
-    specs = list(specs)
-    if not specs:
+    groups: dict[tuple, tuple[list, list, list, list]] = {}
+    size = 0
+    for size, spec in enumerate(specs, 1):
+        key = (spec.kind, spec.gate.phi, spec.n_uses)
+        index, xs, thetas, phis = groups.setdefault(key, ([], [], [], []))
+        index.append(size - 1)
+        xs.append(spec.x)
+        thetas.append(spec.gate.theta)
+        phis.append(spec.gate.phi)
+    if not size:
         raise ValueError("discrepancy grid must not be empty")
-    records = []
-    flags = []
+    records: list = [None] * size
     worst_negative = 0.0
-    for spec in specs:
-        record, min_diag = evaluate_record(spec)
-        records.append(record)
+    for (kind, phi, n), (index, xs, thetas, phis) in groups.items():
+        x, theta = np.array(xs, dtype=float), np.array(thetas, dtype=float)
+        c_l1, c_r = _simulate(kind, x, theta, phi, n)
+        closed = _closed_form_l1(kind, x, theta, phi, n)
+        appendix, min_diag = _elementwise_l1(kind, x, theta, phi, n)
         worst_negative = min(worst_negative, min_diag)
+        columns = (c_l1, c_r, closed, appendix, np.abs(c_l1 - closed), np.abs(c_l1 - appendix))
+        rows = zip(index, xs, thetas, phis, *(c.tolist() for c in columns))
+        for i, x_i, theta_i, phi_i, *values in rows:
+            records[i] = SimRecord(kind, x_i, theta_i, phi_i, n, *values)
+    flags = []
     if worst_negative < -1e-10:
         flags.append(
             "two-qubit element assembly produced a negative diagonal entry "

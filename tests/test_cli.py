@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ybc import cli
+from ybc import cli, strategies
 from ybc.braid_ybe import GateParams
 from ybc.strategies import (
     ONE_QUBIT,
@@ -306,6 +306,50 @@ class TestCompare:
         for line in out.read_text().splitlines()[1:]:
             fields = line.split(",")
             assert float(fields[8]) <= 1e-10  # two-qubit closed form on the slice
+
+
+    def test_negative_zero_phi_keeps_its_sign(self, tmp_path):
+        # phi = 0 and phi = -0 share one evaluation group; each row still
+        # prints its own phi.
+        out = tmp_path / "cmp.csv"
+        assert cli.main([
+            "compare", "--strategy", "all", "--x", "0:1:2", "--theta", "0:1:3",
+            "--phi", "0,-0", "--n", "1,2", "--out", str(out),
+        ]) == 0
+        phis = [line.split(",")[3] for line in out.read_text().splitlines()[1:]]
+        assert phis == ["0", "0", "-0", "-0"] * (2 * 2 * 3)
+
+    @pytest.mark.parametrize(
+        "command, prefix", [("compare", "compare: "), ("sweep", "cannot write")]
+    )
+    def test_kernel_check_failure_exits_two(
+        self, command, prefix, tmp_path, capsys, monkeypatch
+    ):
+        original = strategies._channel_unitary
+        monkeypatch.setattr(strategies, "_channel_unitary", lambda *a: 1.01 * original(*a))
+        code = cli.main([
+            command, "--strategy", "two", "--x", "0:1:3", "--theta", "0:1:3",
+            "--phi", "0.25", "--n", "1", "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and "trace" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestCrossCommand:
+    def test_sweep_and_compare_print_the_same_values(self, tmp_path):
+        grid = ["--x", "0:1:5", "--theta", "0:2:9", "--phi", "0,0.25", "--n", "1,2"]
+        for kind in ("one", "two"):
+            sweep_csv, compare_csv = tmp_path / f"s_{kind}.csv", tmp_path / f"c_{kind}.csv"
+            assert cli.main(["sweep", "--strategy", kind, *grid, "--out", str(sweep_csv)]) == 0
+            assert cli.main(["compare", "--strategy", kind, *grid, "--out", str(compare_csv)]) == 0
+            sweep = [line.split(",") for line in sweep_csv.read_text().splitlines()[1:]]
+            compare = [line.split(",") for line in compare_csv.read_text().splitlines()[1:]]
+            assert len(sweep) == len(compare) == 5 * 9 * 2 * 2
+            # strategy,x,theta,phi,N,c_l1_sim, then c_l1_closed
+            assert [row[:6] for row in sweep] == [row[:6] for row in compare]
+            assert [row[7] for row in sweep] == [row[6] for row in compare]
 
 
 class TestUsage:

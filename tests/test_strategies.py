@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ybc import strategies
 from ybc.braid_ybe import GateParams, build_s
 from ybc.coherence import l1_coherence
 from ybc.linalg import DensityMatrix, identity, kron, max_abs_diff
@@ -12,6 +13,7 @@ from ybc.strategies import (
     StrategySpec,
     apply_channel,
     batched_grid,
+    closed_form_l1,
     closed_form_l1_one_qubit,
     closed_form_l1_plane,
     closed_form_l1_two_qubit,
@@ -358,6 +360,48 @@ class TestBatchedGrid:
                 assert abs(c_l1[i, j] - l1_coherence(reduced)) <= 1e-12
                 assert abs(c_r[i, j] - relative_entropy_coherence(reduced)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "kind, xs, thetas, phi, n, message",
+        [
+            (ONE_QUBIT, [1.5], [0.1], 0.0, 1, r"\[0, 1\]"),
+            (ONE_QUBIT, [np.nan], [0.1], 0.0, 1, r"\[0, 1\]"),
+            (TWO_QUBIT, [0.5], [np.inf], 0.0, 1, "finite"),
+            (TWO_QUBIT, [0.5], [0.1], 0.0, 0, "n_uses"),
+            ("three", [0.5], [0.1], 0.0, 1, "kind"),
+        ],
+    )
+    def test_validates_inputs(self, kind, xs, thetas, phi, n, message):
+        with pytest.raises(ValueError, match=message):
+            batched_grid(kind, xs, thetas, phi, n)
+
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    def test_trace_check_raises(self, kind, monkeypatch):
+        # A channel that is not trace preserving must fail loudly, as the
+        # pointwise entropy does, instead of producing clipped numbers.
+        original = strategies._channel_unitary
+        monkeypatch.setattr(strategies, "_channel_unitary", lambda *a: 1.01 * original(*a))
+        for with_entropy in (True, False):
+            with pytest.raises(ValueError, match="trace"):
+                batched_grid(kind, [0.2, 0.5], [0.3, 1.1], 0.4, 2, with_entropy)
+
+    @pytest.mark.parametrize("smallest, raises", [(-1e-9, True), (-1e-11, False)])
+    def test_negative_eigenvalue_check(self, smallest, raises, monkeypatch):
+        # Below -EIG_CLAMP is an error, as in the pointwise entropy; noise
+        # within the clamp is set to 0.
+        original = np.linalg.eigvalsh
+
+        def eigvalsh(a):
+            lam = original(a)
+            lam[..., 0] = smallest
+            return lam
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        if raises:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                batched_grid(ONE_QUBIT, [0.5], [0.3], 0.0, 1)
+        else:
+            assert np.isfinite(batched_grid(ONE_QUBIT, [0.5], [0.3], 0.0, 1)[1]).all()
+
     def test_relative_entropy_optional(self):
         c_l1, c_r = batched_grid(
             ONE_QUBIT, np.array([0.5]), np.array([0.8]), 0.0, 1,
@@ -409,7 +453,95 @@ class TestClosedFormPlane:
             closed_form_l1_two_qubit(0.5, 0.3, True)
 
 
+def pole_thetas(n):
+    """The poles k pi/(2N), inside POLE_WINDOW of them and just outside it."""
+    poles = [k * math.pi / (2 * n) for k in range(-1, 4 * n + 2)]
+    return [p + d for p in poles for d in (0.0, -1e-9, 1e-9, -1e-7, 1e-7)]
+
+
+def assert_record_matches_pointwise(record, s):
+    """A report record against the DensityMatrix oracle and the scalar evaluators."""
+    assert (record.kind, record.x, record.theta, record.n_uses) == (
+        s.kind, s.x, s.gate.theta, s.n_uses,
+    )
+    assert math.copysign(1.0, record.phi) == math.copysign(1.0, s.gate.phi)
+    assert record.phi == s.gate.phi
+    reduced = simulate_reduced(s)
+    assert abs(record.c_l1_sim - l1_coherence(reduced)) <= 1e-12
+    assert abs(record.c_r_sim - relative_entropy_coherence(reduced)) <= 1e-12
+    assert record.c_l1_closed == closed_form_l1(s)
+    assemble = (
+        elementwise_reduced_one_qubit if s.kind == ONE_QUBIT else elementwise_reduced_two_qubit
+    )
+    sigma, appendix = assemble(s.x, s.gate.theta, s.gate.phi, s.n_uses)
+    assert record.c_l1_appendix == appendix
+    assert record.deviation_closed == abs(record.c_l1_sim - record.c_l1_closed)
+    assert record.deviation_appendix == abs(record.c_l1_sim - record.c_l1_appendix)
+    return float(np.diag(sigma).real.min()) if s.kind == TWO_QUBIT else 0.0
+
+
+def expected_flags(worst_negative):
+    if worst_negative < -1e-10:
+        return (
+            "two-qubit element assembly produced a negative diagonal entry "
+            f"({worst_negative:.3e})",
+        )
+    return ()
+
+
 class TestDiscrepancyReport:
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_records_match_pointwise_oracle(self, kind, n):
+        specs = [
+            spec(kind, x, n, theta, phi)
+            for phi in (0.0, 0.37 * math.pi, -1.9)
+            for x in (0.0, 0.3, 0.5, 1.0)
+            for theta in pole_thetas(n)
+        ]
+        report = discrepancy_report(s for s in specs)
+        assert len(report.records) == len(specs)
+        worst = min(assert_record_matches_pointwise(r, s) for r, s in zip(report.records, specs))
+        assert report.flags == expected_flags(min(worst, 0.0))
+
+    def test_interleaved_generator_keeps_input_order(self):
+        specs = [
+            spec(kind, x, n, theta, phi)
+            for kind in (ONE_QUBIT, TWO_QUBIT)
+            for x in (0.0, 0.3, 1.0)
+            for theta in (0.0, 0.7, np.pi / 2, 2.0)
+            for phi in (0.0, -0.0, 0.9)
+            for n in (1, 2)
+        ]
+        order = np.random.default_rng(5).permutation(len(specs))
+        shuffled = [specs[i] for i in order]
+        report = discrepancy_report(s for s in shuffled)
+        assert len(report.records) == len(shuffled)
+        for record, s in zip(report.records, shuffled):
+            assert_record_matches_pointwise(record, s)
+
+    def test_negative_diagonal_flag(self, monkeypatch):
+        # The flag reports the smallest diagonal entry of any 4x4 assembly;
+        # shift the shared assembly body so that some entries go negative.
+        body = strategies._two_qubit_elements
+
+        def shifted(x, *rest):
+            (s11, s22, s33, s44), upper = body(x, *rest)
+            return (s11, s22, s33, s44 - 1e-9 * (1.0 + x)), upper
+
+        monkeypatch.setattr(strategies, "_two_qubit_elements", shifted)
+        specs = [
+            spec(kind, x, n, theta, 0.3)
+            for kind in (ONE_QUBIT, TWO_QUBIT)
+            for x in (0.0, 0.6, 1.0)
+            for theta in (0.0, 0.4)
+            for n in (1, 2)
+        ]
+        report = discrepancy_report(specs)
+        worst = min(assert_record_matches_pointwise(r, s) for r, s in zip(report.records, specs))
+        assert worst < -1e-10
+        assert report.flags == expected_flags(worst)
+
     def test_identity_slice_agreement(self):
         # At theta = pi/2 every evaluator that reduces to the identity
         # channel agrees with the oracle: the two-qubit closed form, the
