@@ -2,7 +2,6 @@
 
 from .braid_ybe import (
     GateParams,
-    SpectralParams,
     build_eight_vertex_b,
     build_r_theta_phi,
     build_s,
@@ -28,7 +27,6 @@ from .linalg import (
     dagger,
     eig_hermitian,
     kron,
-    matmul,
     max_abs_diff,
     partial_trace,
 )

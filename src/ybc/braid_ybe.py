@@ -32,7 +32,6 @@ import numpy as np
 from .linalg import identity, kron, max_abs_diff
 
 DEFAULT_TOL = 1e-10
-UNIT_MODULUS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,29 +44,6 @@ class GateParams:
     def __post_init__(self):
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError(f"angles must be finite: {self.theta}, {self.phi}")
-
-
-@dataclass(frozen=True)
-class SpectralParams:
-    """Spectral and deformation parameters for the two YBE forms.
-
-    mu, nu are additive spectral parameters; x, y multiplicative ones.
-    The deformation q must sit on the unit circle for the unitary forms.
-    """
-
-    mu: float = 0.0
-    nu: float = 0.0
-    x: float = 1.0
-    y: float = 1.0
-    q: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        for name in ("mu", "nu", "x", "y"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be a finite real, got {v!r}")
-        if abs(abs(self.q) - 1.0) > UNIT_MODULUS_TOL:
-            raise ValueError(f"|q| must be 1, got |q| = {abs(self.q)!r}")
 
 
 class CheckResult(NamedTuple):

@@ -18,7 +18,6 @@ verify tolerances; an explicit --tolerance overrides both.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -269,17 +268,6 @@ def _parse_int_list(text: str, name: str) -> list[int]:
     return values
 
 
-def _grid_specs(kind, xs, thetas, phis, ns):
-    """Row order: x outer, then theta, then phi, then N."""
-    for x in xs:
-        for theta in thetas:
-            for phi in phis:
-                for n in ns:
-                    yield strategies.StrategySpec(
-                        kind, float(x), int(n), GateParams(float(theta), float(phi))
-                    )
-
-
 def _write_csv(path: str, header: str, chunks: Iterable[str]) -> bool:
     """Stream the header and row chunks to ``path`` atomically.
 
@@ -306,32 +294,47 @@ def _write_csv(path: str, header: str, chunks: Iterable[str]) -> bool:
     return True
 
 
-_ROW_VALUES = "%.12g,%.12g,%.12g,%.12g"  # same bytes as _fmt on each field
-
-
-def _sweep_rows(kind, xs, thetas, phis, ns) -> Iterator[str]:
-    """CSV rows in grid order (x outer, then theta, phi, N), one chunk per x.
-
-    Every (phi, N) plane is evaluated whole before the first chunk, so an
-    invalid grid fails before any row is produced.
-    """
-    keys, planes = [], []
+def _sweep_values(kind, xs, thetas, phis, ns) -> np.ndarray:
+    """Every (phi, N) plane of a sweep grid, as values[ix, it, plane, column]."""
+    planes = []
     for phi in phis:
         for n in ns:
             closed = strategies.closed_form_l1_plane(kind, xs, thetas, phi, n)
             c_l1, c_r = strategies.batched_grid(kind, xs, thetas, phi, n)
-            keys.append(f"{_fmt(float(phi))},{int(n)},")
             planes.append((c_l1, c_r, closed, np.abs(c_l1 - closed)))
-    # values[ix, it, plane, column]
-    values = np.array(planes).transpose(2, 3, 0, 1)
+    return np.array(planes).transpose(2, 3, 0, 1)
+
+
+def _csv_rows(kind, xs, thetas, phis, ns, values: np.ndarray) -> Iterator[str]:
+    """CSV rows in grid order (x outer, then theta, phi, N), one chunk per x.
+
+    ``values[ix, it]`` holds the value columns of the (phi, N) points at
+    xs[ix] and thetas[it], phi outer.  Each row's values are formatted with
+    one ``%`` call, which prints the same bytes as ``_fmt`` on each field.
+    """
+    row_values = ",".join(["%.12g"] * values.shape[-1])
+    keys = [f"{_fmt(float(phi))},{int(n)}," for phi in phis for n in ns]
     prefixes = [f"{_fmt(float(t))},{key}" for t in thetas for key in keys]
     for ix, x in enumerate(xs):
         head = f"{kind},{_fmt(float(x))},"
-        quads = values[ix].reshape(-1, 4).tolist()
+        rows = values[ix].reshape(len(prefixes), -1).tolist()
         yield "".join(
-            f"{head}{prefix}{_ROW_VALUES % tuple(quad)}\n"
-            for prefix, quad in zip(prefixes, quads)
+            f"{head}{prefix}{row_values % tuple(row)}\n" for prefix, row in zip(prefixes, rows)
         )
+
+
+def _write_sweep(command: str, out: str, kind, xs, thetas, phis, ns) -> bool:
+    """Evaluate every plane of a sweep grid, then stream its CSV to ``out``.
+
+    A failed kernel check prints ``COMMAND: message``; a write error prints
+    ``cannot write``.  Either way the caller exits 2.
+    """
+    try:
+        values = _sweep_values(kind, xs, thetas, phis, ns)
+    except ValueError as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return False
+    return _write_csv(out, SWEEP_HEADER, _csv_rows(kind, xs, thetas, phis, ns, values))
 
 
 def cmd_sweep(args) -> int:
@@ -347,8 +350,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    rows = _sweep_rows(args.strategy, xs, thetas, phis, ns)
-    if not _write_csv(args.out, SWEEP_HEADER, rows):
+    if not _write_sweep("sweep", args.out, args.strategy, xs, thetas, phis, ns):
         return 2
     print(f"wrote {len(xs) * len(thetas) * len(phis) * len(ns)} rows to {args.out}")
     return 0
@@ -362,40 +364,43 @@ def cmd_figure(args) -> int:
     kind, n = FIGURES[args.id]
     xs = np.linspace(0.0, 1.0, 101)
     thetas = np.linspace(0.0, 2.0 * np.pi, 256)
-    rows = _sweep_rows(kind, xs, thetas, [math.pi / 4.0], [n])
-    if not _write_csv(args.out, SWEEP_HEADER, rows):
+    if not _write_sweep("figure", args.out, kind, xs, thetas, [math.pi / 4.0], [n]):
         return 2
     print(f"wrote figure {args.id} grid ({len(xs) * len(thetas)} rows) to {args.out}")
     return 0
 
 
+# The report columns that compare prints, and those each --formula blanks.
+COMPARE_COLUMNS = (
+    "c_l1_sim", "c_l1_closed", "c_l1_appendix", "deviation_closed", "deviation_appendix"
+)
+DROPPED_COLUMNS = {
+    "all": (),
+    "closed": ("c_l1_appendix", "deviation_appendix"),
+    "elements": ("c_l1_closed", "deviation_closed"),
+}
+
+
 def cmd_compare(args) -> int:
     formula = args.formula
-    if formula not in ("closed", "elements", "all"):
+    if formula not in DROPPED_COLUMNS:
         print(
             f"--formula must be closed, elements or all, got {formula!r}",
             file=sys.stderr,
         )
         return 2
+    xs, thetas, phis, ns = strategies.default_axes()
     try:
         if args.strategy not in ("one", "two", "all"):
             raise ValueError(f"--strategy must be one, two or all, got {args.strategy!r}")
-        xs = (
-            _parse_range(args.x, "x")
-            if args.x is not None
-            else np.linspace(0.0, 1.0, 11)
-        )
-        thetas = (
-            _parse_range(args.theta, "theta", scale=math.pi)
-            if args.theta is not None
-            else np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        )
-        phis = (
-            _parse_list(args.phi, "phi", scale=math.pi)
-            if args.phi is not None
-            else [0.0, math.pi / 4.0]
-        )
-        ns = _parse_int_list(args.n, "n") if args.n is not None else [1, 2, 3, 4]
+        if args.x is not None:
+            xs = _parse_range(args.x, "x")
+        if args.theta is not None:
+            thetas = _parse_range(args.theta, "theta", scale=math.pi)
+        if args.phi is not None:
+            phis = _parse_list(args.phi, "phi", scale=math.pi)
+        if args.n is not None:
+            ns = _parse_int_list(args.n, "n")
         if not all(0.0 <= x <= 1.0 for x in xs):
             raise ValueError("--x values must lie in [0, 1]")
     except ValueError as exc:
@@ -403,38 +408,24 @@ def cmd_compare(args) -> int:
         return 2
 
     kinds = ("one", "two") if args.strategy == "all" else (args.strategy,)
-    specs = (spec for kind in kinds for spec in _grid_specs(kind, xs, thetas, phis, ns))
     try:
-        report = strategies.discrepancy_report(specs)
+        report = strategies.discrepancy_report(kinds, xs, thetas, phis, ns)
     except ValueError as exc:
         print(f"compare: {exc}", file=sys.stderr)
         return 2
-    if formula != "all":
-        # Blank the non-selected formula columns; the summary drops them too.
-        nan = float("nan")
-        filtered = tuple(
-            dataclasses.replace(
-                r,
-                **(
-                    {"c_l1_appendix": nan, "deviation_appendix": nan}
-                    if formula == "closed"
-                    else {"c_l1_closed": nan, "deviation_closed": nan}
-                ),
-            )
-            for r in report.records
-        )
-        report = strategies.DiscrepancyReport(filtered, report.flags)
-
+    # Blank the formula columns not selected; the summary drops them too.
+    for name in DROPPED_COLUMNS[formula]:
+        report.column(name)[...] = np.nan
+    columns = np.stack([report.column(name) for name in COMPARE_COLUMNS], axis=-1)
     rows = (
-        f"{r.kind},{_fmt(r.x)},{_fmt(r.theta)},{_fmt(r.phi)},{r.n_uses},"
-        f"{_fmt(r.c_l1_sim)},{_fmt(r.c_l1_closed)},{_fmt(r.c_l1_appendix)},"
-        f"{_fmt(r.deviation_closed)},{_fmt(r.deviation_appendix)}\n"
-        for r in report.records
+        chunk
+        for kind, values in zip(kinds, columns)
+        for chunk in _csv_rows(kind, xs, thetas, phis, ns, values)
     )
     if not _write_csv(args.out, COMPARE_HEADER, rows):
         return 2
     print(report.format_summary())
-    print(f"wrote {len(report.records)} rows to {args.out}")
+    print(f"wrote {columns[..., 0].size} rows to {args.out}")
     return 0
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -26,15 +25,6 @@ def as_complex_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix contains non-finite entries")
     return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex matrix product with an explicit shape check."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -77,11 +67,6 @@ def eig_hermitian(a: np.ndarray, herm_tol: float = 1e-8) -> np.ndarray:
 
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
-
-
-def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    u = np.asarray(u, dtype=complex)
-    return max_abs_diff(u @ u.conj().T, np.eye(u.shape[0])) <= tol
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -105,11 +105,11 @@ def prepare_input(spec: StrategySpec) -> DensityMatrix:
 
 @lru_cache(maxsize=65536)
 def _channel_unitary(kind: StrategyKind, theta: float, phi: float, n: int) -> np.ndarray:
-    r = build_r_theta_phi(GateParams(theta, phi))
-    rn = np.linalg.matrix_power(r, n)
-    if kind == ONE_QUBIT:
-        return rn
-    return kron(identity(2), rn)
+    """R^N, or I (x) R^N; read-only, so that no caller can corrupt the cache."""
+    rn = np.linalg.matrix_power(build_r_theta_phi(GateParams(theta, phi)), n)
+    u = rn if kind == ONE_QUBIT else kron(identity(2), rn)
+    u.setflags(write=False)
+    return u
 
 
 def channel_unitary(spec: StrategySpec) -> np.ndarray:
@@ -204,7 +204,7 @@ def _simulate(kind, x, theta, phi, n, with_relative_entropy=True):
     trace_error = np.abs(diag.sum(axis=-1) - 1.0)
     if not np.all(trace_error <= DEFAULT_TOL):
         raise ValueError(
-            f"reduced state trace is off 1 by {trace_error.max()!r}, "
+            f"reduced state trace is off 1 by {float(trace_error.max())!r}, "
             f"expected within {DEFAULT_TOL}"
         )
     absolute = np.abs(sigma)
@@ -219,7 +219,7 @@ def _simulate(kind, x, theta, phi, n, with_relative_entropy=True):
         shannon = -np.where(diag_p > 0, diag_p * np.log2(diag_p), 0.0).sum(axis=-1)
         lam = np.linalg.eigvalsh(sigma)
         if lam.min() < -EIG_CLAMP:
-            raise ValueError(f"reduced state has a negative eigenvalue: {lam.min()!r}")
+            raise ValueError(f"reduced state has a negative eigenvalue: {float(lam.min())!r}")
         lam = np.clip(lam, 0.0, None)
         s_rho = -np.where(lam > 0, lam * np.log2(lam), 0.0).sum(axis=-1)
     c_r = np.clip(shannon - s_rho, 0.0, None)
@@ -571,23 +571,6 @@ def closed_form_l1(spec: StrategySpec) -> float:
 
 
 @dataclass(frozen=True)
-class SimRecord:
-    """One grid point of the cross-check between oracle and reference formulas."""
-
-    kind: StrategyKind
-    x: float
-    theta: float
-    phi: float
-    n_uses: int
-    c_l1_sim: float
-    c_r_sim: float
-    c_l1_closed: float
-    c_l1_appendix: float
-    deviation_closed: float
-    deviation_appendix: float
-
-
-@dataclass(frozen=True)
 class FormulaStats:
     kind: StrategyKind
     formula: str
@@ -597,37 +580,57 @@ class FormulaStats:
     mean_deviation: float
 
 
+# The value columns of a discrepancy report, in order along its last axis.
+REPORT_COLUMNS = (
+    "c_l1_sim",
+    "c_r_sim",
+    "c_l1_closed",
+    "c_l1_appendix",
+    "deviation_closed",
+    "deviation_appendix",
+)
+
+
 @dataclass(frozen=True)
 class DiscrepancyReport:
-    records: tuple[SimRecord, ...]
+    """The cross-check over a (kind, x, theta, phi, N) grid.
+
+    ``values[k, ix, it, ip, j]`` holds the ``REPORT_COLUMNS`` of the point
+    (kinds[k], xs[ix], thetas[it], phis[ip], ns[j]); in C order the points
+    run kind, then x, theta, phi and N, the row order of ``ybc compare``.
+    """
+
+    kinds: tuple[StrategyKind, ...]
+    ns: tuple[int, ...]
+    values: np.ndarray
     flags: tuple[str, ...]
 
+    def column(self, name: str) -> np.ndarray:
+        """One value column over the grid, as a view into ``values``."""
+        return self.values[..., REPORT_COLUMNS.index(name)]
+
     def stats(self) -> list[FormulaStats]:
+        """Max and mean of the finite deviations per (kind, formula, parity).
+
+        The deviations are reduced in row order as Python floats, with
+        ``max`` and ``sum``/count, so the printed digits do not depend on
+        the array layout.
+        """
+        kinds = np.array(self.kinds)
+        odd = np.array([n % 2 == 1 for n in self.ns])
         rows = []
         for kind in (ONE_QUBIT, TWO_QUBIT):
-            for formula, attr in (
-                ("closed", "deviation_closed"),
-                ("appendix", "deviation_appendix"),
-            ):
-                for parity, keep in (("odd", 1), ("even", 0)):
-                    devs = [
-                        getattr(r, attr)
-                        for r in self.records
-                        if r.kind == kind and r.n_uses % 2 == keep
-                    ]
-                    devs = [d for d in devs if math.isfinite(d)]
-                    if not devs:
-                        continue
-                    rows.append(
-                        FormulaStats(
-                            kind,
-                            formula,
-                            parity,
-                            len(devs),
-                            max(devs),
-                            sum(devs) / len(devs),
+            for formula in ("closed", "appendix"):
+                deviations = self.column(f"deviation_{formula}")[kinds == kind]
+                for parity, keep in (("odd", odd), ("even", ~odd)):
+                    devs = deviations[..., keep]
+                    devs = devs[np.isfinite(devs)].tolist()
+                    if devs:
+                        rows.append(
+                            FormulaStats(
+                                kind, formula, parity, len(devs), max(devs), sum(devs) / len(devs)
+                            )
                         )
-                    )
         return rows
 
     def format_summary(self, match_tol: float = 1e-10) -> str:
@@ -651,60 +654,49 @@ class DiscrepancyReport:
         return "\n".join(lines)
 
 
-def default_grid(kinds: Iterable[StrategyKind] = (ONE_QUBIT, TWO_QUBIT)):
-    """Default cross-validation grid: 11 x-values, 64 angles, two phases, N 1..4."""
-    xs = [round(0.1 * i, 10) for i in range(11)]
-    thetas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    phis = (0.0, math.pi / 4.0)
-    ns = (1, 2, 3, 4)
-    specs = []
-    for kind in kinds:
-        for x in xs:
-            for theta in thetas:
-                for phi in phis:
-                    for n in ns:
-                        specs.append(StrategySpec(kind, x, n, GateParams(theta, phi)))
-    return specs
+def default_axes():
+    """The default grid of ``ybc compare``: 11 x values, 64 angles, two phases, N 1..4.
 
-
-def discrepancy_report(specs: Iterable[StrategySpec]) -> DiscrepancyReport:
-    """Evaluate every grid point and summarize deviations per formula.
-
-    The simulation is the ground truth; deviations quantify the
-    reference formulas.  ``specs`` is consumed once.  Its points are
-    grouped by (kind, phi, N) in first-seen order, and each group is
-    evaluated whole by the simulation kernel, the closed form and the
-    element assembly; the records come back in input order, each with its
-    own spec's x, theta, phi and N.  Assembled element matrices with a
-    diagonal entry below -1e-10 are flagged rather than clamped.
+    Returns (xs, thetas, phis, ns).
     """
-    groups: dict[tuple, tuple[list, list, list, list]] = {}
-    size = 0
-    for size, spec in enumerate(specs, 1):
-        key = (spec.kind, spec.gate.phi, spec.n_uses)
-        index, xs, thetas, phis = groups.setdefault(key, ([], [], [], []))
-        index.append(size - 1)
-        xs.append(spec.x)
-        thetas.append(spec.gate.theta)
-        phis.append(spec.gate.phi)
-    if not size:
+    return (
+        np.linspace(0.0, 1.0, 11),
+        np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False),
+        [0.0, math.pi / 4.0],
+        [1, 2, 3, 4],
+    )
+
+
+def discrepancy_report(kinds, xs, thetas, phis, ns) -> DiscrepancyReport:
+    """Evaluate every point of the grid and summarize deviations per formula.
+
+    The simulation is the ground truth; deviations quantify the reference
+    formulas.  Each (kind, phi, N) plane is evaluated whole over the
+    (x, theta) grid by the simulation kernel, the closed form and the
+    element assembly.  Assembled element matrices with a diagonal entry
+    below -1e-10 are flagged rather than clamped.
+    """
+    kinds, phis, ns = tuple(kinds), [float(phi) for phi in phis], tuple(ns)
+    xs, thetas = np.asarray(xs, dtype=float), np.asarray(thetas, dtype=float)
+    shape = (len(kinds), xs.size, thetas.size, len(phis), len(ns))
+    if 0 in shape:
         raise ValueError("discrepancy grid must not be empty")
-    records: list = [None] * size
+    values = np.empty(shape + (len(REPORT_COLUMNS),))
+    x, theta = xs[:, None], thetas[None, :]
     worst_negative = 0.0
-    for (kind, phi, n), (index, xs, thetas, phis) in groups.items():
-        x, theta = np.array(xs, dtype=float), np.array(thetas, dtype=float)
-        c_l1, c_r = _simulate(kind, x, theta, phi, n)
-        closed = _closed_form_l1(kind, x, theta, phi, n)
-        appendix, min_diag = _elementwise_l1(kind, x, theta, phi, n)
-        worst_negative = min(worst_negative, min_diag)
-        columns = (c_l1, c_r, closed, appendix, np.abs(c_l1 - closed), np.abs(c_l1 - appendix))
-        rows = zip(index, xs, thetas, phis, *(c.tolist() for c in columns))
-        for i, x_i, theta_i, phi_i, *values in rows:
-            records[i] = SimRecord(kind, x_i, theta_i, phi_i, n, *values)
+    for k, kind in enumerate(kinds):
+        for ip, phi in enumerate(phis):
+            for j, n in enumerate(ns):
+                c_l1, c_r = _simulate(kind, x, theta, phi, n)
+                closed = _closed_form_l1(kind, x, theta, phi, n)
+                appendix, min_diag = _elementwise_l1(kind, x, theta, phi, n)
+                worst_negative = min(worst_negative, min_diag)
+                deviations = np.abs(c_l1 - closed), np.abs(c_l1 - appendix)
+                values[k, :, :, ip, j] = np.stack((c_l1, c_r, closed, appendix, *deviations), -1)
     flags = []
     if worst_negative < -1e-10:
         flags.append(
             "two-qubit element assembly produced a negative diagonal entry "
             f"({worst_negative:.3e})"
         )
-    return DiscrepancyReport(tuple(records), tuple(flags))
+    return DiscrepancyReport(kinds, ns, values, tuple(flags))

@@ -38,7 +38,7 @@ from ybc.strategies import (
     StrategySpec,
     apply_channel,
     batched_grid,
-    default_grid,
+    default_axes,
     discrepancy_report,
     prepare_input,
     simulated_l1,
@@ -280,43 +280,34 @@ def test_criterion_11_phi_independence():
 
 
 def test_criterion_12_closed_form_cross_validation():
-    report = discrepancy_report(default_grid())
+    kinds = (ONE_QUBIT, TWO_QUBIT)
+    report = discrepancy_report(kinds, *default_axes())
     stats = report.stats()
     labels = {(s.kind, s.formula, s.parity) for s in stats}
     expected_labels = {
         (kind, formula, parity)
-        for kind in (ONE_QUBIT, TWO_QUBIT)
+        for kind in kinds
         for formula in ("closed", "appendix")
         for parity in ("odd", "even")
     }
-    ran = labels == expected_labels and len(report.records) == 2 * 11 * 64 * 2 * 4
+    points = report.column("c_l1_sim").size
+    ran = labels == expected_labels and points == 2 * 11 * 64 * 2 * 4
 
-    slice_specs = [
-        StrategySpec(kind, x, n, GateParams(math.pi / 2, phi))
-        for kind in (ONE_QUBIT, TWO_QUBIT)
-        for x in np.linspace(0.0, 1.0, 11)
-        for n in (1, 2, 3, 4)
-        for phi in (0.0, math.pi / 4)
-    ]
-    slice_report = discrepancy_report(slice_specs)
-    agreeing_worst = 0.0
-    documented = {}
-    for r in slice_report.records:
-        if r.kind == TWO_QUBIT:
-            agreeing_worst = max(agreeing_worst, r.deviation_closed)
-            documented.setdefault("two-qubit elements", 0.0)
-            documented["two-qubit elements"] = max(
-                documented["two-qubit elements"], r.deviation_appendix
-            )
-        else:
-            agreeing_worst = max(agreeing_worst, r.deviation_appendix)
-            if r.n_uses % 2 == 1:
-                agreeing_worst = max(agreeing_worst, r.deviation_closed)
-            else:
-                documented.setdefault("one-qubit closed form, even N", 0.0)
-                documented["one-qubit closed form, even N"] = max(
-                    documented["one-qubit closed form, even N"], r.deviation_closed
-                )
+    ns = (1, 2, 3, 4)
+    slice_report = discrepancy_report(
+        kinds, np.linspace(0.0, 1.0, 11), (math.pi / 2,), (0.0, math.pi / 4), ns
+    )
+    one_closed, two_closed = slice_report.column("deviation_closed")
+    one_appendix, two_appendix = slice_report.column("deviation_appendix")
+    odd = [n % 2 == 1 for n in ns]
+    even = [not o for o in odd]
+    agreeing_worst = max(
+        float(two_closed.max()), float(one_appendix.max()), float(one_closed[..., odd].max())
+    )
+    documented = {
+        "one-qubit closed form, even N": float(one_closed[..., even].max()),
+        "two-qubit elements": float(two_appendix.max()),
+    }
     for name, dev in sorted(documented.items()):
         print(
             f"  documented reference-formula gap on the theta=pi/2 slice: "
@@ -326,7 +317,7 @@ def test_criterion_12_closed_form_cross_validation():
     criterion(
         12,
         ok,
-        f"report ran over {len(report.records)} points with "
+        f"report ran over {points} points with "
         f"{len(stats)} formula/parity stats; agreeing formulas deviate "
         f"{agreeing_worst:.2e} on the theta=pi/2 slice (tol 1e-10); "
         f"{len(documented)} reference-formula gaps documented, not asserted",

@@ -3,7 +3,6 @@ import pytest
 
 from ybc.braid_ybe import (
     GateParams,
-    SpectralParams,
     build_eight_vertex_b,
     build_r_theta_phi,
     build_s,
@@ -269,17 +268,3 @@ class TestEvolutionHamiltonian:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError, match="step"):
             evolution_hamiltonian(GateParams(0.8, 0.3), step=0.0)
-
-
-class TestSpectralParams:
-    def test_unit_modulus_enforced(self):
-        with pytest.raises(ValueError, match=r"\|q\|"):
-            SpectralParams(q=2.0 + 0.0j)
-
-    def test_finite_reals_enforced(self):
-        with pytest.raises(ValueError, match="finite"):
-            SpectralParams(mu=np.inf)
-
-    def test_defaults_valid(self):
-        p = SpectralParams(mu=0.5, nu=-1.0, x=2.0, y=0.25, q=np.exp(-1j * 0.3))
-        assert p.x == 2.0

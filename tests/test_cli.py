@@ -173,7 +173,7 @@ class TestSweep:
     def test_failure_mid_stream_leaves_destination(
         self, tmp_path, capsys, monkeypatch, existing
     ):
-        monkeypatch.setattr(cli, "_sweep_rows", failing_after_first_chunk(cli._sweep_rows))
+        monkeypatch.setattr(cli, "_csv_rows", failing_after_first_chunk(cli._csv_rows))
         out = tmp_path / "grid.csv"
         if existing:
             out.write_text("previous contents\n")
@@ -247,7 +247,7 @@ class TestFigure:
 
 
     def test_failure_mid_stream_leaves_no_file(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_sweep_rows", failing_after_first_chunk(cli._sweep_rows))
+        monkeypatch.setattr(cli, "_csv_rows", failing_after_first_chunk(cli._csv_rows))
         assert cli.main(["figure", "4a", "--out", str(tmp_path / "f.csv")]) == 2
         assert "cannot write" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -320,21 +320,42 @@ class TestCompare:
         assert phis == ["0", "0", "-0", "-0"] * (2 * 2 * 3)
 
     @pytest.mark.parametrize(
-        "command, prefix", [("compare", "compare: "), ("sweep", "cannot write")]
+        "command, prefix",
+        [("compare", "compare: "), ("sweep", "sweep: "), ("figure", "figure: ")],
     )
     def test_kernel_check_failure_exits_two(
         self, command, prefix, tmp_path, capsys, monkeypatch
     ):
         original = strategies._channel_unitary
         monkeypatch.setattr(strategies, "_channel_unitary", lambda *a: 1.01 * original(*a))
-        code = cli.main([
-            command, "--strategy", "two", "--x", "0:1:3", "--theta", "0:1:3",
-            "--phi", "0.25", "--n", "1", "--out", str(tmp_path / "out.csv"),
-        ])
+        grid = [
+            "--strategy", "two", "--x", "0:1:3", "--theta", "0:1:3", "--phi", "0.25", "--n", "1"
+        ]
+        args = ["4a"] if command == "figure" else grid
+        code = cli.main([command, *args, "--out", str(tmp_path / "out.csv")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(prefix) and "trace" in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_builds_no_spec_per_point(self, tmp_path, monkeypatch):
+        # compare evaluates its grid plane by plane: no StrategySpec at all,
+        # and one GateParams per channel unitary built, not one per point.
+        built = {"StrategySpec": 0, "GateParams": 0}
+        for cls in (strategies.StrategySpec, GateParams):
+            def counting(self, _post_init=cls.__post_init__, _name=cls.__name__):
+                built[_name] += 1
+                _post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        strategies._channel_unitary.cache_clear()
+        assert cli.main([
+            "compare", "--x", "0:1:5", "--theta", "0:1:4", "--phi", "0,0.25", "--n", "1,2",
+            "--out", str(tmp_path / "cmp.csv"),
+        ]) == 0
+        assert built["StrategySpec"] == 0
+        misses = strategies._channel_unitary.cache_info().misses
+        assert built["GateParams"] == misses == 2 * 4 * 2 * 2  # kinds, thetas, phis, N
 
 
 class TestCrossCommand:

@@ -9,7 +9,6 @@ from ybc.linalg import (
     eig_hermitian,
     identity,
     kron,
-    matmul,
     max_abs_diff,
     partial_trace,
 )
@@ -17,42 +16,8 @@ from ybc.linalg import (
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def reference_matmul(a, b):
-    """Independent triple-loop product used as the oracle for matmul."""
-    rows, inner = a.shape
-    cols = b.shape[1]
-    out = np.zeros((rows, cols), dtype=complex)
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0 + 0.0j
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-class TestMatmul:
-    def test_identity_times_x(self):
-        assert max_abs_diff(matmul(identity(2), X), X) == 0.0
-
-    def test_s_matrix_involution(self):
-        s = build_s(0.0)
-        assert max_abs_diff(matmul(s, s), identity(4)) < 1e-12
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = random_complex(rng, (2, 3))
-            b = random_complex(rng, (3, 2))
-            assert max_abs_diff(matmul(a, b), reference_matmul(a, b)) < 1e-13
-
-    def test_dimension_mismatch_reports_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 class TestKron:
@@ -78,8 +43,8 @@ class TestKron:
         rng = np.random.default_rng(13)
         for _ in range(20):
             a, b, c, d = (random_complex(rng, (2, 2)) for _ in range(4))
-            lhs = matmul(kron(a, b), kron(c, d))
-            rhs = kron(matmul(a, c), matmul(b, d))
+            lhs = kron(a, b) @ kron(c, d)
+            rhs = kron(a @ c, b @ d)
             assert max_abs_diff(lhs, rhs) <= 1e-12
 
 
@@ -89,7 +54,7 @@ class TestDagger:
 
     def test_s_matrix_unitarity(self):
         s = build_s(np.pi / 4)
-        assert max_abs_diff(matmul(dagger(s), s), identity(4)) < 1e-12
+        assert max_abs_diff(dagger(s) @ s, identity(4)) < 1e-12
 
     def test_involution(self):
         rng = np.random.default_rng(17)

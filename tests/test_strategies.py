@@ -9,6 +9,7 @@ from ybc.coherence import l1_coherence
 from ybc.linalg import DensityMatrix, identity, kron, max_abs_diff
 from ybc.strategies import (
     ONE_QUBIT,
+    REPORT_COLUMNS,
     TWO_QUBIT,
     StrategySpec,
     apply_channel,
@@ -154,6 +155,21 @@ class TestApplyChannel:
                 spec(TWO_QUBIT, x, k, theta, phi),
             )
             assert max_abs_diff(combined.mat, stepped.mat) <= 1e-12
+
+
+class TestChannelUnitaryCache:
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    def test_cached_unitary_is_read_only(self, kind):
+        s = spec(kind, 0.5, 3, 0.7, 0.2)
+        u = strategies.channel_unitary(s)
+        before = u.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            u *= 2.0
+        again = strategies.channel_unitary(s)
+        assert again is u
+        assert np.array_equal(again, before)
 
 
 class TestReducedState:
@@ -459,25 +475,30 @@ def pole_thetas(n):
     return [p + d for p in poles for d in (0.0, -1e-9, 1e-9, -1e-7, 1e-7)]
 
 
-def assert_record_matches_pointwise(record, s):
-    """A report record against the DensityMatrix oracle and the scalar evaluators."""
-    assert (record.kind, record.x, record.theta, record.n_uses) == (
-        s.kind, s.x, s.gate.theta, s.n_uses,
-    )
-    assert math.copysign(1.0, record.phi) == math.copysign(1.0, s.gate.phi)
-    assert record.phi == s.gate.phi
-    reduced = simulate_reduced(s)
-    assert abs(record.c_l1_sim - l1_coherence(reduced)) <= 1e-12
-    assert abs(record.c_r_sim - relative_entropy_coherence(reduced)) <= 1e-12
-    assert record.c_l1_closed == closed_form_l1(s)
-    assemble = (
-        elementwise_reduced_one_qubit if s.kind == ONE_QUBIT else elementwise_reduced_two_qubit
-    )
-    sigma, appendix = assemble(s.x, s.gate.theta, s.gate.phi, s.n_uses)
-    assert record.c_l1_appendix == appendix
-    assert record.deviation_closed == abs(record.c_l1_sim - record.c_l1_closed)
-    assert record.deviation_appendix == abs(record.c_l1_sim - record.c_l1_appendix)
-    return float(np.diag(sigma).real.min()) if s.kind == TWO_QUBIT else 0.0
+def assert_report_matches_pointwise(report, xs, thetas, phis):
+    """Every point of a report against the DensityMatrix oracle and the scalar evaluators.
+
+    Returns the smallest diagonal entry of the 4x4 assemblies, or 0.0.
+    """
+    worst = 0.0
+    for k, ix, it, ip, j in np.ndindex(report.values.shape[:-1]):
+        kind, n = report.kinds[k], report.ns[j]
+        s = spec(kind, float(xs[ix]), n, float(thetas[it]), float(phis[ip]))
+        point = dict(zip(REPORT_COLUMNS, report.values[k, ix, it, ip, j].tolist()))
+        reduced = simulate_reduced(s)
+        assert abs(point["c_l1_sim"] - l1_coherence(reduced)) <= 1e-12
+        assert abs(point["c_r_sim"] - relative_entropy_coherence(reduced)) <= 1e-12
+        assert point["c_l1_closed"] == closed_form_l1(s)
+        assemble = (
+            elementwise_reduced_one_qubit if kind == ONE_QUBIT else elementwise_reduced_two_qubit
+        )
+        sigma, appendix = assemble(s.x, s.gate.theta, s.gate.phi, n)
+        assert point["c_l1_appendix"] == appendix
+        assert point["deviation_closed"] == abs(point["c_l1_sim"] - point["c_l1_closed"])
+        assert point["deviation_appendix"] == abs(point["c_l1_sim"] - point["c_l1_appendix"])
+        if kind == TWO_QUBIT:
+            worst = min(worst, float(np.diag(sigma).real.min()))
+    return worst
 
 
 def expected_flags(worst_negative):
@@ -489,36 +510,28 @@ def expected_flags(worst_negative):
     return ()
 
 
+BOTH = (ONE_QUBIT, TWO_QUBIT)
+
+
 class TestDiscrepancyReport:
     @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
     def test_records_match_pointwise_oracle(self, kind, n):
-        specs = [
-            spec(kind, x, n, theta, phi)
-            for phi in (0.0, 0.37 * math.pi, -1.9)
-            for x in (0.0, 0.3, 0.5, 1.0)
-            for theta in pole_thetas(n)
-        ]
-        report = discrepancy_report(s for s in specs)
-        assert len(report.records) == len(specs)
-        worst = min(assert_record_matches_pointwise(r, s) for r, s in zip(report.records, specs))
-        assert report.flags == expected_flags(min(worst, 0.0))
+        xs, thetas, phis = (0.0, 0.3, 0.5, 1.0), pole_thetas(n), (0.0, 0.37 * math.pi, -1.9)
+        report = discrepancy_report((kind,), xs, thetas, phis, (n,))
+        assert report.values.shape == (1, len(xs), len(thetas), len(phis), 1, len(REPORT_COLUMNS))
+        worst = assert_report_matches_pointwise(report, xs, thetas, phis)
+        assert report.flags == expected_flags(worst)
 
     def test_interleaved_generator_keeps_input_order(self):
-        specs = [
-            spec(kind, x, n, theta, phi)
-            for kind in (ONE_QUBIT, TWO_QUBIT)
-            for x in (0.0, 0.3, 1.0)
-            for theta in (0.0, 0.7, np.pi / 2, 2.0)
-            for phi in (0.0, -0.0, 0.9)
-            for n in (1, 2)
-        ]
-        order = np.random.default_rng(5).permutation(len(specs))
-        shuffled = [specs[i] for i in order]
-        report = discrepancy_report(s for s in shuffled)
-        assert len(report.records) == len(shuffled)
-        for record, s in zip(report.records, shuffled):
-            assert_record_matches_pointwise(record, s)
+        # Unsorted axes, phi 0 and -0 interleaved and the kinds from a
+        # generator: every entry sits at the grid point of its indices.
+        xs, phis, ns = (1.0, 0.0, 0.3), (-0.0, 0.9, 0.0), (2, 1)
+        thetas = np.random.default_rng(5).permutation([0.0, 0.7, np.pi / 2, 2.0])
+        report = discrepancy_report((k for k in (TWO_QUBIT, ONE_QUBIT)), xs, thetas, phis, ns)
+        assert report.kinds == (TWO_QUBIT, ONE_QUBIT) and report.ns == ns
+        assert report.values.shape == (2, 3, 4, 3, 2, len(REPORT_COLUMNS))
+        assert_report_matches_pointwise(report, xs, thetas, phis)
 
     def test_negative_diagonal_flag(self, monkeypatch):
         # The flag reports the smallest diagonal entry of any 4x4 assembly;
@@ -530,15 +543,9 @@ class TestDiscrepancyReport:
             return (s11, s22, s33, s44 - 1e-9 * (1.0 + x)), upper
 
         monkeypatch.setattr(strategies, "_two_qubit_elements", shifted)
-        specs = [
-            spec(kind, x, n, theta, 0.3)
-            for kind in (ONE_QUBIT, TWO_QUBIT)
-            for x in (0.0, 0.6, 1.0)
-            for theta in (0.0, 0.4)
-            for n in (1, 2)
-        ]
-        report = discrepancy_report(specs)
-        worst = min(assert_record_matches_pointwise(r, s) for r, s in zip(report.records, specs))
+        xs, thetas, phis = (0.0, 0.6, 1.0), (0.0, 0.4), (0.3,)
+        report = discrepancy_report(BOTH, xs, thetas, phis, (1, 2))
+        worst = assert_report_matches_pointwise(report, xs, thetas, phis)
         assert worst < -1e-10
         assert report.flags == expected_flags(worst)
 
@@ -547,41 +554,28 @@ class TestDiscrepancyReport:
         # channel agrees with the oracle: the two-qubit closed form, the
         # one-qubit closed form at odd N, and both element assemblies for
         # the one-qubit strategy.
-        specs = [
-            spec(kind, x, n, np.pi / 2, phi)
-            for kind in (ONE_QUBIT, TWO_QUBIT)
-            for x in (0.0, 0.25, 0.5, 0.75, 1.0)
-            for n in (1, 2, 3, 4)
-            for phi in (0.0, np.pi / 4)
-        ]
-        report = discrepancy_report(specs)
-        for r in report.records:
-            if r.kind == TWO_QUBIT:
-                assert r.deviation_closed <= 1e-10
-            elif r.n_uses % 2 == 1:
-                assert r.deviation_closed <= 1e-10
-            if r.kind == ONE_QUBIT:
-                assert r.deviation_appendix <= 1e-10
+        ns = (1, 2, 3, 4)
+        report = discrepancy_report(
+            BOTH, (0.0, 0.25, 0.5, 0.75, 1.0), (np.pi / 2,), (0.0, np.pi / 4), ns
+        )
+        one, two = report.column("deviation_closed")
+        odd = [n % 2 == 1 for n in ns]
+        assert two.max() <= 1e-10
+        assert one[..., odd].max() <= 1e-10
+        assert report.column("deviation_appendix")[0].max() <= 1e-10
 
     def test_even_use_closed_form_gap_on_identity_slice(self):
         # The reference one-qubit closed form returns 0 for even N at
         # theta = pi/2 while the oracle returns 2 sqrt(x (1 - x)); the
         # report records the gap instead of asserting agreement.
-        report = discrepancy_report([spec(ONE_QUBIT, 0.5, 2, np.pi / 2, 0.0)])
-        record = report.records[0]
-        assert record.c_l1_closed <= 1e-12
-        assert abs(record.c_l1_sim - 1.0) <= 1e-10
-        assert abs(record.deviation_closed - 1.0) <= 1e-10
+        report = discrepancy_report((ONE_QUBIT,), (0.5,), (np.pi / 2,), (0.0,), (2,))
+        point = dict(zip(REPORT_COLUMNS, report.values.reshape(-1).tolist()))
+        assert point["c_l1_closed"] <= 1e-12
+        assert abs(point["c_l1_sim"] - 1.0) <= 1e-10
+        assert abs(point["deviation_closed"] - 1.0) <= 1e-10
 
     def test_summary_has_stats_per_formula_and_parity(self):
-        specs = [
-            spec(kind, x, n, theta, 0.3)
-            for kind in (ONE_QUBIT, TWO_QUBIT)
-            for x in (0.2, 0.7)
-            for n in (1, 2)
-            for theta in (0.4, 1.2)
-        ]
-        report = discrepancy_report(specs)
+        report = discrepancy_report(BOTH, (0.2, 0.7), (0.4, 1.2), (0.3,), (1, 2))
         stats = report.stats()
         labels = {(s.kind, s.formula, s.parity) for s in stats}
         assert (ONE_QUBIT, "closed", "odd") in labels
@@ -589,9 +583,35 @@ class TestDiscrepancyReport:
         text = report.format_summary()
         assert "max dev" in text and "closed" in text
 
+    def test_stats_reduce_finite_deviations_in_row_order(self):
+        # The summary takes max and sum/len of Python floats in row order
+        # (kind, x, theta, phi, N) and skips NaN, as compare --formula blanks.
+        ns = (3, 1, 2)
+        report = discrepancy_report((TWO_QUBIT, ONE_QUBIT), (0.1, 0.9), (0.3, 2.5), (0.2, 1.1), ns)
+        report.column("deviation_appendix")[1, 0] = np.nan
+        expected = []
+        for kind in BOTH:
+            for formula in ("closed", "appendix"):
+                for parity, keep in (("odd", 1), ("even", 0)):
+                    devs = [
+                        report.column(f"deviation_{formula}")[index]
+                        for index in np.ndindex(report.values.shape[:-1])
+                        if report.kinds[index[0]] == kind and ns[index[-1]] % 2 == keep
+                    ]
+                    devs = [float(d) for d in devs if math.isfinite(d)]
+                    if devs:
+                        mean = sum(devs) / len(devs)
+                        expected.append((kind, formula, parity, len(devs), max(devs), mean))
+        assert [
+            (s.kind, s.formula, s.parity, s.count, s.max_deviation, s.mean_deviation)
+            for s in report.stats()
+        ] == expected
+
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            discrepancy_report([])
+        axes = ((ONE_QUBIT,), (0.5,), (0.1,), (0.0,), (1,))
+        for i in range(len(axes)):
+            with pytest.raises(ValueError, match="empty"):
+                discrepancy_report(*axes[:i], (), *axes[i + 1:])
 
     def test_harness_detects_injected_channel_bug(self):
         # Conjugating the simulated output by exp(i 0.01 X (x) I) on the
