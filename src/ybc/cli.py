@@ -230,8 +230,20 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_range(text: str, name: str, scale: float = 1.0) -> np.ndarray:
-    """Parse an inclusive A:B:N range; A and B are scaled (angles: units of pi)."""
+# The most rows that one sweep or compare grid may have.  A run holds the
+# value columns of every row in memory before it writes the CSV, about
+# 50 bytes a row, and the kernel evaluates one (phi, N) plane at a time at
+# about 0.5 KB a point, so a grid at the cap needs at most about 0.5 GB.
+# It is checked on the parsed counts, before any axis is allocated.
+MAX_ROWS = 1_000_000
+
+
+def _parse_range(text: str, name: str, scale: float = 1.0) -> tuple[float, float, int]:
+    """Parse an inclusive A:B:N range into the arguments of ``np.linspace``.
+
+    A and B are scaled (angles: units of pi).  The axis itself is built by
+    ``_grid`` once the row count of the whole grid is known to be allowed.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--{name} expects A:B:N, got {text!r}")
@@ -243,7 +255,20 @@ def _parse_range(text: str, name: str, scale: float = 1.0) -> np.ndarray:
         raise ValueError(f"--{name}: point count must be >= 1, got {count}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"--{name}: range bounds must be finite")
-    return np.linspace(lo * scale, hi * scale, count)
+    return lo * scale, hi * scale, count
+
+
+def _grid(copies: int, *axes) -> list:
+    """Check a grid's row count against ``MAX_ROWS``, then build its axes.
+
+    An axis is a sequence of values, or a parsed (A, B, N) range that is
+    counted here before ``np.linspace`` allocates it.  Each grid point
+    gives ``copies`` rows.
+    """
+    rows = copies * math.prod(axis[2] if isinstance(axis, tuple) else len(axis) for axis in axes)
+    if rows > MAX_ROWS:
+        raise ValueError(f"the grid has {rows} rows, more than the limit of {MAX_ROWS}")
+    return [np.linspace(*axis) if isinstance(axis, tuple) else axis for axis in axes]
 
 
 def _parse_list(text: str, name: str, scale: float = 1.0) -> list[float]:
@@ -341,10 +366,13 @@ def cmd_sweep(args) -> int:
     try:
         if args.strategy not in ("one", "two"):
             raise ValueError(f"--strategy must be one or two, got {args.strategy!r}")
-        xs = _parse_range(args.x, "x")
-        thetas = _parse_range(args.theta, "theta", scale=math.pi)
-        phis = _parse_list(args.phi, "phi", scale=math.pi)
-        ns = _parse_int_list(args.n, "n")
+        xs, thetas, phis, ns = _grid(
+            1,
+            _parse_range(args.x, "x"),
+            _parse_range(args.theta, "theta", scale=math.pi),
+            _parse_list(args.phi, "phi", scale=math.pi),
+            _parse_int_list(args.n, "n"),
+        )
         if not all(0.0 <= x <= 1.0 for x in xs):
             raise ValueError("--x values must lie in [0, 1]")
     except ValueError as exc:
@@ -393,6 +421,7 @@ def cmd_compare(args) -> int:
     try:
         if args.strategy not in ("one", "two", "all"):
             raise ValueError(f"--strategy must be one, two or all, got {args.strategy!r}")
+        kinds = ("one", "two") if args.strategy == "all" else (args.strategy,)
         if args.x is not None:
             xs = _parse_range(args.x, "x")
         if args.theta is not None:
@@ -401,13 +430,13 @@ def cmd_compare(args) -> int:
             phis = _parse_list(args.phi, "phi", scale=math.pi)
         if args.n is not None:
             ns = _parse_int_list(args.n, "n")
+        xs, thetas, phis, ns = _grid(len(kinds), xs, thetas, phis, ns)
         if not all(0.0 <= x <= 1.0 for x in xs):
             raise ValueError("--x values must lie in [0, 1]")
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
 
-    kinds = ("one", "two") if args.strategy == "all" else (args.strategy,)
     try:
         report = strategies.discrepancy_report(kinds, xs, thetas, phis, ns)
     except ValueError as exc:

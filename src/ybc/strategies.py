@@ -155,15 +155,14 @@ def simulated_l1(spec: StrategySpec) -> float:
 _INPUT_SUPPORT = {ONE_QUBIT: [0, 2], TWO_QUBIT: [2, 4]}
 
 
-def _per_value(fn, values: np.ndarray) -> list[np.ndarray]:
+def _per_value(fn, values: np.ndarray) -> np.ndarray:
     """Evaluate ``fn`` once per distinct entry of ``values`` and broadcast back.
 
-    ``fn`` takes a float and returns a tuple; the result has one array per
-    tuple element, of shape ``values.shape`` plus that element's own shape.
+    ``fn`` takes a float and returns an array; the result has the shape
+    ``values.shape`` plus that array's shape.
     """
     distinct, inverse = np.unique(values, return_inverse=True)
-    inverse = inverse.reshape(values.shape)
-    return [np.array(column)[inverse] for column in zip(*map(fn, distinct.tolist()))]
+    return np.array([fn(v) for v in distinct.tolist()])[inverse.reshape(values.shape)]
 
 
 def _check_points(kind, x: np.ndarray, theta: np.ndarray, phi: float, n) -> None:
@@ -192,7 +191,7 @@ def _simulate(kind, x, theta, phi, n, with_relative_entropy=True):
     _check_points(kind, x, theta, phi, n)
     phi, n = float(phi), int(n)
     support = _INPUT_SUPPORT[kind]
-    (columns,) = _per_value(lambda t: (_channel_unitary(kind, t, phi, n)[:, support],), theta)
+    columns = _per_value(lambda t: _channel_unitary(kind, t, phi, n)[:, support], theta)
     x = x[..., None]
     evolved = columns[..., 0] * np.sqrt(1.0 - x) + columns[..., 1] * np.sqrt(x)
     ds = evolved.shape[-1] // 2
@@ -251,70 +250,48 @@ def batched_grid(
 # ---------------------------------------------------------------------------
 
 
-# The closed forms are written once, over operands that are either floats
-# or arrays broadcast over an (x, theta) plane.  Factors that depend on x
-# only or on theta only are evaluated with ``math`` on floats (once per x
-# or per theta on a plane); they are combined with + - * /, abs and sqrt,
-# which IEEE 754 rounds exactly, in the order the formulas are stated, so
-# the plane and the scalar evaluation agree bit for bit.
+# Each reference formula is written once, over broadcastable x and theta
+# arrays at fixed phi and N.  The scalar evaluators validate their point and
+# pass it as 1-element arrays, so that every value goes through the same
+# numpy loops as on a plane and the two agree by construction.
+
+
+def _point(kind, x, theta, phi: float, n) -> tuple[np.ndarray, np.ndarray]:
+    """Validate one point and return its x and theta as 1-element arrays."""
+    x, theta = np.array([x], dtype=float), np.array([theta], dtype=float)
+    _check_points(kind, x, theta, phi, n)
+    return x, theta
 
 
 def _eps(x):
-    return math.sqrt(2.0 * x * (1.0 - x))
+    return np.sqrt(2.0 * x * (1.0 - x))
 
 
 def _alpha(x, sin_2nt):
     return 4.0 * (1.0 - 2.0 * x) * sin_2nt
 
 
-def _float_square(a):
-    """a**2 by CPython's float power (libm pow), element by element on arrays.
+def _closed_form_l1(kind, x, theta, phi: float, n: int) -> np.ndarray:
+    """Closed-form coherence over broadcastable x and theta arrays at fixed phi, N.
 
-    numpy's square is the correctly rounded a*a, which differs from libm pow
-    in the last bit on some inputs; the plane evaluator must reproduce the
-    scalar formulas bit for bit.
+    The inputs are not validated here; every caller validates them once.
     """
-    if isinstance(a, np.ndarray):
-        return np.array([v**2 for v in a.ravel().tolist()]).reshape(a.shape)
-    return a**2
-
-
-def _sqrt(a):
-    # Both are correctly rounded; math.sqrt keeps the scalar path fast.
-    return np.sqrt(a) if isinstance(a, np.ndarray) else math.sqrt(a)
-
-
-def _one_qubit_theta_terms(theta: float, phi: float, n: int):
-    """sin(2 N theta), beta, gamma and the odd/even cos^4 or sin^4 factor."""
-    sin_nt = math.sin(n * theta)
-    cos_nt2 = math.cos(n * theta) ** 2
-    beta = math.sin(phi) * cos_nt2 + math.cos(phi) * (2.0 - 3.0 * cos_nt2)
-    gamma = -4.0 * sin_nt**2 * math.cos(2.0 * n * theta)
-    trig4 = math.cos(n * theta) ** 4 if n % 2 == 1 else sin_nt**4
-    return math.sin(2.0 * n * theta), beta, gamma, trig4
-
-
-def _one_qubit_l1(x, eps, eps_sq, sin_2nt, beta, gamma, trig4, phi: float):
-    alpha = _alpha(x, sin_2nt)
-    delta = 1.0 - math.sin(2.0 * phi)
-    big_delta = _float_square(alpha) / 8.0 + alpha * beta * eps + 2.0 * eps_sq * gamma
-    return 0.5 * _sqrt(abs(big_delta + 4.0 * delta * eps_sq * trig4))
-
-
-def _two_qubit_theta_terms(theta: float, n: int):
-    """b and the odd/even root and tail factors of the two-qubit form."""
-    a = (-1.0) ** (n + 1) * math.cos(2.0 * n * theta)
-    b = abs(math.sin(2.0 * n * theta)) / math.sqrt(2.0)
-    if n % 2 == 1:
-        root = math.sqrt(abs(a + 5.0 * math.sin(n * theta) ** 4))
-        tail = math.cos(n * theta) ** 2
-    else:
-        root = math.sqrt(abs(a + 5.0 * math.cos(n * theta) ** 4))
-        tail = math.sin(n * theta) ** 2
-    return b, root, tail
-
-
-def _two_qubit_l1(eps, b, root, tail):
+    odd = n % 2 == 1
+    sin_nt, cos_nt = np.sin(n * theta), np.cos(n * theta)
+    sin_2nt, cos_2nt = np.sin(2.0 * n * theta), np.cos(2.0 * n * theta)
+    eps = _eps(x)
+    if kind == ONE_QUBIT:
+        alpha = _alpha(x, sin_2nt)
+        beta = math.sin(phi) * cos_nt**2 + math.cos(phi) * (2.0 - 3.0 * cos_nt**2)
+        gamma = -4.0 * sin_nt**2 * cos_2nt
+        delta = 1.0 - math.sin(2.0 * phi)
+        trig4 = cos_nt**4 if odd else sin_nt**4
+        big_delta = alpha**2 / 8.0 + alpha * beta * eps + 2.0 * eps**2 * gamma
+        return 0.5 * np.sqrt(np.abs(big_delta + 4.0 * delta * eps**2 * trig4))
+    a = (-1.0) ** (n + 1) * cos_2nt
+    b = np.abs(sin_2nt) / math.sqrt(2.0)
+    root = np.sqrt(np.abs(a + 5.0 * (sin_nt if odd else cos_nt) ** 4))
+    tail = (cos_nt if odd else sin_nt) ** 2
     return 0.5 * (2.0 * b + math.sqrt(2.0) * eps * (2.0 * b + root + tail))
 
 
@@ -330,12 +307,8 @@ def closed_form_l1_one_qubit(x: float, theta: float, phi: float, n: int) -> floa
         gamma = -4 sin^2(N theta) cos(2 N theta)
         delta = 1 - sin(2 phi),   eps = sqrt(2 x (1 - x)).
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    _check_uses(n)
-    eps = _eps(x)
-    terms = _one_qubit_theta_terms(theta, phi, n)
-    return _one_qubit_l1(x, eps, eps**2, *terms, phi)
+    x, theta = _point(ONE_QUBIT, x, theta, phi, n)
+    return float(_closed_form_l1(ONE_QUBIT, x, theta, phi, n)[0])
 
 
 def closed_form_l1_two_qubit(x: float, theta: float, n: int) -> float:
@@ -345,26 +318,8 @@ def closed_form_l1_two_qubit(x: float, theta: float, n: int) -> float:
     cos^2(N theta))] for odd N, with sin and cos swapped for even N,
     where a = (-1)^(N+1) cos(2 N theta) and b = |sin(2 N theta)|/sqrt(2).
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    _check_uses(n)
-    return _two_qubit_l1(_eps(x), *_two_qubit_theta_terms(theta, n))
-
-
-def _closed_form_l1(kind, x, theta, phi, n) -> np.ndarray:
-    """Closed-form coherence over broadcastable x and theta arrays at fixed phi, N.
-
-    Each entry equals ``closed_form_l1_one_qubit`` / ``closed_form_l1_two_qubit``
-    at its point bit for bit.  The x-only and theta-only factors are evaluated
-    with ``math`` once per distinct value; the inputs are validated once.
-    """
-    _check_points(kind, x, theta, phi, n)
-    n = int(n)
-    (eps,) = _per_value(lambda v: (_eps(v),), x)
-    if kind == ONE_QUBIT:
-        terms = _per_value(lambda t: _one_qubit_theta_terms(t, phi, n), theta)
-        return _one_qubit_l1(x, eps, _float_square(eps), *terms, phi)
-    return _two_qubit_l1(eps, *_per_value(lambda t: _two_qubit_theta_terms(t, n), theta))
+    x, theta = _point(TWO_QUBIT, x, theta, 0.0, n)
+    return float(_closed_form_l1(TWO_QUBIT, x, theta, 0.0, n)[0])
 
 
 def closed_form_l1_plane(
@@ -374,11 +329,12 @@ def closed_form_l1_plane(
 
     Returns an array of shape (len(xs), len(thetas)) whose entries equal
     ``closed_form_l1_one_qubit`` / ``closed_form_l1_two_qubit`` at each
-    point bit for bit.  The inputs are validated once for the whole plane.
+    point.  The inputs are validated once for the whole plane.
     """
-    xs = np.asarray(xs, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
-    return _closed_form_l1(kind, xs[:, None], thetas[None, :], phi, n)
+    x = np.asarray(xs, dtype=float)[:, None]
+    theta = np.asarray(thetas, dtype=float)[None, :]
+    _check_points(kind, x, theta, phi, n)
+    return _closed_form_l1(kind, x, theta, phi, n)
 
 
 # ---------------------------------------------------------------------------
@@ -386,55 +342,35 @@ def closed_form_l1_plane(
 # ---------------------------------------------------------------------------
 
 
-def _identity_channel_one_qubit(x: float) -> np.ndarray:
-    root = math.sqrt(x * (1.0 - x))
-    return np.array([[1.0 - x, root], [root, x]], dtype=complex)
-
-
-def _abs(z):
-    """|z| by libm hypot, as Python and numpy scalars compute it.
-
-    numpy's vectorized complex absolute differs from hypot in the last bit
-    on some inputs; the array assemblies must reproduce the scalar ones.
-    """
-    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
-
-
-# The element assemblies are written once, over operands that are either
-# floats or arrays broadcast over a batch of points.  The x-only and
-# theta-only factors are evaluated with ``math`` per value.  No complex
-# value is multiplied by another complex value, which numpy's vectorized
-# loops round differently from scalar arithmetic, and moduli go through
-# ``_abs``, so the batched and the scalar evaluation agree bit for bit.
-
-
-def _one_qubit_element_theta_terms(theta: float, n: int):
-    """Pole flag, 1/base^2, sin(2 N theta) and base^2 of the one-qubit assembly.
+def _one_qubit_elements(x, theta, phi: float, n: int):
+    """sigma_11 and sigma_12 of the one-qubit assembly.
 
     base is cos(N theta) for odd N and sin(N theta) for even N.  Inside
-    ``POLE_WINDOW`` of a zero of base, 1/base^2 is returned as 0 and the
-    caller substitutes the analytic limit; a pole whose companion
-    sin(2 N theta) does not vanish is a genuine divergence and raises.
+    ``POLE_WINDOW`` of a zero of base the elements are the analytic limit,
+    the identity channel's; a pole whose companion sin(2 N theta) does not
+    vanish is a genuine divergence and raises.
     """
-    base = math.cos(n * theta) if n % 2 == 1 else math.sin(n * theta)
-    sin2nt = math.sin(2.0 * n * theta)
-    pole = abs(base) < POLE_WINDOW
-    if pole and abs(sin2nt) > 2.0 * POLE_WINDOW:
+    odd = n % 2 == 1
+    base = np.cos(n * theta) if odd else np.sin(n * theta)
+    sin2nt = np.sin(2.0 * n * theta)
+    pole = np.abs(base) < POLE_WINDOW
+    divergent = pole & (np.abs(sin2nt) > 2.0 * POLE_WINDOW)
+    if np.any(divergent):
         raise ValueError(
-            f"sec/csc pole at theta={theta!r}, N={n} with non-vanishing "
-            "companion: the element expression diverges here"
+            f"sec/csc pole at theta={float(theta.flat[np.argmax(divergent)])!r}, N={n} "
+            "with non-vanishing companion: the element expression diverges here"
         )
-    inv_sq = 0.0 if pole else 1.0 / base**2
-    return pole, inv_sq, sin2nt, base**2
-
-
-def _one_qubit_elements(x, eps, inv_sq, sin2nt, trig2, phi: float, odd: bool):
-    """sigma_11 and sigma_12 of the one-qubit assembly off its poles."""
+    trig2 = base**2
+    inv_sq = 1.0 / np.where(pole, 1.0, trig2)  # the pole entries are replaced below
     alpha = _alpha(x, sin2nt)
+    eps = _eps(x)
     s11 = 0.5 * (1.0 + alpha * inv_sq / 8.0 - eps * math.cos(phi) * sin2nt)
     bracket = eps * (2.0 - (2.0 - 1j + np.exp(2j * phi)) * trig2)
     alpha_term = math.sqrt(2.0) * alpha * np.exp(1j * phi) / 4.0
     s12 = 0.5 * (bracket + alpha_term) if odd else 0.5 * (bracket - alpha_term)
+    s11 = np.where(pole, 1.0 - x, s11)
+    s12 = np.where(pole, np.sqrt(x * (1.0 - x)), s12)
+    _check_finite(s11, s12, x, theta, phi, n)
     return s11, s12
 
 
@@ -448,18 +384,13 @@ def _check_finite(s11, s12, x, theta, phi: float, n: int) -> None:
         )
 
 
-def _two_qubit_element_theta_terms(theta: float, phi: float, n: int):
-    """sin^2 and cos^2 of N theta, the sigma_12 chain factor and the sigma_23 bracket."""
-    s2 = math.sin(n * theta) ** 2
-    c2 = math.cos(n * theta) ** 2
-    sin2nt = math.sin(2.0 * n * theta)
-    chain = (-1.0) ** n / (2.0 * math.sqrt(2.0)) * np.exp(1j * phi) * sin2nt
-    bracket = (2.0 + 1j) * s2 - 1j if n % 2 == 1 else (2.0 - 1j) * c2 + 1j
-    return s2, c2, chain, bracket
-
-
-def _two_qubit_elements(x, eps, root, s2, c2, chain, bracket, phi: float, odd: bool):
+def _two_qubit_elements(x, theta, phi: float, n: int):
     """The diagonal and the six upper off-diagonal entries of the 4x4 assembly."""
+    odd = n % 2 == 1
+    s2, c2 = np.sin(n * theta) ** 2, np.cos(n * theta) ** 2
+    chain = (-1.0) ** n / (2.0 * math.sqrt(2.0)) * np.exp(1j * phi) * np.sin(2.0 * n * theta)
+    bracket = (2.0 + 1j) * s2 - 1j if odd else (2.0 - 1j) * c2 + 1j
+    eps, root = _eps(x), np.sqrt(x * (1.0 - x))
     s11 = 0.5 * (1.0 - x) * (c2 if odd else s2)
     s22 = 0.5 * (1.0 - x) * ((1.0 + s2) if odd else (1.0 + c2))
     s33 = 0.5 * x * ((1.0 + s2) if odd else (1.0 + c2))
@@ -471,6 +402,11 @@ def _two_qubit_elements(x, eps, root, s2, c2, chain, bracket, phi: float, odd: b
     s24 = -root * chain
     s34 = -x * chain
     return (s11, s22, s33, s44), (s12, s13, s14, s23, s24, s34)
+
+
+def _off_diagonal_l1(upper) -> np.ndarray:
+    """The l1 coherence of a Hermitian assembly from its upper off-diagonal entries."""
+    return 2.0 * sum(np.abs(z) for z in upper)
 
 
 def elementwise_reduced_one_qubit(
@@ -488,16 +424,9 @@ def elementwise_reduced_one_qubit(
     Returns (sigma, 2 |sigma_12|); sigma is a plain array because the
     formulas are not guaranteed to assemble into a positive state.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    pole, inv_sq, sin2nt, trig2 = _one_qubit_element_theta_terms(theta, n)
-    if pole:
-        sigma = _identity_channel_one_qubit(x)
-        return sigma, 2.0 * abs(sigma[0, 1])
-    s11, s12 = _one_qubit_elements(x, _eps(x), inv_sq, sin2nt, trig2, phi, n % 2 == 1)
-    _check_finite(s11, s12, x, theta, phi, n)
-    sigma = np.array([[s11, s12], [np.conj(s12), 1.0 - s11]], dtype=complex)
-    return sigma, 2.0 * abs(s12)
+    s11, s12 = _one_qubit_elements(*_point(ONE_QUBIT, x, theta, phi, n), phi, n)
+    sigma = np.array([[s11[0], s12[0]], [np.conj(s12[0]), 1.0 - s11[0]]], dtype=complex)
+    return sigma, float(_off_diagonal_l1([s12])[0])
 
 
 def elementwise_reduced_two_qubit(
@@ -511,14 +440,9 @@ def elementwise_reduced_two_qubit(
     x = 0 and x = 1.  Returns (sigma, 2 * sum of the six upper off-diagonal
     moduli); sigma is a plain array, not a validated density matrix.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    terms = _two_qubit_element_theta_terms(theta, phi, n)
-    diagonal, upper = _two_qubit_elements(
-        x, _eps(x), math.sqrt(x * (1.0 - x)), *terms, phi, n % 2 == 1
-    )
-    s11, s22, s33, s44 = diagonal
-    s12, s13, s14, s23, s24, s34 = upper
+    diagonal, upper = _two_qubit_elements(*_point(TWO_QUBIT, x, theta, phi, n), phi, n)
+    s11, s22, s33, s44 = (d[0] for d in diagonal)
+    s12, s13, s14, s23, s24, s34 = (z[0] for z in upper)
     sigma = np.array(
         [
             [s11, s12, s13, s14],
@@ -528,32 +452,21 @@ def elementwise_reduced_two_qubit(
         ],
         dtype=complex,
     )
-    return sigma, 2.0 * sum(_abs(z) for z in upper)
+    return sigma, float(_off_diagonal_l1(upper)[0])
 
 
-def _elementwise_l1(kind, x, theta, phi, n) -> tuple[np.ndarray, float]:
+def _elementwise_l1(kind, x, theta, phi: float, n: int) -> tuple[np.ndarray, float]:
     """Element-assembly l1 values over broadcastable x and theta at fixed phi, N.
 
-    Each entry equals the l1 value of ``elementwise_reduced_one_qubit`` /
-    ``elementwise_reduced_two_qubit`` at its point bit for bit; the pole
-    window is applied as a mask.  Also returns the smallest diagonal entry
-    of the 4x4 assemblies (0.0 for the one-qubit kind, whose 2x2 assembly
-    can leave the density-matrix set near its poles).
+    Also returns the smallest diagonal entry of the 4x4 assemblies (0.0 for
+    the one-qubit kind, whose 2x2 assembly can leave the density-matrix set
+    near its poles).  The inputs are not validated here; the caller
+    validates them once.
     """
-    _check_points(kind, x, theta, phi, n)
-    n = int(n)
-    odd = n % 2 == 1
-    eps, root = _per_value(lambda v: (_eps(v), math.sqrt(v * (1.0 - v))), x)
     if kind == ONE_QUBIT:
-        pole, inv_sq, sin2nt, trig2 = _per_value(
-            lambda t: _one_qubit_element_theta_terms(t, n), theta
-        )
-        s11, s12 = _one_qubit_elements(x, eps, inv_sq, sin2nt, trig2, phi, odd)
-        _check_finite(s11, s12, x, theta, phi, n)
-        return np.where(pole, 2.0 * root, 2.0 * _abs(s12)), 0.0
-    terms = _per_value(lambda t: _two_qubit_element_theta_terms(t, phi, n), theta)
-    diagonal, upper = _two_qubit_elements(x, eps, root, *terms, phi, odd)
-    return 2.0 * sum(_abs(z) for z in upper), float(min(d.min() for d in diagonal))
+        return _off_diagonal_l1([_one_qubit_elements(x, theta, phi, n)[1]]), 0.0
+    diagonal, upper = _two_qubit_elements(x, theta, phi, n)
+    return _off_diagonal_l1(upper), float(min(d.min() for d in diagonal))
 
 
 def closed_form_l1(spec: StrategySpec) -> float:

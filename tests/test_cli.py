@@ -373,6 +373,44 @@ class TestCrossCommand:
             assert [row[7] for row in sweep] == [row[6] for row in compare]
 
 
+class TestRowCap:
+    # The cap must admit the largest benchmark grid, 101 x 256 x 3 phi x 4 N.
+    def test_cap_admits_the_largest_benchmark_grid(self):
+        assert cli.MAX_ROWS >= 101 * 256 * 3 * 4
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            # 10^8 rows from two axes of 10^4 points each (160 KB).
+            ["--x", "0:1:10000", "--theta", "0:2:10000"],
+            # 10^12 x values: np.linspace would refuse the 8 TB array with
+            # MemoryError, so only a count taken before it gives exit 2.
+            ["--x", "0:1:1000000000000", "--theta", "0:2:3"],
+        ],
+    )
+    def test_oversized_grid_exits_two_before_evaluating(
+        self, command, axes, tmp_path, capsys, monkeypatch
+    ):
+        reached = []
+        monkeypatch.setattr(cli, "_sweep_values", lambda *a: reached.append(a))
+        monkeypatch.setattr(strategies, "discrepancy_report", lambda *a: reached.append(a))
+        out = tmp_path / "big.csv"
+        argv = [command, "--strategy", "one", *axes, "--phi", "0", "--n", "1", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert reached == [] and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(cli.MAX_ROWS) in err[0]
+
+    def test_count_includes_every_axis_and_kind(self):
+        xs = (0.0, 1.0, cli.MAX_ROWS // 2)
+        assert len(cli._grid(1, xs, [0.0], [1])[0]) == cli.MAX_ROWS // 2
+        with pytest.raises(ValueError, match="rows"):
+            cli._grid(2, xs, [0.0], [1, 2])
+        with pytest.raises(ValueError, match="rows"):
+            cli._grid(3, xs, [0.0], [1])
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
