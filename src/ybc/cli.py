@@ -233,7 +233,8 @@ def cmd_verify(args) -> int:
 # The most rows that one sweep or compare grid may have.  A run holds the
 # value columns of every row in memory before it writes the CSV, about
 # 50 bytes a row, and the kernel evaluates one (phi, N) plane at a time at
-# about 0.5 KB a point, so a grid at the cap needs at most about 0.5 GB.
+# about 0.33 KB a point (two-qubit, tracemalloc peak; 0.16 KB one-qubit),
+# so a grid at the cap needs at most about 0.4 GB.
 # It is checked on the parsed counts, before any axis is allocated.
 MAX_ROWS = 1_000_000
 

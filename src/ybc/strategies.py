@@ -10,13 +10,24 @@ on qubits (S1, S2, A), and the gate acts as I (x) R on (S2, A) only:
 
     sigma_S = Tr_A [ (I (x) R)^N rho_SA (I (x) R^dagger)^N ].
 
-The matrix-product simulation above is the oracle.  The module also
-evaluates two reference closed-form coherence expressions and two
-reference element-wise assemblies of the reduced state, so that
-``discrepancy_report`` can quantify where each reference formula agrees
-with the oracle.  The evaluators are kept exactly as the formulas are
-stated, on purpose: where a reference expression disagrees with the
-simulation, the report documents it rather than patching the formula.
+The matrix-product simulation above is the oracle.  The kernel that the
+command line runs (``_simulate``, behind ``batched_grid`` and
+``discrepancy_report``) computes the same reduced states in closed form
+over whole (x, theta) planes.  S(phi)^2 = I, so
+R^N = cos(N a) I + i sin(N a) S with a = pi/2 - theta; the evolved state is
+cos(N a) psi + i sin(N a) S psi, with N a taken exactly (a quarter-turn
+table on N mod 4 and Dekker's two-product for N theta).  The l1 measure
+sums the off-diagonal moduli of the reduced state, and the entropy takes
+the closed-form eigenvalues of the 2x2 ancilla Gram matrix, which the
+reduced state of a pure global state shares (Schmidt decomposition).
+
+The module also evaluates two reference closed-form coherence
+expressions and two reference element-wise assemblies of the reduced
+state, so that ``discrepancy_report`` can quantify where each reference
+formula agrees with the simulation.  The evaluators are kept exactly as
+the formulas are stated, on purpose: where a reference expression
+disagrees with the simulation, the report documents it rather than
+patching the formula.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from typing import Literal
 
 import numpy as np
 
-from .braid_ybe import GateParams, build_r_theta_phi
+from .braid_ybe import GateParams, build_r_theta_phi, build_s
 from .coherence import DEFAULT_TOL, EIG_CLAMP, l1_coherence
 from .linalg import DensityMatrix, PureState, identity, kron, partial_trace
 
@@ -155,16 +166,6 @@ def simulated_l1(spec: StrategySpec) -> float:
 _INPUT_SUPPORT = {ONE_QUBIT: [0, 2], TWO_QUBIT: [2, 4]}
 
 
-def _per_value(fn, values: np.ndarray) -> np.ndarray:
-    """Evaluate ``fn`` once per distinct entry of ``values`` and broadcast back.
-
-    ``fn`` takes a float and returns an array; the result has the shape
-    ``values.shape`` plus that array's shape.
-    """
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([fn(v) for v in distinct.tolist()])[inverse.reshape(values.shape)]
-
-
 def _check_points(kind, x: np.ndarray, theta: np.ndarray, phi: float, n) -> None:
     """Validate a whole batch of points once: kind, N, x in [0, 1], finite angles."""
     _check_kind(kind)
@@ -175,53 +176,129 @@ def _check_points(kind, x: np.ndarray, theta: np.ndarray, phi: float, n) -> None
         raise ValueError("angles must be finite")
 
 
+def _split(a):
+    """Veltkamp's split of a into hi + lo, each with at most 26 significant bits."""
+    t = 134217729.0 * a  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _power_coefficients(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(N a) and sin(N a), a = pi/2 - theta, so that R^N = cos(N a) I + i sin(N a) S.
+
+    N a = N pi/2 - N theta.  The N pi/2 part is exact as a quarter-turn
+    table on N mod 4.  N theta is taken exactly as p + e with Dekker's
+    two-product, and sin(N theta), cos(N theta) are the angle sums of p and
+    e: rounding N theta to p alone would cost |e| <= ulp(p)/2, about 5e-7
+    at N = 10^9.
+    """
+    if n > 2**53:  # beyond it N itself is not exact in a float64
+        raise ValueError(f"the simulation kernel needs N <= 2**53, got {n}")
+    # Split theta's mantissa, so that no partial product overflows.
+    mantissa, exponent = np.frexp(theta)
+    theta_hi, theta_lo = (np.ldexp(part, exponent) for part in _split(mantissa))
+    n_hi, n_lo = _split(float(n))
+    p = n * theta
+    e = ((n_hi * theta_hi - p) + n_hi * theta_lo + n_lo * theta_hi) + n_lo * theta_lo
+    sin_p, cos_p, sin_e, cos_e = np.sin(p), np.cos(p), np.sin(e), np.cos(e)
+    sin_nt = sin_p * cos_e + cos_p * sin_e
+    cos_nt = cos_p * cos_e - sin_p * sin_e
+    quarter_turns = {
+        0: (cos_nt, -sin_nt),
+        1: (sin_nt, cos_nt),
+        2: (-cos_nt, sin_nt),
+        3: (-sin_nt, -cos_nt),
+    }
+    return quarter_turns[n % 4]
+
+
+def _support_columns(kind, phi: float) -> np.ndarray:
+    """The columns of S(phi), or of I (x) S(phi), at the input's two nonzero amplitudes."""
+    s = build_s(phi)
+    if kind == TWO_QUBIT:
+        s = np.block([[s, np.zeros_like(s)], [np.zeros_like(s), s]])
+    return s[:, _INPUT_SUPPORT[kind]]
+
+
+def _pair_spectrum(g00, g11, g01_re, g01_im) -> np.ndarray:
+    """The eigenvalues of the Hermitian 2x2 matrices [[g00, g01], [g01*, g11]].
+
+    Returns them stacked along a new first axis, the smaller first.
+    """
+    half, gap = 0.5 * (g00 + g11), 0.5 * (g00 - g11)
+    radius = np.sqrt(gap**2 + g01_re**2 + g01_im**2)
+    return np.stack((half - radius, half + radius))
+
+
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over the first axis, 0 log 0 = 0, for p already clamped to >= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.where(p > 0, p * np.log2(p), 0.0).sum(axis=0)
+
+
 def _simulate(kind, x, theta, phi, n, with_relative_entropy=True):
     """The simulation kernel over broadcastable x and theta arrays at fixed phi, N.
 
-    Same mathematics as ``simulate_reduced`` point by point.  For a unitary
-    channel on a pure input, U rho U^dagger = (U psi)(U psi)^dagger exactly,
-    and psi has two nonzero amplitudes, so U psi is the sum of the two gate
-    columns they select; the ancilla is contracted out of the outer product.
-    The gate is looked up once per distinct theta.  As in the pointwise
-    measures, a reduced state whose trace is off 1 by more than
-    ``coherence.DEFAULT_TOL``, or that has an eigenvalue below
+    Same mathematics as ``simulate_reduced`` point by point, in closed form
+    (see the module docstring).  The input's amplitudes sqrt(1-x) and
+    sqrt(x) select two columns A and B of R^N (or of I (x) R^N), built per
+    theta from two columns of S, and the evolved state is
+    sqrt(1-x) A + sqrt(x) B.  As a (system, ancilla) matrix V it gives the
+    reduced state sigma = V V^dagger and the ancilla Gram matrix
+    V^dagger V, both quadratic in the amplitudes:
+
+        (1-x) f(A, A) + x f(B, B) + sqrt(x(1-x)) (f(A, B) + f(B, A)).
+
+    So each of their entries is three per-theta terms weighted per x.
+
+    As in the pointwise measures, a reduced state whose trace is off 1 by
+    more than ``coherence.DEFAULT_TOL``, or that has an eigenvalue below
     ``-coherence.EIG_CLAMP``, raises ValueError; smaller negatives are
     clamped to 0.  Returns (c_l1, c_r) in the broadcast shape of x and theta.
     """
     _check_points(kind, x, theta, phi, n)
-    phi, n = float(phi), int(n)
-    support = _INPUT_SUPPORT[kind]
-    columns = _per_value(lambda t: _channel_unitary(kind, t, phi, n)[:, support], theta)
-    x = x[..., None]
-    evolved = columns[..., 0] * np.sqrt(1.0 - x) + columns[..., 1] * np.sqrt(x)
-    ds = evolved.shape[-1] // 2
-    v = evolved.reshape(evolved.shape[:-1] + (ds, 2))
-    sigma = np.einsum("...sa,...ra->...sr", v, v.conj())
-    # Drop temporaries once used: the spectra below set the peak memory of a plane.
-    del evolved, v
-    diag = np.einsum("...ss->...s", sigma).real
-    trace_error = np.abs(diag.sum(axis=-1) - 1.0)
+    # The per-theta terms get a leading row axis; give theta all of x's axes.
+    theta = np.reshape(theta, (1,) * (np.ndim(x) - np.ndim(theta)) + np.shape(theta))
+    cos_na, sin_na = _power_coefficients(theta, int(n))
+    j0, j1 = _INPUT_SUPPORT[kind]
+    columns = (1j * sin_na)[..., None, None] * _support_columns(kind, float(phi))
+    columns[..., j0, 0] += cos_na
+    columns[..., j1, 1] += cos_na
+    ds = columns.shape[-2] // 2
+    a, b = (columns[..., k].reshape(columns.shape[:-2] + (ds, 2)) for k in (0, 1))
+    span, (rows, cols) = np.arange(ds), np.triu_indices(ds, 1)
+
+    def terms(p, q):
+        """Per-theta rows: of Tr_A p q^dagger the diagonal and the upper
+        entries' real and imaginary parts, then g00, g11, Re g01, Im g01 of
+        the Gram matrix p^dagger q."""
+        sigma = np.einsum("...sa,...ra->sr...", p, q.conj())
+        gram = np.einsum("...sa,...sb->ab...", p.conj(), q)
+        upper, g01 = sigma[rows, cols], gram[0, 1:]
+        return np.concatenate(
+            (sigma[span, span].real, upper.real, upper.imag,
+             gram[[0, 1], [0, 1]].real, g01.real, g01.imag)
+        )
+
+    # The real rows, weighted in place: one plane-sized temporary at a time.
+    values = (1.0 - x) * terms(a, a)
+    values += x * terms(b, b)
+    values += np.sqrt(x * (1.0 - x)) * (terms(a, b) + terms(b, a))
+    diag, upper_re, upper_im, gram = np.split(values, np.cumsum([ds, rows.size, rows.size]))
+    trace_error = np.abs(diag.sum(axis=0) - 1.0)
     if not np.all(trace_error <= DEFAULT_TOL):
         raise ValueError(
             f"reduced state trace is off 1 by {float(trace_error.max())!r}, "
             f"expected within {DEFAULT_TOL}"
         )
-    absolute = np.abs(sigma)
-    span = np.arange(ds)
-    absolute[..., span, span] = 0.0
-    c_l1 = absolute.sum(axis=(-2, -1))
-    del absolute
+    c_l1 = 2.0 * np.sqrt(upper_re**2 + upper_im**2).sum(axis=0)
     if not with_relative_entropy:
         return c_l1, np.full_like(c_l1, np.nan)
-    diag_p = np.clip(diag, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shannon = -np.where(diag_p > 0, diag_p * np.log2(diag_p), 0.0).sum(axis=-1)
-        lam = np.linalg.eigvalsh(sigma)
-        if lam.min() < -EIG_CLAMP:
-            raise ValueError(f"reduced state has a negative eigenvalue: {float(lam.min())!r}")
-        lam = np.clip(lam, 0.0, None)
-        s_rho = -np.where(lam > 0, lam * np.log2(lam), 0.0).sum(axis=-1)
-    c_r = np.clip(shannon - s_rho, 0.0, None)
+    lam = _pair_spectrum(*gram)
+    if lam.min() < -EIG_CLAMP:
+        raise ValueError(f"reduced state has a negative eigenvalue: {float(lam.min())!r}")
+    shannon = _entropy_bits(np.clip(diag, 0.0, None))
+    c_r = np.clip(shannon - _entropy_bits(np.clip(lam, 0.0, None)), 0.0, None)
     return c_l1, c_r
 
 
@@ -347,8 +424,12 @@ def _one_qubit_elements(x, theta, phi: float, n: int):
 
     base is cos(N theta) for odd N and sin(N theta) for even N.  Inside
     ``POLE_WINDOW`` of a zero of base the elements are the analytic limit,
-    the identity channel's; a pole whose companion sin(2 N theta) does not
-    vanish is a genuine divergence and raises.
+    the identity channel's.  A pole whose companion sin(2 N theta) does not
+    vanish would be a genuine divergence and raises, but that raise is only
+    a guard against rounding: sin(2 N theta) = 2 sin(N theta) cos(N theta),
+    so |sin(2 N theta)| <= 2 |base| < 2 ``POLE_WINDOW`` wherever the pole
+    mask holds, and only a last-bit difference between the two evaluated
+    sines could break that bound.
     """
     odd = n % 2 == 1
     base = np.cos(n * theta) if odd else np.sin(n * theta)

@@ -142,6 +142,17 @@ class TestSweep:
             # 12 printed digits plus the angle quantization feeding back in
             assert abs(written - value) <= 5e-11 * max(1.0, abs(value))
 
+    def test_large_n_passes_the_kernel_checks(self, tmp_path, capsys):
+        # N = 10^6 + 1 uses of the gate: R^N comes from cos and sin of
+        # N (pi/2 - theta), so the trace stays within 1e-10 of 1.
+        out = tmp_path / "large_n.csv"
+        assert cli.main([
+            "sweep", "--strategy", "two", "--x", "0:1:101", "--theta", "0:2:256",
+            "--phi", "0.25", "--n", "1000001", "--out", str(out),
+        ]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(out.read_text().splitlines()) == 1 + 101 * 256
+
     def test_missing_options(self, capsys):
         assert cli.main(["sweep", "--strategy", "one"]) == 2
         assert "missing required" in capsys.readouterr().err
@@ -326,8 +337,10 @@ class TestCompare:
     def test_kernel_check_failure_exits_two(
         self, command, prefix, tmp_path, capsys, monkeypatch
     ):
-        original = strategies._channel_unitary
-        monkeypatch.setattr(strategies, "_channel_unitary", lambda *a: 1.01 * original(*a))
+        original = strategies._power_coefficients
+        monkeypatch.setattr(
+            strategies, "_power_coefficients", lambda *a: [1.01 * c for c in original(*a)]
+        )
         grid = [
             "--strategy", "two", "--x", "0:1:3", "--theta", "0:1:3", "--phi", "0.25", "--n", "1"
         ]
@@ -339,8 +352,9 @@ class TestCompare:
         assert list(tmp_path.iterdir()) == []
 
     def test_builds_no_spec_per_point(self, tmp_path, monkeypatch):
-        # compare evaluates its grid plane by plane: no StrategySpec at all,
-        # and one GateParams per channel unitary built, not one per point.
+        # compare and sweep evaluate their grid plane by plane from the
+        # spectral form of R^N: no StrategySpec, no GateParams and no
+        # channel unitary at all.
         built = {"StrategySpec": 0, "GateParams": 0}
         for cls in (strategies.StrategySpec, GateParams):
             def counting(self, _post_init=cls.__post_init__, _name=cls.__name__):
@@ -349,13 +363,12 @@ class TestCompare:
 
             monkeypatch.setattr(cls, "__post_init__", counting)
         strategies._channel_unitary.cache_clear()
-        assert cli.main([
-            "compare", "--x", "0:1:5", "--theta", "0:1:4", "--phi", "0,0.25", "--n", "1,2",
-            "--out", str(tmp_path / "cmp.csv"),
-        ]) == 0
-        assert built["StrategySpec"] == 0
-        misses = strategies._channel_unitary.cache_info().misses
-        assert built["GateParams"] == misses == 2 * 4 * 2 * 2  # kinds, thetas, phis, N
+        grid = ["--x", "0:1:5", "--theta", "0:1:4", "--phi", "0,0.25", "--n", "1,2"]
+        commands = (["compare"], ["sweep", "--strategy", "one"], ["sweep", "--strategy", "two"])
+        for command in commands:
+            assert cli.main([*command, *grid, "--out", str(tmp_path / "out.csv")]) == 0
+        assert built == {"StrategySpec": 0, "GateParams": 0}
+        assert strategies._channel_unitary.cache_info().misses == 0
 
 
 class TestCrossCommand:

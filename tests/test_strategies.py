@@ -286,6 +286,25 @@ class TestElementwiseOneQubit:
         expected = np.array([[0.7, root], [root, 0.3]], dtype=complex)
         assert max_abs_diff(sigma, expected) <= 1e-8
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10**6 + 1])
+    def test_every_pole_takes_the_limit_without_raising(self, n):
+        # sin(2 N theta) = 2 sin(N theta) cos(N theta), so wherever the pole
+        # mask holds the companion is below 2 POLE_WINDOW: no pole k pi/(2N)
+        # over the period [0, 2 pi) reaches the divergence raise.
+        x = np.array([[0.0], [0.3], [1.0]])
+        chunk = 2**16
+        hits = 0
+        for start in range(0, 4 * n, chunk):
+            theta = np.arange(start, min(start + chunk, 4 * n))[None, :] * math.pi / (2 * n)
+            s11, s12 = strategies._one_qubit_elements(x, theta, 0.4, n)
+            base = np.cos(n * theta) if n % 2 else np.sin(n * theta)
+            pole = np.broadcast_to(np.abs(base) < strategies.POLE_WINDOW, s11.shape)
+            x_at = np.broadcast_to(x, s11.shape)
+            assert np.array_equal(s11[pole], 1.0 - x_at[pole])
+            assert np.array_equal(s12[pole], np.sqrt(x_at[pole] * (1.0 - x_at[pole])))
+            hits += int(pole[0].sum())
+        assert hits == 2 * n  # every other k: the zeros of the odd/even base
+
     def test_trace_and_hermiticity_by_construction(self):
         rng = np.random.default_rng(47)
         for _ in range(40):
@@ -384,6 +403,7 @@ class TestBatchedGrid:
             (TWO_QUBIT, [0.5], [np.inf], 0.0, 1, "finite"),
             (TWO_QUBIT, [0.5], [0.1], 0.0, 0, "n_uses"),
             ("three", [0.5], [0.1], 0.0, 1, "kind"),
+            (ONE_QUBIT, [0.5], [0.1], 0.0, 2**53 + 1, r"2\*\*53"),
         ],
     )
     def test_validates_inputs(self, kind, xs, thetas, phi, n, message):
@@ -394,8 +414,10 @@ class TestBatchedGrid:
     def test_trace_check_raises(self, kind, monkeypatch):
         # A channel that is not trace preserving must fail loudly, as the
         # pointwise entropy does, instead of producing clipped numbers.
-        original = strategies._channel_unitary
-        monkeypatch.setattr(strategies, "_channel_unitary", lambda *a: 1.01 * original(*a))
+        original = strategies._power_coefficients
+        monkeypatch.setattr(
+            strategies, "_power_coefficients", lambda *a: [1.01 * c for c in original(*a)]
+        )
         for with_entropy in (True, False):
             with pytest.raises(ValueError, match="trace"):
                 batched_grid(kind, [0.2, 0.5], [0.3, 1.1], 0.4, 2, with_entropy)
@@ -404,19 +426,48 @@ class TestBatchedGrid:
     def test_negative_eigenvalue_check(self, smallest, raises, monkeypatch):
         # Below -EIG_CLAMP is an error, as in the pointwise entropy; noise
         # within the clamp is set to 0.
-        original = np.linalg.eigvalsh
+        original = strategies._pair_spectrum
 
-        def eigvalsh(a):
-            lam = original(a)
-            lam[..., 0] = smallest
+        def pair_spectrum(*gram):
+            lam = original(*gram)
+            lam[0] = smallest
             return lam
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(strategies, "_pair_spectrum", pair_spectrum)
         if raises:
             with pytest.raises(ValueError, match="negative eigenvalue"):
                 batched_grid(ONE_QUBIT, [0.5], [0.3], 0.0, 1)
         else:
             assert np.isfinite(batched_grid(ONE_QUBIT, [0.5], [0.3], 0.0, 1)[1]).all()
+
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    def test_kernel_broadcasts_x_and_theta(self, kind):
+        xs, thetas = np.array([0.0, 0.3, 1.0]), np.array([0.2, 1.1, 2.5, 4.0])
+        grid = batched_grid(kind, xs, thetas, 0.4, 3)
+        for x, theta, transpose in ((xs[:, None], thetas, False), (xs, thetas[:, None], True)):
+            for got, want in zip(strategies._simulate(kind, x, theta, 0.4, 3), grid):
+                assert np.array_equal(got.T if transpose else got, want)
+
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    def test_reaches_no_gate_power_or_eigensolver(self, kind, monkeypatch):
+        # The kernel works from cos(N a), sin(N a) and two columns of S: no
+        # channel unitary, gate, matrix power, tensor product or eigvalsh.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the kernel reached a pointwise-oracle routine")
+
+        for owner, name in (
+            (strategies, "build_r_theta_phi"),
+            (strategies, "kron"),
+            (np, "kron"),
+            (np.linalg, "matrix_power"),
+            (np.linalg, "eigvalsh"),
+        ):
+            monkeypatch.setattr(owner, name, forbidden)
+        strategies._channel_unitary.cache_clear()
+        batched_grid(kind, [0.0, 0.3, 1.0], [0.2, 1.9], 0.4, 10**9 + 1)
+        discrepancy_report((kind,), (0.0, 0.3), (0.2, np.pi / 2), (0.0, 0.5), (1, 2, 7))
+        info = strategies._channel_unitary.cache_info()
+        assert info.misses == info.hits == 0
 
     def test_relative_entropy_optional(self):
         c_l1, c_r = batched_grid(
