@@ -232,9 +232,9 @@ def cmd_verify(args) -> int:
 
 # The most rows that one sweep or compare grid may have.  A run holds the
 # value columns of every row in memory before it writes the CSV, about
-# 50 bytes a row, and the kernel evaluates one (phi, N) plane at a time at
-# about 0.33 KB a point (two-qubit, tracemalloc peak; 0.16 KB one-qubit),
-# so a grid at the cap needs at most about 0.4 GB.
+# 64 bytes a row at the peak (the planes and their stacked copy), and the
+# kernel works in blocks of at most 2**14 points, about 5 MB whatever the
+# plane, so a sweep at the cap peaks near 64 MB (tracemalloc, both kinds).
 # It is checked on the parsed counts, before any axis is allocated.
 MAX_ROWS = 1_000_000
 
@@ -335,18 +335,32 @@ def _csv_rows(kind, xs, thetas, phis, ns, values: np.ndarray) -> Iterator[str]:
     """CSV rows in grid order (x outer, then theta, phi, N), one chunk per x.
 
     ``values[ix, it]`` holds the value columns of the (phi, N) points at
-    xs[ix] and thetas[it], phi outer.  Each row's values are formatted with
-    one ``%`` call, which prints the same bytes as ``_fmt`` on each field.
+    xs[ix] and thetas[it], phi outer.
+
+    The value columns repeat heavily (the two-qubit coherence does not
+    depend on phi, and N folds into theta), so each chunk formats each
+    distinct double once.  The doubles are told apart by their bit
+    pattern, which keeps 0.0 and -0.0 apart where float equality would
+    merge them.  The distinct values go through one ``%`` call and are
+    placed into a table of row cells (head, prefix, then each field and
+    its separator), which is joined once per chunk.  Every field is still
+    ``%.12g`` of its own double, the same bytes as ``_fmt``.
     """
-    row_values = ",".join(["%.12g"] * values.shape[-1])
+    width = values.shape[-1]
     keys = [f"{_fmt(float(phi))},{int(n)}," for phi in phis for n in ns]
     prefixes = [f"{_fmt(float(t))},{key}" for t in thetas for key in keys]
+    cells = np.empty((len(prefixes), 2 * width + 2), dtype=object)
+    cells[:, 1] = prefixes
+    cells[:, 3:-1:2] = ","
+    cells[:, -1] = "\n"
     for ix, x in enumerate(xs):
-        head = f"{kind},{_fmt(float(x))},"
-        rows = values[ix].reshape(len(prefixes), -1).tolist()
-        yield "".join(
-            f"{head}{prefix}{row_values % tuple(row)}\n" for prefix, row in zip(prefixes, rows)
-        )
+        bits, inverse = np.unique(values[ix].view(np.int64).ravel(), return_inverse=True)
+        text = ("%.12g\0" * bits.size) % tuple(bits.view(np.float64).tolist())
+        # The split leaves an empty last field, which no index reaches.
+        fields = np.array(text.split("\0"), dtype=object)
+        cells[:, 0] = f"{kind},{_fmt(float(x))},"
+        cells[:, 2::2] = fields[inverse].reshape(len(prefixes), width)
+        yield "".join(cells.ravel().tolist())
 
 
 def _write_sweep(command: str, out: str, kind, xs, thetas, phis, ns) -> bool:
@@ -446,7 +460,8 @@ def cmd_compare(args) -> int:
     # Blank the formula columns not selected; the summary drops them too.
     for name in DROPPED_COLUMNS[formula]:
         report.column(name)[...] = np.nan
-    columns = np.stack([report.column(name) for name in COMPARE_COLUMNS], axis=-1)
+    # The printed columns lead REPORT_COLUMNS, so they are read as a view.
+    columns = report.values[..., : len(COMPARE_COLUMNS)]
     rows = (
         chunk
         for kind, values in zip(kinds, columns)

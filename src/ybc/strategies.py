@@ -259,19 +259,30 @@ def _simulate(kind, x, theta, phi, n, with_relative_entropy=True):
     _check_points(kind, x, theta, phi, n)
     # The per-theta terms get a leading row axis; give theta all of x's axes.
     theta = np.reshape(theta, (1,) * (np.ndim(x) - np.ndim(theta)) + np.shape(theta))
+    return _weighted_measures(kind, _theta_terms(kind, theta, phi, n), x, with_relative_entropy)
+
+
+# The dimension of the reduced system state of each kind.
+_SYSTEM_DIM = {ONE_QUBIT: 2, TWO_QUBIT: 4}
+
+
+def _theta_terms(kind, theta, phi, n):
+    """The per-theta terms of ``_simulate``: f(A, A), f(B, B) and f(A, B) + f(B, A).
+
+    Each holds real rows along a new first axis: of Tr_A p q^dagger the
+    diagonal and the upper entries' real and imaginary parts, then g00,
+    g11, Re g01, Im g01 of the Gram matrix p^dagger q.
+    """
     cos_na, sin_na = _power_coefficients(theta, int(n))
     j0, j1 = _INPUT_SUPPORT[kind]
     columns = (1j * sin_na)[..., None, None] * _support_columns(kind, float(phi))
     columns[..., j0, 0] += cos_na
     columns[..., j1, 1] += cos_na
-    ds = columns.shape[-2] // 2
+    ds = _SYSTEM_DIM[kind]
     a, b = (columns[..., k].reshape(columns.shape[:-2] + (ds, 2)) for k in (0, 1))
     span, (rows, cols) = np.arange(ds), np.triu_indices(ds, 1)
 
     def terms(p, q):
-        """Per-theta rows: of Tr_A p q^dagger the diagonal and the upper
-        entries' real and imaginary parts, then g00, g11, Re g01, Im g01 of
-        the Gram matrix p^dagger q."""
         sigma = np.einsum("...sa,...ra->sr...", p, q.conj())
         gram = np.einsum("...sa,...sb->ab...", p.conj(), q)
         upper, g01 = sigma[rows, cols], gram[0, 1:]
@@ -280,11 +291,20 @@ def _simulate(kind, x, theta, phi, n, with_relative_entropy=True):
              gram[[0, 1], [0, 1]].real, g01.real, g01.imag)
         )
 
-    # The real rows, weighted in place: one plane-sized temporary at a time.
-    values = (1.0 - x) * terms(a, a)
-    values += x * terms(b, b)
-    values += np.sqrt(x * (1.0 - x)) * (terms(a, b) + terms(b, a))
-    diag, upper_re, upper_im, gram = np.split(values, np.cumsum([ds, rows.size, rows.size]))
+    return terms(a, a), terms(b, b), terms(a, b) + terms(b, a)
+
+
+def _weighted_measures(kind, terms, x, with_relative_entropy):
+    """(c_l1, c_r) at x from the per-theta ``terms``, with the checks of ``_simulate``."""
+    ds = _SYSTEM_DIM[kind]
+    upper = ds * (ds - 1) // 2
+    same_a, same_b, cross = terms
+    # The real rows, weighted in place: one temporary of the (x, theta)
+    # shape at a time.
+    values = (1.0 - x) * same_a
+    values += x * same_b
+    values += np.sqrt(x * (1.0 - x)) * cross
+    diag, upper_re, upper_im, gram = np.split(values, np.cumsum([ds, upper, upper]))
     trace_error = np.abs(diag.sum(axis=0) - 1.0)
     if not np.all(trace_error <= DEFAULT_TOL):
         raise ValueError(
@@ -302,6 +322,11 @@ def _simulate(kind, x, theta, phi, n, with_relative_entropy=True):
     return c_l1, c_r
 
 
+# The most points that ``batched_grid`` weights and measures at once: about
+# 5 MB of working memory for the two-qubit kind.
+_BLOCK_POINTS = 2**14
+
+
 def batched_grid(
     kind: StrategyKind,
     xs: np.ndarray,
@@ -315,11 +340,22 @@ def batched_grid(
     Returns (c_l1, c_r) arrays of shape (len(xs), len(thetas)) from the
     simulation kernel that ``discrepancy_report`` also uses; c_r is
     NaN-filled when not requested.  Tests pin this path against the
-    pointwise one.
+    pointwise one.  The per-theta terms are built once, then weighted and
+    measured in even blocks of x rows of at most ``_BLOCK_POINTS`` points
+    (one row if a row is longer), so the working memory does not grow with
+    the number of x values.  Every value is elementwise in x, so the blocks
+    give the same bytes as one ``_simulate`` call over the plane.
     """
     xs = np.asarray(xs, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
-    return _simulate(kind, xs[:, None], thetas[None, :], phi, n, with_relative_entropy)
+    _check_points(kind, xs, thetas, phi, n)
+    terms = _theta_terms(kind, thetas[None, :], phi, n)
+    rows = max(1, _BLOCK_POINTS // max(1, thetas.size))
+    blocks = [
+        _weighted_measures(kind, terms, x, with_relative_entropy)
+        for x in np.array_split(xs[:, None], max(1, math.ceil(xs.size / rows)))
+    ]
+    return tuple(np.concatenate(columns) for columns in zip(*blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -575,13 +611,14 @@ class FormulaStats:
 
 
 # The value columns of a discrepancy report, in order along its last axis.
+# The five that ``ybc compare`` prints come first, in its CSV order.
 REPORT_COLUMNS = (
     "c_l1_sim",
-    "c_r_sim",
     "c_l1_closed",
     "c_l1_appendix",
     "deviation_closed",
     "deviation_appendix",
+    "c_r_sim",
 )
 
 
@@ -686,7 +723,7 @@ def discrepancy_report(kinds, xs, thetas, phis, ns) -> DiscrepancyReport:
                 appendix, min_diag = _elementwise_l1(kind, x, theta, phi, n)
                 worst_negative = min(worst_negative, min_diag)
                 deviations = np.abs(c_l1 - closed), np.abs(c_l1 - appendix)
-                values[k, :, :, ip, j] = np.stack((c_l1, c_r, closed, appendix, *deviations), -1)
+                values[k, :, :, ip, j] = np.stack((c_l1, closed, appendix, *deviations, c_r), -1)
     flags = []
     if worst_negative < -1e-10:
         flags.append(

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,15 +108,17 @@ class TestSweep:
         assert abs(float(fields[5]) - 1.0) <= 1e-10  # c_l1_sim at the fixed point
 
     def test_rows_in_grid_order(self, tmp_path):
-        for kind in ("one", "two"):
-            out = tmp_path / f"grid_{kind}.csv"
+        # The three-phi two-qubit grid repeats most values: its coherence
+        # does not depend on phi.
+        for kind, phis in (("one", [0.0, 0.25]), ("two", [0.0, 0.25]), ("two", [0.0, 0.25, 0.5])):
+            out = tmp_path / f"grid_{kind}_{len(phis)}.csv"
             assert cli.main([
                 "sweep", "--strategy", kind, "--x", "0:1:3", "--theta", "0:1:5",
-                "--phi", "0,0.25", "--n", "1,2,3", "--out", str(out),
+                "--phi", ",".join(map(str, phis)), "--n", "1,2,3", "--out", str(out),
             ]) == 0
             text = out.read_text()
             lines = text.splitlines()[1:]
-            assert len(lines) == 3 * 5 * 2 * 3
+            assert len(lines) == 3 * 5 * len(phis) * 3
             # x outer, then theta, then phi, then N
             xs = [float(line.split(",")[1]) for line in lines]
             assert xs == sorted(xs)
@@ -125,7 +129,7 @@ class TestSweep:
             # The streamed plane-wise rows equal a point-by-point rendering.
             assert text == reference_sweep_csv(
                 kind, np.linspace(0.0, 1.0, 3), np.linspace(0.0, math.pi, 5),
-                [0.0, 0.25 * math.pi], [1, 2, 3],
+                [phi * math.pi for phi in phis], [1, 2, 3],
             )
 
     def test_values_reparse_to_computed_doubles(self, tmp_path):
@@ -237,6 +241,14 @@ class TestSweep:
         assert "config error" in capsys.readouterr().err
 
 
+class TestCsvRows:
+    def test_signed_zeros_print_apart(self):
+        # Keyed by float equality, 0.0 and -0.0 would share one printed field.
+        values = np.array([0.0, -0.0, -0.0, 0.0]).reshape(1, 1, 2, 2)
+        (chunk,) = cli._csv_rows("two", [0.5], [0.0], [0.0], [1, 2], values)
+        assert chunk == "two,0.5,0,0,1,0,-0\ntwo,0.5,0,0,2,-0,0\n"
+
+
 class TestFigure:
     def test_unknown_id(self, capsys, tmp_path):
         assert cli.main(["figure", "9z", "--out", str(tmp_path / "f.csv")]) == 2
@@ -265,6 +277,10 @@ class TestFigure:
 
 
 class TestCompare:
+    def test_printed_columns_lead_the_report(self):
+        # cmd_compare reads its printed columns as a view of the report.
+        assert strategies.REPORT_COLUMNS[: len(cli.COMPARE_COLUMNS)] == cli.COMPARE_COLUMNS
+
     def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch):
         def refuse(src, dst):
             raise OSError(30, "Read-only file system")
@@ -437,3 +453,18 @@ class TestUsage:
 
     def test_bad_tolerance_value(self, capsys):
         assert cli.main(["verify", "--tolerance", "-3"]) == 2
+
+
+class TestOutputDigests:
+    def test_covers_every_figure_and_formula(self):
+        # Imports the script for its command list only; running it takes seconds.
+        path = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
+        spec = importlib.util.spec_from_file_location("output_digests", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        commands = [argv for _, argv in tool.COMMANDS]
+        figures = {argv[1] for argv in commands if argv[0] == "figure"}
+        formulas = {argv[argv.index("--formula") + 1] for argv in commands if argv[0] == "compare"}
+        assert figures == set(cli.FIGURES)
+        assert formulas == set(cli.DROPPED_COLUMNS)
+        assert {argv[2] for argv in commands if argv[0] == "sweep"} == {"one", "two"}

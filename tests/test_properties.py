@@ -13,17 +13,22 @@ Two further properties: N uses of R(theta, phi) act as one use at the
 angle pi/2 - N (pi/2 - theta), since R = exp(i (pi/2 - theta) S) with
 S^2 = I; and each scalar reference evaluator returns exactly the entry of
 a plane that contains its point.
+
+Last, the CSV row emitter, which formats each distinct double of a chunk
+once, prints the same bytes as ``_fmt`` on every field.
 """
 
+import itertools
 import math
+import struct
 from unittest import mock
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ybc import strategies
+from ybc import cli, strategies
 from ybc.braid_ybe import GateParams
 from ybc.coherence import l1_coherence, relative_entropy_coherence
 from ybc.strategies import (
@@ -161,3 +166,63 @@ def test_scalar_forms_equal_their_plane_entry(kind, xs, thetas, phi, n, i, j):
     else:
         assert closed_form_l1_two_qubit(x, theta, n) == closed[i, j]
         assert elementwise_reduced_two_qubit(x, theta, phi, n)[1] == elements[i, j]
+
+
+# Doubles whose %.12g text is easy to get wrong: signed zeros, NaN, the
+# infinities, the smallest subnormal, a tiny normal and a 17-digit integer.
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 1e16]
+FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+
+
+@st.composite
+def csv_grids(draw):
+    """Grid axes and a values[ix, it, plane, column] array for ``_csv_rows``.
+
+    Up to 3 x and theta values (so 1-row chunks occur), 1-2 phis and Ns,
+    and 1-6 columns.  The values either all differ or repeat a pool of at
+    most four doubles.  They are a view that leaves out a last column, as
+    ``compare`` passes its report columns.
+    """
+    nx, nt, nphi, nn = (draw(st.integers(1, k)) for k in (3, 3, 2, 2))
+    width = draw(st.integers(1, 6))
+    shape = (nx, nt, nphi * nn, width)
+    size = math.prod(shape)
+    if draw(st.booleans()):
+        flat = draw(
+            st.lists(FLOATS, min_size=size, max_size=size, unique_by=lambda v: struct.pack("<d", v))
+        )
+    else:
+        pool = draw(st.lists(FLOATS, min_size=1, max_size=4))
+        flat = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    wide = np.zeros(shape[:-1] + (width + 1,))
+    wide[..., :width] = np.array(flat).reshape(shape)
+    axes = (
+        np.linspace(0.0, 1.0, nx),
+        np.linspace(0.0, math.pi, nt),
+        [0.25 * math.pi * k for k in range(nphi)],
+        list(range(1, nn + 1)),
+    )
+    return axes, wide[..., :width]
+
+
+def _signed_zero_grid():
+    values = np.array([0.0, -0.0, -0.0, 0.0, math.nan, -0.0]).reshape(1, 2, 1, 3)
+    return ([0.5], [0.0, 1.0], [0.0], [1]), values
+
+
+@PROFILE
+@given(kind=POINTS["kind"], grid=csv_grids())
+@example(kind=TWO_QUBIT, grid=_signed_zero_grid())
+def test_csv_rows_equal_per_field_rendering(kind, grid):
+    (xs, thetas, phis, ns), values = grid
+    chunks = list(cli._csv_rows(kind, xs, thetas, phis, ns, values))
+    assert len(chunks) == len(xs)  # one chunk per x value
+    for chunk, x, chunk_values in zip(chunks, xs, values):
+        want = [
+            f"{kind},{cli._fmt(float(x))},{cli._fmt(float(theta))},{cli._fmt(phi)},{n},"
+            + ",".join(cli._fmt(v) for v in row.tolist())
+            + "\n"
+            for theta, plane_rows in zip(thetas, chunk_values)
+            for (phi, n), row in zip(itertools.product(phis, ns), plane_rows)
+        ]
+        assert chunk == "".join(want)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,6 +448,35 @@ class TestBatchedGrid:
         for x, theta, transpose in ((xs[:, None], thetas, False), (xs, thetas[:, None], True)):
             for got, want in zip(strategies._simulate(kind, x, theta, 0.4, 3), grid):
                 assert np.array_equal(got.T if transpose else got, want)
+
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    def test_blocks_equal_one_kernel_call(self, kind, monkeypatch):
+        # Blocks of 2 rows of 3 thetas, the last block short: every value
+        # is elementwise in x, so the bytes equal one call over the plane.
+        xs, thetas = np.linspace(0.0, 1.0, 7), np.array([0.2, 1.1, 2.5])
+        whole = strategies._simulate(kind, xs[:, None], thetas[None, :], 0.4, 3)
+        monkeypatch.setattr(strategies, "_BLOCK_POINTS", 7)
+        for got, want in zip(batched_grid(kind, xs, thetas, 0.4, 3), whole):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    def test_kernel_peak_does_not_grow_with_x_rows(self, kind):
+        # Beyond the two result arrays and the block results they are joined
+        # from, the traced peak is one block's working memory, whatever the
+        # number of x rows.
+        thetas = np.linspace(0.0, 2.0 * np.pi, 256)
+
+        def working_peak(rows):
+            tracemalloc.start()
+            try:
+                batched_grid(kind, np.linspace(0.0, 1.0, rows), thetas, 0.4, 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - 4 * rows * thetas.size * 8
+
+        one_block = working_peak(strategies._BLOCK_POINTS // thetas.size)
+        assert working_peak(20 * strategies._BLOCK_POINTS // thetas.size) <= 1.1 * one_block
 
     @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
     def test_reaches_no_gate_power_or_eigensolver(self, kind, monkeypatch):

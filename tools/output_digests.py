@@ -1,0 +1,77 @@
+"""Print the SHA-256 of every output that must stay byte-identical.
+
+Usage: python3 tools/output_digests.py
+
+Runs ``ybc.cli.main`` from this checkout's ``src`` in a temporary directory
+for each command in ``COMMANDS`` and prints one ``sha256  label`` line per
+output: the CSV of every command, and for ``compare`` also its standard
+output without the closing ``wrote ... to PATH`` line, which names the
+temporary file.  Compare the lines of two commits to check that a change
+kept the bytes.  Exits 1 if a command does not exit 0.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The grid of the benchmark's sweep-two-large workload at seed 0.
+LARGE_GRID = ("--x", "0:1:101", "--theta", "0:2:256", "--phi", "0,0.25,0.5", "--n", "1,2,3,4")
+
+# (label, argv without --out)
+COMMANDS = [
+    ("sweep-two-large", ("sweep", "--strategy", "two") + LARGE_GRID),
+    ("sweep-one-large", ("sweep", "--strategy", "one") + LARGE_GRID),
+    *((f"figure-{fig}", ("figure", fig)) for fig in ("2a", "2b", "4a", "4b")),
+    *((f"compare-{formula}", ("compare", "--formula", formula))
+      for formula in ("closed", "elements", "all")),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(directory: str) -> list[tuple[str, str]]:
+    """(sha256, label) of every output of ``COMMANDS``, run in ``directory``."""
+    from ybc import cli
+
+    lines = []
+    for label, argv in COMMANDS:
+        out = os.path.join(directory, f"{label}.csv")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main([*argv, "--out", out])
+        if code != 0:
+            raise RuntimeError(f"{label}: {' '.join(argv)} exited {code}")
+        with open(out, "rb") as fh:
+            lines.append((_sha256(fh.read()), f"{label}.csv"))
+        if argv[0] == "compare":
+            summary = [line for line in stdout.getvalue().splitlines(keepends=True)
+                       if not line.startswith("wrote ")]
+            lines.append((_sha256("".join(summary).encode()), f"{label}.stdout"))
+    return lines
+
+
+def main() -> int:
+    sys.path.insert(0, str(SRC))
+    with tempfile.TemporaryDirectory() as directory:
+        try:
+            lines = digests(directory)
+        except RuntimeError as exc:
+            print(exc, file=sys.stderr)
+            return 1
+    for digest, label in lines:
+        print(f"{digest}  {label}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
