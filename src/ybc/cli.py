@@ -232,10 +232,12 @@ def cmd_verify(args) -> int:
 
 # The most rows that one sweep or compare grid may have.  A run holds the
 # value columns of every row in memory before it writes the CSV, about
-# 64 bytes a row at the peak (the planes and their stacked copy), and the
-# kernel works in blocks of at most 2**14 points, about 5 MB whatever the
-# plane, so a sweep at the cap peaks near 64 MB (tracemalloc, both kinds).
-# It is checked on the parsed counts, before any axis is allocated.
+# 64 bytes a row at the peak for a sweep (the planes and their stacked
+# copy), and the kernel works in blocks of at most 2**14 points, about 5 MB
+# whatever the plane, so a sweep at the cap peaks near 64 MB (tracemalloc,
+# both kinds).  compare's closed forms and element assemblies still take a
+# plane whole, so a one-plane two-qubit compare grid at the cap peaks near
+# 0.2 GB.  It is checked on the parsed counts, before any axis is allocated.
 MAX_ROWS = 1_000_000
 
 

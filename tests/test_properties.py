@@ -25,7 +25,7 @@ from unittest import mock
 
 import mpmath
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybc import cli, strategies
@@ -205,14 +205,8 @@ def csv_grids(draw):
     return axes, wide[..., :width]
 
 
-def _signed_zero_grid():
-    values = np.array([0.0, -0.0, -0.0, 0.0, math.nan, -0.0]).reshape(1, 2, 1, 3)
-    return ([0.5], [0.0, 1.0], [0.0], [1]), values
-
-
 @PROFILE
 @given(kind=POINTS["kind"], grid=csv_grids())
-@example(kind=TWO_QUBIT, grid=_signed_zero_grid())
 def test_csv_rows_equal_per_field_rendering(kind, grid):
     (xs, thetas, phis, ns), values = grid
     chunks = list(cli._csv_rows(kind, xs, thetas, phis, ns, values))

@@ -383,6 +383,11 @@ class TestPhiIndependence:
             assert max(values) - min(values) <= 1e-10
 
 
+def one_kernel_call(kind, x, theta, phi, n):
+    """The kernel over the broadcast of x and theta in one call, without blocks."""
+    return strategies._weighted_measures(kind, strategies._theta_terms(kind, theta, phi, n), x, True)
+
+
 class TestBatchedGrid:
     @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
     @pytest.mark.parametrize("n", [1, 2])
@@ -445,8 +450,11 @@ class TestBatchedGrid:
     def test_kernel_broadcasts_x_and_theta(self, kind):
         xs, thetas = np.array([0.0, 0.3, 1.0]), np.array([0.2, 1.1, 2.5, 4.0])
         grid = batched_grid(kind, xs, thetas, 0.4, 3)
-        for x, theta, transpose in ((xs[:, None], thetas, False), (xs, thetas[:, None], True)):
-            for got, want in zip(strategies._simulate(kind, x, theta, 0.4, 3), grid):
+        for x, theta, transpose in (
+            (xs[:, None], thetas[None, :], False),
+            (xs[None, :], thetas[:, None], True),
+        ):
+            for got, want in zip(one_kernel_call(kind, x, theta, 0.4, 3), grid):
                 assert np.array_equal(got.T if transpose else got, want)
 
     @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
@@ -454,7 +462,7 @@ class TestBatchedGrid:
         # Blocks of 2 rows of 3 thetas, the last block short: every value
         # is elementwise in x, so the bytes equal one call over the plane.
         xs, thetas = np.linspace(0.0, 1.0, 7), np.array([0.2, 1.1, 2.5])
-        whole = strategies._simulate(kind, xs[:, None], thetas[None, :], 0.4, 3)
+        whole = one_kernel_call(kind, xs[:, None], thetas[None, :], 0.4, 3)
         monkeypatch.setattr(strategies, "_BLOCK_POINTS", 7)
         for got, want in zip(batched_grid(kind, xs, thetas, 0.4, 3), whole):
             assert np.array_equal(got, want)
