@@ -230,14 +230,15 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# The most rows that one sweep or compare grid may have.  A run holds the
-# value columns of every row in memory before it writes the CSV, about
-# 64 bytes a row at the peak for a sweep (the planes and their stacked
-# copy), and the kernel works in blocks of at most 2**14 points, about 5 MB
-# whatever the plane, so a sweep at the cap peaks near 64 MB (tracemalloc,
-# both kinds).  compare's closed forms and element assemblies still take a
-# plane whole, so a one-plane two-qubit compare grid at the cap peaks near
-# 0.2 GB.  It is checked on the parsed counts, before any axis is allocated.
+# The most rows that one sweep or compare grid may have.  sweep and figure
+# stream the grid from the kernel to the file in blocks of x rows
+# (``strategies.grid_blocks``), so their memory does not grow with the rows:
+# a one-plane 4000 x 250 sweep at the cap peaks at 12 MB (one-qubit) and
+# 22 MB (two-qubit) traced by tracemalloc.  compare walks the same blocks
+# but keeps its report, 48 bytes a row, for the summary, so a one-plane
+# compare grid at the cap peaks at 61 MB (one-qubit) and 72 MB
+# (two-qubit).  It is checked on the parsed counts, before any axis is
+# allocated.
 MAX_ROWS = 1_000_000
 
 
@@ -256,9 +257,12 @@ def _parse_range(text: str, name: str, scale: float = 1.0) -> tuple[float, float
         raise ValueError(f"--{name}: {exc}") from exc
     if count < 1:
         raise ValueError(f"--{name}: point count must be >= 1, got {count}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"--{name}: range bounds must be finite")
-    return lo * scale, hi * scale, count
+    # Checked after scaling: a finite bound can overflow once scaled, and an
+    # infinite bound or span would make np.linspace warn and return NaN.
+    lo, hi = lo * scale, hi * scale
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"--{name}: range bounds and their span must be finite")
+    return lo, hi, count
 
 
 def _grid(copies: int, *axes) -> list:
@@ -296,13 +300,27 @@ def _parse_int_list(text: str, name: str) -> list[int]:
     return values
 
 
-def _write_csv(path: str, header: str, chunks: Iterable[str]) -> bool:
+class _RowError(Exception):
+    """A ValueError raised while the rows of a CSV were computed."""
+
+
+def _computed(chunks: Iterable[str]) -> Iterator[str]:
+    """``chunks``, with a ValueError from computing them raised as ``_RowError``."""
+    try:
+        yield from chunks
+    except ValueError as exc:
+        raise _RowError(exc) from exc
+
+
+def _write_csv(command: str, path: str, header: str, chunks: Iterable[str]) -> bool:
     """Stream the header and row chunks to ``path`` atomically.
 
     The text goes to a temp file beside ``path``, which is renamed over
     ``path`` once complete.  Any error while the rows are computed or
-    written removes the temp file, leaves ``path`` as it was and is
-    reported on stderr, with its type; the caller then exits 2.
+    written removes the temp file and leaves ``path`` as it was.  A
+    ValueError from computing the rows (a failed kernel check) is reported
+    on stderr as ``COMMAND: message``, any other error as ``cannot write``
+    with its type; the caller then exits 2.
     """
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
@@ -310,34 +328,27 @@ def _write_csv(path: str, header: str, chunks: Iterable[str]) -> bool:
         try:
             with open(tmp, "x", encoding="ascii", newline="\n") as fh:
                 fh.write(header + "\n")
-                for chunk in chunks:
+                for chunk in _computed(chunks):
                     fh.write(chunk)
             os.replace(tmp, path)
         finally:
             if os.path.lexists(tmp):
                 os.unlink(tmp)
+    except _RowError as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return False
     except Exception as exc:
         print(f"cannot write {path!r}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return False
     return True
 
 
-def _sweep_values(kind, xs, thetas, phis, ns) -> np.ndarray:
-    """Every (phi, N) plane of a sweep grid, as values[ix, it, plane, column]."""
-    planes = []
-    for phi in phis:
-        for n in ns:
-            closed = strategies.closed_form_l1_plane(kind, xs, thetas, phi, n)
-            c_l1, c_r = strategies.batched_grid(kind, xs, thetas, phi, n)
-            planes.append((c_l1, c_r, closed, np.abs(c_l1 - closed)))
-    return np.array(planes).transpose(2, 3, 0, 1)
-
-
-def _csv_rows(kind, xs, thetas, phis, ns, values: np.ndarray) -> Iterator[str]:
+def _csv_rows(kind, xs, thetas, phis, ns, values: Iterable[np.ndarray]) -> Iterator[str]:
     """CSV rows in grid order (x outer, then theta, phi, N), one chunk per x.
 
-    ``values[ix, it]`` holds the value columns of the (phi, N) points at
-    xs[ix] and thetas[it], phi outer.
+    ``values`` yields one array per x in turn, which holds in C order the
+    value columns of the (theta, phi, N) points at that x, phi outer:
+    values[it, plane, column] or values[it, ip, j, column].
 
     The value columns repeat heavily (the two-qubit coherence does not
     depend on phi, and N folds into theta), so each chunk formats each
@@ -345,18 +356,21 @@ def _csv_rows(kind, xs, thetas, phis, ns, values: np.ndarray) -> Iterator[str]:
     pattern, which keeps 0.0 and -0.0 apart where float equality would
     merge them.  The distinct values go through one ``%`` call and are
     placed into a table of row cells (head, prefix, then each field and
-    its separator), which is joined once per chunk.  Every field is still
-    ``%.12g`` of its own double, the same bytes as ``_fmt``.
+    its separator), built once for all chunks and joined once per chunk.
+    Every field is still ``%.12g`` of its own double, the same bytes as
+    ``_fmt``.
     """
-    width = values.shape[-1]
     keys = [f"{_fmt(float(phi))},{int(n)}," for phi in phis for n in ns]
     prefixes = [f"{_fmt(float(t))},{key}" for t in thetas for key in keys]
-    cells = np.empty((len(prefixes), 2 * width + 2), dtype=object)
-    cells[:, 1] = prefixes
-    cells[:, 3:-1:2] = ","
-    cells[:, -1] = "\n"
-    for ix, x in enumerate(xs):
-        bits, inverse = np.unique(values[ix].view(np.int64).ravel(), return_inverse=True)
+    cells = None
+    for x, row in zip(xs, values):
+        if cells is None:
+            width = row.shape[-1]
+            cells = np.empty((len(prefixes), 2 * width + 2), dtype=object)
+            cells[:, 1] = prefixes
+            cells[:, 3:-1:2] = ","
+            cells[:, -1] = "\n"
+        bits, inverse = np.unique(row.view(np.int64).ravel(), return_inverse=True)
         text = ("%.12g\0" * bits.size) % tuple(bits.view(np.float64).tolist())
         # The split leaves an empty last field, which no index reaches.
         fields = np.array(text.split("\0"), dtype=object)
@@ -366,17 +380,10 @@ def _csv_rows(kind, xs, thetas, phis, ns, values: np.ndarray) -> Iterator[str]:
 
 
 def _write_sweep(command: str, out: str, kind, xs, thetas, phis, ns) -> bool:
-    """Evaluate every plane of a sweep grid, then stream its CSV to ``out``.
-
-    A failed kernel check prints ``COMMAND: message``; a write error prints
-    ``cannot write``.  Either way the caller exits 2.
-    """
-    try:
-        values = _sweep_values(kind, xs, thetas, phis, ns)
-    except ValueError as exc:
-        print(f"{command}: {exc}", file=sys.stderr)
-        return False
-    return _write_csv(out, SWEEP_HEADER, _csv_rows(kind, xs, thetas, phis, ns, values))
+    """Stream a sweep grid from the kernel to ``out``, one block of x rows at a time."""
+    blocks = strategies.grid_blocks(kind, xs, thetas, phis, ns, strategies.sweep_columns)
+    rows = (row for block in blocks for row in block)
+    return _write_csv(command, out, SWEEP_HEADER, _csv_rows(kind, xs, thetas, phis, ns, rows))
 
 
 def cmd_sweep(args) -> int:
@@ -469,7 +476,7 @@ def cmd_compare(args) -> int:
         for kind, values in zip(kinds, columns)
         for chunk in _csv_rows(kind, xs, thetas, phis, ns, values)
     )
-    if not _write_csv(args.out, COMPARE_HEADER, rows):
+    if not _write_csv("compare", args.out, COMPARE_HEADER, rows):
         return 2
     print(report.format_summary())
     print(f"wrote {columns[..., 0].size} rows to {args.out}")

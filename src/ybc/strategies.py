@@ -11,9 +11,9 @@ on qubits (S1, S2, A), and the gate acts as I (x) R on (S2, A) only:
     sigma_S = Tr_A [ (I (x) R)^N rho_SA (I (x) R^dagger)^N ].
 
 The matrix-product simulation above is the oracle.  The kernel that the
-command line runs (``batched_grid``, which ``discrepancy_report`` also
-calls) computes the same reduced states in closed form over (x, theta)
-planes.  S(phi)^2 = I, so
+command line runs (``grid_blocks``, which ``batched_grid`` and
+``discrepancy_report`` also walk) computes the same reduced states in
+closed form over (x, theta, phi, N) grids.  S(phi)^2 = I, so
 R^N = cos(N a) I + i sin(N a) S with a = pi/2 - theta; the evolved state is
 cos(N a) psi + i sin(N a) S psi, with N a taken exactly (a quarter-turn
 table on N mod 4 and Dekker's two-product for N theta).  The l1 measure
@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Literal
+from functools import lru_cache, reduce
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -315,13 +315,45 @@ def _weighted_measures(kind, terms, x, with_relative_entropy):
     return c_l1, c_r
 
 
-# The most points that ``batched_grid`` weights and measures at once: about
-# 5 MB of working memory for the two-qubit kind.  On the 101 x 256
-# two-qubit sweep grid (12 planes, fresh processes, 12 interleaved runs on
-# 2 vCPUs) 2**14 took 0.152 s of kernel time, 53.2 MB peak RSS and 13.1k
-# minor faults, against 0.195 s, 57.0 MB and 23.9k for 2**15 (one block a
-# plane there); 2**12 and 2**13 were no faster.
-_BLOCK_POINTS = 2**14
+# The most points, summed over the (phi, N) planes of a grid, that
+# ``grid_blocks`` evaluates in one block of x rows.  On the 101 x 256 x 12
+# plane two-qubit sweep grid (2 vCPUs; the walk's median over 30
+# interleaved in-process runs, and the peak RSS of the whole sweep in
+# fresh processes), 2**14 took 0.169 s and 34.8 MB, 2**16 0.126 s and
+# 39.0 MB, and 2**17 0.124 s and 45.8 MB, against 0.131 s and 53.2 MB for
+# evaluating each plane whole.  2**16 is the smallest budget that keeps
+# that speed; a 2**16-point block of a sweep's four value columns is 2 MB.
+_BLOCK_POINTS = 2**16
+
+
+def grid_blocks(kind, xs, thetas, phis, ns, columns) -> Iterator[np.ndarray]:
+    """Walk an (x, theta, phi, N) grid in blocks of x rows that span every plane.
+
+    Every (phi, N) plane is validated, and its per-theta kernel terms are
+    built, once.  Then, for each block of x rows, ``columns(kind, terms, x,
+    theta, phi, n)`` gives the value columns of each plane at the block's x
+    (a column) and every theta (a row), and the block is yielded as one
+    array values[ix, it, plane, column], the planes phi outer.  The blocks
+    are even and hold at most ``_BLOCK_POINTS`` points over all planes (one
+    x row if a row holds more), so the working memory does not grow with
+    the number of x values.  Every value is elementwise in x, so the blocks
+    give the same bytes as one evaluation over the whole grid.
+    """
+    xs = np.asarray(xs, dtype=float)
+    theta = np.asarray(thetas, dtype=float)[None, :]
+    planes = [(float(phi), n) for phi in phis for n in ns]
+    for phi, n in planes:
+        _check_points(kind, xs, theta, phi, n)
+    terms = [_theta_terms(kind, theta, phi, n) for phi, n in planes]
+    rows = max(1, _BLOCK_POINTS // max(1, theta.size * len(planes)))
+    for x in np.array_split(xs[:, None], max(1, math.ceil(xs.size / rows))):
+        yield np.stack(
+            [
+                np.stack(columns(kind, plane_terms, x, theta, phi, n), axis=-1)
+                for plane_terms, (phi, n) in zip(terms, planes)
+            ],
+            axis=2,
+        )
 
 
 def batched_grid(
@@ -335,24 +367,27 @@ def batched_grid(
     """Vectorized oracle over an (x, theta) grid at fixed phi and N.
 
     Returns (c_l1, c_r) arrays of shape (len(xs), len(thetas)) from the
-    simulation kernel, which every subcommand reaches through here; c_r is
+    simulation kernel, the one-plane walk of ``grid_blocks``; c_r is
     NaN-filled when not requested.  Tests pin this path against the
-    pointwise one.  The per-theta terms are built once, then weighted and
-    measured in even blocks of x rows of at most ``_BLOCK_POINTS`` points
-    (one row if a row is longer), so the working memory does not grow with
-    the number of x values.  Every value is elementwise in x, so the blocks
-    give the same bytes as one kernel call over the plane.
+    pointwise one.
     """
-    xs = np.asarray(xs, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
-    _check_points(kind, xs, thetas, phi, n)
-    terms = _theta_terms(kind, thetas[None, :], phi, n)
-    rows = max(1, _BLOCK_POINTS // max(1, thetas.size))
-    blocks = [
-        _weighted_measures(kind, terms, x, with_relative_entropy)
-        for x in np.array_split(xs[:, None], max(1, math.ceil(xs.size / rows)))
-    ]
-    return tuple(np.concatenate(columns) for columns in zip(*blocks))
+
+    def measures(kind, terms, x, *plane):
+        return _weighted_measures(kind, terms, x, with_relative_entropy)
+
+    values = np.concatenate(list(grid_blocks(kind, xs, thetas, [phi], [n], measures)))
+    return values[:, :, 0, 0], values[:, :, 0, 1]
+
+
+def sweep_columns(kind, terms, x, theta, phi: float, n: int) -> tuple[np.ndarray, ...]:
+    """The value columns of ``ybc sweep`` for ``grid_blocks``.
+
+    c_l1 and c_r of the kernel, the closed form and its deviation from the
+    kernel's c_l1.
+    """
+    c_l1, c_r = _weighted_measures(kind, terms, x, True)
+    closed = _closed_form_l1(kind, x, theta, phi, n)
+    return c_l1, c_r, closed, np.abs(c_l1 - closed)
 
 
 # ---------------------------------------------------------------------------
@@ -569,18 +604,19 @@ def elementwise_reduced_two_qubit(
     return sigma, float(_off_diagonal_l1(upper)[0])
 
 
-def _elementwise_l1(kind, x, theta, phi: float, n: int) -> tuple[np.ndarray, float]:
+def _elementwise_l1(kind, x, theta, phi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Element-assembly l1 values over broadcastable x and theta at fixed phi, N.
 
-    Also returns the smallest diagonal entry of the 4x4 assemblies (0.0 for
-    the one-qubit kind, whose 2x2 assembly can leave the density-matrix set
-    near its poles).  The inputs are not validated here; the caller
-    validates them once.
+    Also returns, per point, the smallest diagonal entry of the 4x4
+    assembly (0.0 for the one-qubit kind, whose 2x2 assembly can leave the
+    density-matrix set near its poles).  The inputs are not validated here;
+    the caller validates them once.
     """
     if kind == ONE_QUBIT:
-        return _off_diagonal_l1([_one_qubit_elements(x, theta, phi, n)[1]]), 0.0
+        l1 = _off_diagonal_l1([_one_qubit_elements(x, theta, phi, n)[1]])
+        return l1, np.zeros_like(l1)
     diagonal, upper = _two_qubit_elements(x, theta, phi, n)
-    return _off_diagonal_l1(upper), float(min(d.min() for d in diagonal))
+    return _off_diagonal_l1(upper), reduce(np.minimum, diagonal)
 
 
 def closed_form_l1(spec: StrategySpec) -> float:
@@ -695,14 +731,25 @@ def default_axes():
     )
 
 
+def _report_columns(kind, terms, x, theta, phi: float, n: int) -> tuple[np.ndarray, ...]:
+    """The ``REPORT_COLUMNS`` for ``grid_blocks``, then the lowest diagonal entry.
+
+    Adds the element assembly and its deviation to the columns of a sweep.
+    """
+    c_l1, c_r, closed, deviation = sweep_columns(kind, terms, x, theta, phi, n)
+    appendix, lowest_diagonal = _elementwise_l1(kind, x, theta, phi, n)
+    return c_l1, closed, appendix, deviation, np.abs(c_l1 - appendix), c_r, lowest_diagonal
+
+
 def discrepancy_report(kinds, xs, thetas, phis, ns) -> DiscrepancyReport:
     """Evaluate every point of the grid and summarize deviations per formula.
 
     The simulation is the ground truth; deviations quantify the reference
-    formulas.  Each (kind, phi, N) plane is evaluated whole over the
-    (x, theta) grid by the simulation kernel, the closed form and the
-    element assembly.  Assembled element matrices with a diagonal entry
-    below -1e-10 are flagged rather than clamped.
+    formulas.  Each kind's grid is walked by ``grid_blocks`` in blocks of x
+    rows, where the simulation kernel, the closed form and the element
+    assembly fill the report one block at a time.  Assembled element
+    matrices with a diagonal entry below -1e-10 are flagged rather than
+    clamped.
     """
     kinds, phis, ns = tuple(kinds), [float(phi) for phi in phis], tuple(ns)
     xs, thetas = np.asarray(xs, dtype=float), np.asarray(thetas, dtype=float)
@@ -710,17 +757,16 @@ def discrepancy_report(kinds, xs, thetas, phis, ns) -> DiscrepancyReport:
     if 0 in shape:
         raise ValueError("discrepancy grid must not be empty")
     values = np.empty(shape + (len(REPORT_COLUMNS),))
-    x, theta = xs[:, None], thetas[None, :]
     worst_negative = 0.0
     for k, kind in enumerate(kinds):
-        for ip, phi in enumerate(phis):
-            for j, n in enumerate(ns):
-                c_l1, c_r = batched_grid(kind, xs, thetas, phi, n)
-                closed = _closed_form_l1(kind, x, theta, phi, n)
-                appendix, min_diag = _elementwise_l1(kind, x, theta, phi, n)
-                worst_negative = min(worst_negative, min_diag)
-                deviations = np.abs(c_l1 - closed), np.abs(c_l1 - appendix)
-                values[k, :, :, ip, j] = np.stack((c_l1, closed, appendix, *deviations, c_r), -1)
+        start = 0
+        for block in grid_blocks(kind, xs, thetas, phis, ns, _report_columns):
+            rows = block.shape[0]
+            values[k, start : start + rows] = block[..., :-1].reshape(
+                (rows,) + shape[2:] + (len(REPORT_COLUMNS),)
+            )
+            worst_negative = min(worst_negative, float(block[..., -1].min()))
+            start += rows
     flags = []
     if worst_negative < -1e-10:
         flags.append(

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,23 @@ class TestSweep:
         ])
         assert code == 2
         assert "point count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    @pytest.mark.parametrize("theta", ["0:1e308:3", "-0.5e308:0.5e308:3", "0:inf:3"])
+    def test_range_overflowing_once_scaled(self, command, theta, capsys, tmp_path):
+        # 1e308 pi overflows, and so does the span of +-0.5e308 pi: both are
+        # refused before np.linspace would warn and return NaN.
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([
+                command, "--strategy", "one", "--x", "0:1:2", f"--theta={theta}",
+                "--phi", "0", "--n", "1", "--out", str(out),
+            ])
+        assert code == 2 and caught == [] and not out.exists()
+        assert capsys.readouterr().err == (
+            "--theta: range bounds and their span must be finite\n"
+        )
 
     def test_x_outside_unit_interval(self, capsys, tmp_path):
         code = cli.main([
@@ -347,24 +365,44 @@ class TestCompare:
         assert phis == ["0", "0", "-0", "-0"] * (2 * 2 * 3)
 
     @pytest.mark.parametrize(
-        "command, prefix",
-        [("compare", "compare: "), ("sweep", "sweep: "), ("figure", "figure: ")],
+        "command, block_points",
+        [
+            # The default budget takes the 101 x 256 grid in one block.
+            *(pytest.param(c, None, id=f"{c}-{c}: ") for c in ("compare", "sweep", "figure")),
+            # Nine blocks of 12 x rows: sweep and figure have streamed eight
+            # blocks of rows into the temp file when the last one fails.
+            *(
+                pytest.param(c, 12 * 256, id=f"{c}-{c}: -later-block")
+                for c in ("compare", "sweep", "figure")
+            ),
+        ],
     )
     def test_kernel_check_failure_exits_two(
-        self, command, prefix, tmp_path, capsys, monkeypatch
+        self, command, block_points, tmp_path, capsys, monkeypatch
     ):
-        original = strategies._power_coefficients
-        monkeypatch.setattr(
-            strategies, "_power_coefficients", lambda *a: [1.01 * c for c in original(*a)]
-        )
+        # Only the block that holds x = 1 breaks the trace.
+        if block_points is not None:
+            monkeypatch.setattr(strategies, "_BLOCK_POINTS", block_points)
+        original = strategies._weighted_measures
+        failed = []
+
+        def failing_at_x_one(kind, terms, x, *rest):
+            failed.append(x.max() == 1.0)
+            if failed[-1]:
+                terms = [1.01 * term for term in terms]
+            return original(kind, terms, x, *rest)
+
+        monkeypatch.setattr(strategies, "_weighted_measures", failing_at_x_one)
         grid = [
-            "--strategy", "two", "--x", "0:1:3", "--theta", "0:1:3", "--phi", "0.25", "--n", "1"
+            "--strategy", "two", "--x", "0:1:101", "--theta", "0:2:256", "--phi", "0.25",
+            "--n", "1",
         ]
         args = ["4a"] if command == "figure" else grid
         code = cli.main([command, *args, "--out", str(tmp_path / "out.csv")])
         assert code == 2
+        assert failed == [False] * (0 if block_points is None else 8) + [True]
         err = capsys.readouterr().err
-        assert err.startswith(prefix) and "trace" in err and err.count("\n") == 1
+        assert err.startswith(f"{command}: ") and "trace" in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_builds_no_spec_per_point(self, tmp_path, monkeypatch):
@@ -422,7 +460,7 @@ class TestRowCap:
         self, command, axes, tmp_path, capsys, monkeypatch
     ):
         reached = []
-        monkeypatch.setattr(cli, "_sweep_values", lambda *a: reached.append(a))
+        monkeypatch.setattr(strategies, "grid_blocks", lambda *a: reached.append(a))
         monkeypatch.setattr(strategies, "discrepancy_report", lambda *a: reached.append(a))
         out = tmp_path / "big.csv"
         argv = [command, "--strategy", "one", *axes, "--phi", "0", "--n", "1", "--out", str(out)]

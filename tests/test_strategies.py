@@ -486,6 +486,44 @@ class TestBatchedGrid:
         one_block = working_peak(strategies._BLOCK_POINTS // thetas.size)
         assert working_peak(20 * strategies._BLOCK_POINTS // thetas.size) <= 1.1 * one_block
 
+        # The sweep walk over 12 planes, consumed a row at a time as the CSV
+        # writer does: the previous block is still held while the next one
+        # is computed, so two blocks are the baseline.
+        phis, ns = (0.0, 0.25 * np.pi, 0.5 * np.pi), (1, 2, 3, 4)
+
+        def walk_peak(rows):
+            xs = np.linspace(0.0, 1.0, rows)
+            tracemalloc.start()
+            try:
+                blocks = strategies.grid_blocks(
+                    kind, xs, thetas, phis, ns, strategies.sweep_columns
+                )
+                for row in (row for block in blocks for row in block):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rows = strategies._BLOCK_POINTS // (thetas.size * len(phis) * len(ns))
+        assert walk_peak(20 * rows) <= 1.1 * walk_peak(2 * rows)
+
+        # compare's report on one 4000 x 250 plane: beyond the report array,
+        # the peak is that of two blocks.
+        thetas = np.linspace(0.0, 2.0 * np.pi, 250)
+
+        def report_peak(rows):
+            xs = np.linspace(0.0, 1.0, rows)
+            tracemalloc.start()
+            try:
+                report = discrepancy_report((kind,), xs, thetas, (0.4,), (3,))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - report.values.nbytes
+
+        two_blocks = report_peak(2 * strategies._BLOCK_POINTS // thetas.size)
+        assert report_peak(4000) <= 1.1 * two_blocks
+
     @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
     def test_reaches_no_gate_power_or_eigensolver(self, kind, monkeypatch):
         # The kernel works from cos(N a), sin(N a) and two columns of S: no

@@ -25,6 +25,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # The grid of the benchmark's sweep-two-large workload at seed 0.
 LARGE_GRID = ("--x", "0:1:101", "--theta", "0:2:256", "--phi", "0,0.25,0.5", "--n", "1,2,3,4")
 
+# A compare grid larger than one x block of the kernel's walk.
+COMPARE_BLOCKS_GRID = ("--x", "0:1:101", "--theta", "0:2:256", "--phi", "0,0.25", "--n", "1,2")
+
 # (label, argv without --out)
 COMMANDS = [
     ("sweep-two-large", ("sweep", "--strategy", "two") + LARGE_GRID),
@@ -32,6 +35,8 @@ COMMANDS = [
     *((f"figure-{fig}", ("figure", fig)) for fig in ("2a", "2b", "4a", "4b")),
     *((f"compare-{formula}", ("compare", "--formula", formula))
       for formula in ("closed", "elements", "all")),
+    # 206,848 rows: each kind's four (phi, N) planes take several x blocks.
+    ("compare-blocks", ("compare", "--formula", "all") + COMPARE_BLOCKS_GRID),
 ]
 
 
