@@ -13,37 +13,16 @@ from .braid_ybe import (
     yang_baxterize_eight_vertex,
     yang_baxterize_rational,
 )
-from .coherence import (
-    dephase,
-    is_incoherent,
-    l1_coherence,
-    relative_entropy_coherence,
-    von_neumann_entropy,
-)
 from .gates import dcnot, local_factors, verify_dcnot_equivalence
-from .linalg import (
-    DensityMatrix,
-    PureState,
-    dagger,
-    eig_hermitian,
-    kron,
-    max_abs_diff,
-    partial_trace,
-)
+from .linalg import dagger, kron, max_abs_diff
 from .strategies import (
     ONE_QUBIT,
     TWO_QUBIT,
-    StrategySpec,
-    apply_channel,
     closed_form_l1_one_qubit,
     closed_form_l1_two_qubit,
     discrepancy_report,
     elementwise_reduced_one_qubit,
     elementwise_reduced_two_qubit,
-    prepare_one_qubit_input,
-    prepare_two_qubit_input,
-    reduced_system_state,
-    simulate_reduced,
 )
 
 __version__ = "0.1.0"

@@ -1,66 +1,13 @@
-"""Coherence quantifiers in the fixed computational basis.
+"""Tolerances of the coherence measures.
 
-Implements the l1 norm of coherence (sum of off-diagonal moduli) and the
-relative entropy of coherence S(rho_diag) - S(rho), both basis dependent,
-plus the dephasing map and an incoherence test.  Logarithms are base 2, so
-entropies and coherences are in bits.
+The l1 norm of coherence and the relative entropy of coherence (in bits)
+are computed by the simulation kernel, ``strategies._weighted_measures``,
+in the fixed computational basis; these are the tolerances it applies.
 """
 
-from __future__ import annotations
-
-import numpy as np
-
-from .linalg import DensityMatrix
-
+# A reduced state whose trace is off 1 by more than this is an error.
 DEFAULT_TOL = 1e-10
 
 # Eigenvalues in [-EIG_CLAMP, 0] are numerical noise and are clamped to 0
 # before entropy evaluation.
 EIG_CLAMP = 1e-10
-
-
-def dephase(rho: DensityMatrix) -> DensityMatrix:
-    """Project onto the diagonal: the nearest incoherent state."""
-    return DensityMatrix(np.diag(np.diag(rho.mat)), rho.dims)
-
-
-def _entropy_from_spectrum(lam: np.ndarray) -> float:
-    if lam[0] < -EIG_CLAMP:
-        raise ValueError(f"state has a negative eigenvalue: {lam[0]!r}")
-    lam = np.clip(lam, 0.0, None)
-    nz = lam[lam > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
-def von_neumann_entropy(rho: DensityMatrix, trace_tol: float = DEFAULT_TOL) -> float:
-    """S(rho) = -sum_i lam_i log2 lam_i with 0 log 0 = 0."""
-    tr = float(np.trace(rho.mat).real)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace is {tr!r}, expected 1 within {trace_tol}")
-    # Hermiticity is a DensityMatrix invariant, so eigvalsh applies directly.
-    return _entropy_from_spectrum(np.sort(np.linalg.eigvalsh(rho.mat)))
-
-
-def l1_coherence(rho: DensityMatrix) -> float:
-    """Sum of |rho_ij| over i != j in the computational basis."""
-    a = np.abs(rho.mat)
-    np.fill_diagonal(a, 0.0)
-    return float(a.sum())
-
-
-def relative_entropy_coherence(rho: DensityMatrix) -> float:
-    """S(dephase(rho)) - S(rho); nonnegative, at most log2(dim).
-
-    The dephased state is diagonal, so its entropy is the Shannon entropy
-    of the diagonal.
-    """
-    diag = np.sort(np.diag(rho.mat).real)
-    value = _entropy_from_spectrum(diag) - von_neumann_entropy(rho)
-    # Exactly incoherent inputs can give -0.0 or tiny negatives from roundoff.
-    return max(value, 0.0)
-
-
-def is_incoherent(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every off-diagonal modulus is at most tol."""
-    off = np.abs(rho.mat - np.diag(np.diag(rho.mat)))
-    return bool(off.max() <= tol)

@@ -10,16 +10,17 @@ on qubits (S1, S2, A), and the gate acts as I (x) R on (S2, A) only:
 
     sigma_S = Tr_A [ (I (x) R)^N rho_SA (I (x) R^dagger)^N ].
 
-The matrix-product simulation above is the oracle.  The kernel that the
-command line runs (``grid_blocks``, which ``batched_grid`` and
-``discrepancy_report`` also walk) computes the same reduced states in
-closed form over (x, theta, phi, N) grids.  S(phi)^2 = I, so
-R^N = cos(N a) I + i sin(N a) S with a = pi/2 - theta; the evolved state is
-cos(N a) psi + i sin(N a) S psi, with N a taken exactly (a quarter-turn
-table on N mod 4 and Dekker's two-product for N theta).  The l1 measure
-sums the off-diagonal moduli of the reduced state, and the entropy takes
-the closed-form eigenvalues of the 2x2 ancilla Gram matrix, which the
-reduced state of a pure global state shares (Schmidt decomposition).
+The simulation kernel (``grid_blocks``, which ``batched_grid`` and
+``discrepancy_report`` also walk, and which every command runs) computes
+these reduced states in closed form over (x, theta, phi, N) grids.
+S(phi)^2 = I, so R^N = cos(N a) I + i sin(N a) S with a = pi/2 - theta;
+the evolved state is cos(N a) psi + i sin(N a) S psi, with N a taken
+exactly (a quarter-turn table on N mod 4 and Dekker's two-product for
+N theta).  The l1 measure sums the off-diagonal moduli of the reduced
+state, and the entropy takes the closed-form eigenvalues of the 2x2
+ancilla Gram matrix, which the reduced state of a pure global state
+shares (Schmidt decomposition).  The tests pin the kernel against a
+40-digit mpmath evaluation of R^N on the input.
 
 The module also evaluates two reference closed-form coherence
 expressions and two reference element-wise assemblies of the reduced
@@ -33,15 +34,15 @@ patching the formula.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterator, Literal
 
 import numpy as np
 
-from .braid_ybe import GateParams, build_r_theta_phi, build_s
-from .coherence import DEFAULT_TOL, EIG_CLAMP, l1_coherence
-from .linalg import DensityMatrix, PureState, identity, kron, partial_trace
+from .braid_ybe import build_s
+from .coherence import DEFAULT_TOL, EIG_CLAMP
 
 StrategyKind = Literal["one", "two"]
 
@@ -55,23 +56,6 @@ TWO_QUBIT: StrategyKind = "two"
 POLE_WINDOW = 1e-8
 
 
-@dataclass(frozen=True)
-class StrategySpec:
-    """One grid point: strategy kind, input parameter x, uses N, gate angles."""
-
-    kind: StrategyKind
-    x: float
-    n_uses: int
-    gate: GateParams
-
-    def __post_init__(self):
-        _check_kind(self.kind)
-        if not 0.0 <= self.x <= 1.0:
-            raise ValueError(f"x must lie in [0, 1], got {self.x!r}")
-        _check_uses(self.n_uses)
-        object.__setattr__(self, "n_uses", int(self.n_uses))
-
-
 def _check_kind(kind) -> None:
     if kind not in (ONE_QUBIT, TWO_QUBIT):
         raise ValueError(f"unknown strategy kind {kind!r}")
@@ -83,97 +67,26 @@ def _check_uses(n) -> None:
         raise ValueError(f"n_uses must be a positive integer, got {n!r}")
 
 
-def prepare_one_qubit_input(x: float) -> DensityMatrix:
-    """rho_SA for (sqrt(1-x)|0> + sqrt(x)|1>) (x) |0>, qubit order (S, A)."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = math.sqrt(1.0 - x)
-    amps[2] = math.sqrt(x)
-    return PureState(amps).density_matrix((2, 2))
-
-
-def prepare_two_qubit_input(x: float) -> DensityMatrix:
-    """rho_SA for (sqrt(1-x)|01> + sqrt(x)|10>) (x) |0>, qubit order (S1, S2, A)."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    amps = np.zeros(8, dtype=complex)
-    amps[2] = math.sqrt(1.0 - x)  # |010>
-    amps[4] = math.sqrt(x)  # |100>
-    return PureState(amps).density_matrix((2, 2, 2))
-
-
-@lru_cache(maxsize=4096)
-def _prepared_input(kind: StrategyKind, x: float) -> DensityMatrix:
-    if kind == ONE_QUBIT:
-        return prepare_one_qubit_input(x)
-    return prepare_two_qubit_input(x)
-
-
-def prepare_input(spec: StrategySpec) -> DensityMatrix:
-    return _prepared_input(spec.kind, spec.x)
-
-
-@lru_cache(maxsize=65536)
-def _channel_unitary(kind: StrategyKind, theta: float, phi: float, n: int) -> np.ndarray:
-    """R^N, or I (x) R^N; read-only, so that no caller can corrupt the cache."""
-    rn = np.linalg.matrix_power(build_r_theta_phi(GateParams(theta, phi)), n)
-    u = rn if kind == ONE_QUBIT else kron(identity(2), rn)
-    u.setflags(write=False)
-    return u
-
-
-def channel_unitary(spec: StrategySpec) -> np.ndarray:
-    """The full N-use channel unitary: R^N, or I (x) R^N for the two-qubit kind."""
-    return _channel_unitary(spec.kind, spec.gate.theta, spec.gate.phi, spec.n_uses)
-
-
-def apply_channel(rho: DensityMatrix, spec: StrategySpec) -> DensityMatrix:
-    """N-fold adjoint action of the gate on rho; trace and purity preserved."""
-    expected = 4 if spec.kind == ONE_QUBIT else 8
-    if rho.dim != expected:
-        raise ValueError(
-            f"strategy {spec.kind!r} needs a {expected}x{expected} state, "
-            f"got {rho.dim}x{rho.dim}"
-        )
-    u = channel_unitary(spec)
-    out = u @ rho.mat @ u.conj().T
-    return DensityMatrix._trusted(out, rho.dims)
-
-
-def reduced_system_state(sigma_sa: DensityMatrix, kind: StrategyKind) -> DensityMatrix:
-    """Trace out the ancilla (the last qubit) of the post-channel state."""
-    if kind == ONE_QUBIT:
-        return partial_trace(sigma_sa, [0])
-    if kind == TWO_QUBIT:
-        return partial_trace(sigma_sa, [0, 1])
-    raise ValueError(f"unknown strategy kind {kind!r}")
-
-
-def simulate_reduced(spec: StrategySpec) -> DensityMatrix:
-    """Oracle pipeline: prepare, apply the channel N times, trace out the ancilla."""
-    rho = prepare_input(spec)
-    sigma = apply_channel(rho, spec)
-    return reduced_system_state(sigma, spec.kind)
-
-
-def simulated_l1(spec: StrategySpec) -> float:
-    return l1_coherence(simulate_reduced(spec))
-
-
-# Basis indices of the two nonzero input amplitudes, sqrt(1-x) and sqrt(x)
-# (see prepare_one_qubit_input and prepare_two_qubit_input).
+# Basis indices of the two nonzero input amplitudes, sqrt(1-x) and sqrt(x):
+# |00> and |10> of (S, A), and |010> and |100> of (S1, S2, A).
 _INPUT_SUPPORT = {ONE_QUBIT: [0, 2], TWO_QUBIT: [2, 4]}
 
 
 def _check_points(kind, x: np.ndarray, theta: np.ndarray, phi: float, n) -> None:
-    """Validate a whole batch of points once: kind, N, x in [0, 1], finite angles."""
+    """Validate a whole batch of points once: kind, N, x in [0, 1], finite angles.
+
+    2 N theta, the largest product that any formula forms, must be finite
+    too: beyond it the sines turn into NaN.
+    """
     _check_kind(kind)
     _check_uses(n)
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("x values must lie in [0, 1]")
     if not (np.all(np.isfinite(theta)) and math.isfinite(phi)):
         raise ValueError("angles must be finite")
+    largest = float(np.max(np.abs(theta), initial=0.0))
+    if n > sys.float_info.max or not math.isfinite(2.0 * float(n) * largest):
+        raise ValueError(f"2 N theta must be finite, got N={n} and |theta| up to {largest!r}")
 
 
 def _split(a):
@@ -243,10 +156,10 @@ _SYSTEM_DIM = {ONE_QUBIT: 2, TWO_QUBIT: 4}
 def _theta_terms(kind, theta, phi, n):
     """The per-theta terms of the kernel: f(A, A), f(B, B) and f(A, B) + f(B, A).
 
-    Same mathematics as ``simulate_reduced`` point by point, in closed form
-    (see the module docstring).  The input's amplitudes sqrt(1-x) and
-    sqrt(x) select two columns A and B of R^N (or of I (x) R^N), built per
-    theta from two columns of S, and the evolved state is
+    The reduced state of each strategy in closed form (see the module
+    docstring).  The input's amplitudes sqrt(1-x) and sqrt(x) select two
+    columns A and B of R^N (or of I (x) R^N), built per theta from two
+    columns of S, and the evolved state is
     sqrt(1-x) A + sqrt(x) B.  As a (system, ancilla) matrix V it gives the
     reduced state sigma = V V^dagger and the ancilla Gram matrix
     V^dagger V, both quadratic in the amplitudes:
@@ -283,8 +196,8 @@ def _theta_terms(kind, theta, phi, n):
 def _weighted_measures(kind, terms, x, with_relative_entropy):
     """(c_l1, c_r) at x from the per-theta ``terms`` of ``_theta_terms``.
 
-    As in the pointwise measures, a reduced state whose trace is off 1 by
-    more than ``coherence.DEFAULT_TOL``, or that has an eigenvalue below
+    A reduced state whose trace is off 1 by more than
+    ``coherence.DEFAULT_TOL``, or that has an eigenvalue below
     ``-coherence.EIG_CLAMP``, raises ValueError; smaller negatives are
     clamped to 0.  Returns arrays in the broadcast shape of x and the
     terms' trailing axes.
@@ -364,12 +277,11 @@ def batched_grid(
     n: int,
     with_relative_entropy: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized oracle over an (x, theta) grid at fixed phi and N.
+    """The simulation kernel over an (x, theta) grid at fixed phi and N.
 
     Returns (c_l1, c_r) arrays of shape (len(xs), len(thetas)) from the
-    simulation kernel, the one-plane walk of ``grid_blocks``; c_r is
-    NaN-filled when not requested.  Tests pin this path against the
-    pointwise one.
+    one-plane walk of ``grid_blocks``; c_r is NaN-filled when not
+    requested.
     """
 
     def measures(kind, terms, x, *plane):
@@ -465,21 +377,6 @@ def closed_form_l1_two_qubit(x: float, theta: float, n: int) -> float:
     """
     x, theta = _point(TWO_QUBIT, x, theta, 0.0, n)
     return float(_closed_form_l1(TWO_QUBIT, x, theta, 0.0, n)[0])
-
-
-def closed_form_l1_plane(
-    kind: StrategyKind, xs: np.ndarray, thetas: np.ndarray, phi: float, n: int
-) -> np.ndarray:
-    """Closed-form coherence over an (x, theta) plane at fixed phi and N.
-
-    Returns an array of shape (len(xs), len(thetas)) whose entries equal
-    ``closed_form_l1_one_qubit`` / ``closed_form_l1_two_qubit`` at each
-    point.  The inputs are validated once for the whole plane.
-    """
-    x = np.asarray(xs, dtype=float)[:, None]
-    theta = np.asarray(thetas, dtype=float)[None, :]
-    _check_points(kind, x, theta, phi, n)
-    return _closed_form_l1(kind, x, theta, phi, n)
 
 
 # ---------------------------------------------------------------------------
@@ -617,15 +514,6 @@ def _elementwise_l1(kind, x, theta, phi: float, n: int) -> tuple[np.ndarray, np.
         return l1, np.zeros_like(l1)
     diagonal, upper = _two_qubit_elements(x, theta, phi, n)
     return _off_diagonal_l1(upper), reduce(np.minimum, diagonal)
-
-
-def closed_form_l1(spec: StrategySpec) -> float:
-    """Closed-form coherence matching the strategy kind."""
-    if spec.kind == ONE_QUBIT:
-        return closed_form_l1_one_qubit(
-            spec.x, spec.gate.theta, spec.gate.phi, spec.n_uses
-        )
-    return closed_form_l1_two_qubit(spec.x, spec.gate.theta, spec.n_uses)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ from ybc import cli, strategies
 from ybc.braid_ybe import GateParams
 from ybc.strategies import (
     ONE_QUBIT,
-    StrategySpec,
     batched_grid,
-    closed_form_l1,
-    simulated_l1,
+    closed_form_l1_one_qubit,
+    closed_form_l1_two_qubit,
 )
+
+from reference import mpmath_reference
 
 
 def reference_sweep_csv(kind, xs, thetas, phis, ns) -> str:
@@ -26,8 +27,10 @@ def reference_sweep_csv(kind, xs, thetas, phis, ns) -> str:
             for phi in phis:
                 for n in ns:
                     c_l1, c_r = (float(a[ix, it]) for a in planes[(phi, n)])
-                    closed = closed_form_l1(
-                        StrategySpec(kind, float(x), n, GateParams(float(theta), phi))
+                    closed = (
+                        closed_form_l1_one_qubit(float(x), float(theta), phi, n)
+                        if kind == ONE_QUBIT
+                        else closed_form_l1_two_qubit(float(x), float(theta), n)
                     )
                     angles = ",".join(cli._fmt(v) for v in (float(x), float(theta), phi))
                     values = (c_l1, c_r, closed, abs(c_l1 - closed))
@@ -142,7 +145,7 @@ class TestSweep:
         for line in out.read_text().splitlines()[1:]:
             f = line.split(",")
             x, theta, phi, n = float(f[1]), float(f[2]), float(f[3]), int(f[4])
-            value = simulated_l1(StrategySpec(ONE_QUBIT, x, n, GateParams(theta, phi)))
+            value, _, _, _ = mpmath_reference(ONE_QUBIT, x, theta, phi, n)
             written = float(f[5])
             # 12 printed digits plus the angle quantization feeding back in
             assert abs(written - value) <= 5e-11 * max(1.0, abs(value))
@@ -186,6 +189,24 @@ class TestSweep:
         assert capsys.readouterr().err == (
             "--theta: range bounds and their span must be finite\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--strategy", "two", "--theta", "0:1.5e307:2", "--n", "2"],
+            ["sweep", "--strategy", "two", "--theta", "0:1e300:2", "--n", "1000000000"],
+            ["compare", "--theta", "0:1e300:2", "--n", "1000000000"],
+        ],
+    )
+    def test_overflowing_n_theta_exits_two(self, argv, capsys, tmp_path):
+        # 2 N theta overflows a double, where the sines would turn into NaN:
+        # refused with one line and no warning, and no file is left.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([*argv, "--x", "0:1:2", "--phi", "0", "--out", str(tmp_path / "x.csv")])
+        assert code == 2 and caught == [] and list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "2 N theta must be finite" in err[0]
 
     def test_x_outside_unit_interval(self, capsys, tmp_path):
         code = cli.main([
@@ -407,22 +428,20 @@ class TestCompare:
 
     def test_builds_no_spec_per_point(self, tmp_path, monkeypatch):
         # compare and sweep evaluate their grid plane by plane from the
-        # spectral form of R^N: no StrategySpec, no GateParams and no
-        # channel unitary at all.
-        built = {"StrategySpec": 0, "GateParams": 0}
-        for cls in (strategies.StrategySpec, GateParams):
-            def counting(self, _post_init=cls.__post_init__, _name=cls.__name__):
-                built[_name] += 1
-                _post_init(self)
+        # spectral form of R^N: no GateParams, so no gate, at all.
+        built = []
+        post_init = GateParams.__post_init__
 
-            monkeypatch.setattr(cls, "__post_init__", counting)
-        strategies._channel_unitary.cache_clear()
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(GateParams, "__post_init__", counting)
         grid = ["--x", "0:1:5", "--theta", "0:1:4", "--phi", "0,0.25", "--n", "1,2"]
         commands = (["compare"], ["sweep", "--strategy", "one"], ["sweep", "--strategy", "two"])
         for command in commands:
             assert cli.main([*command, *grid, "--out", str(tmp_path / "out.csv")]) == 0
-        assert built == {"StrategySpec": 0, "GateParams": 0}
-        assert strategies._channel_unitary.cache_info().misses == 0
+        assert built == []
 
 
 class TestCrossCommand:
@@ -506,3 +525,4 @@ class TestOutputDigests:
         assert figures == set(cli.FIGURES)
         assert formulas == set(cli.DROPPED_COLUMNS)
         assert {argv[2] for argv in commands if argv[0] == "sweep"} == {"one", "two"}
+        assert ("verify",) in commands

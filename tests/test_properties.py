@@ -4,10 +4,8 @@ The measures are those of Baumgratz, Cramer and Plenio, PRL 113, 140401
 (2014): on a d-dimensional state 0 <= C_l1 <= d - 1 and
 0 <= C_r <= log2 d, and on a qubit C_r <= C_l1.  The upper bounds allow
 1e-12 of roundoff.  N goes up to 10^9, and the kernel is pinned there
-against a 40-digit mpmath evaluation of R(theta, phi)^N on the input.
-The ``DensityMatrix`` oracle takes R^N from ``matrix_power``, whose own
-error grows with N (up to about 8e-11 at N <= 10^5 against mpmath, and
-9e-13 at N <= 10^3), so it pins the kernel at 1e-12 only for N <= 10^3.
+against the test-side reference, a 40-digit mpmath evaluation of
+R(theta, phi)^N on the input (``reference.py``).
 
 Two further properties: N uses of R(theta, phi) act as one use at the
 angle pi/2 - N (pi/2 - theta), since R = exp(i (pi/2 - theta) S) with
@@ -21,28 +19,23 @@ once, prints the same bytes as ``_fmt`` on every field.
 import itertools
 import math
 import struct
-from unittest import mock
 
-import mpmath
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybc import cli, strategies
-from ybc.braid_ybe import GateParams
-from ybc.coherence import l1_coherence, relative_entropy_coherence
 from ybc.strategies import (
     ONE_QUBIT,
     TWO_QUBIT,
-    StrategySpec,
     batched_grid,
     closed_form_l1_one_qubit,
-    closed_form_l1_plane,
     closed_form_l1_two_qubit,
     elementwise_reduced_one_qubit,
     elementwise_reduced_two_qubit,
-    simulate_reduced,
 )
+
+from reference import kernel_spectrum, mpmath_reference
 
 POINTS = dict(
     kind=st.sampled_from([ONE_QUBIT, TWO_QUBIT]),
@@ -59,69 +52,16 @@ def kernel_point(kind, x, theta, phi, n):
     return float(c_l1[0, 0]), float(c_r[0, 0])
 
 
-def mpmath_reference(kind, x, theta, phi, n):
-    """l1, relative entropy and spectrum of the reduced state, at 40 digits.
-
-    The same definition as the kernel, step by step: R(theta, phi)^N by
-    repeated squaring, applied to the input (on the last two qubits for the
-    two-qubit kind), then the ancilla traced out.
-    """
-    mp = mpmath.mp
-    with mp.workdps(40):
-        x, theta, phi = mp.mpf(x), mp.mpf(theta), mp.mpf(phi)
-        ep, em = mp.expj(phi), mp.expj(-phi)
-        s = mp.matrix(
-            [[0, ep, 1j * ep, 0], [em, 0, 0, ep], [-1j * em, 0, 0, 1j * ep], [0, em, -1j * em, 0]]
-        ) / mp.sqrt(2)
-        rn = (mp.sin(theta) * mp.eye(4) + 1j * mp.cos(theta) * s) ** n
-        low, high = mp.sqrt(1 - x), mp.sqrt(x)
-        if kind == ONE_QUBIT:  # low |00> + high |10>
-            evolved = [low * rn[i, 0] + high * rn[i, 2] for i in range(4)]
-        else:  # low |0>|10> + high |1>|00>
-            evolved = [low * rn[i, 2] for i in range(4)] + [high * rn[i, 0] for i in range(4)]
-        ds = len(evolved) // 2
-        sigma = mp.matrix(ds, ds)
-        for r in range(ds):
-            for c in range(ds):
-                sigma[r, c] = sum(evolved[2 * r + a] * mp.conj(evolved[2 * c + a]) for a in (0, 1))
-        lam = sorted(mp.eighe(sigma, eigvals_only=True))
-
-        def entropy(values):
-            return -sum(v * mp.log(v, 2) for v in values if v > 0)
-
-        c_l1 = sum(abs(sigma[r, c]) for r in range(ds) for c in range(ds) if r != c)
-        c_r = entropy([mp.re(sigma[r, r]) for r in range(ds)]) - entropy(lam)
-        return float(c_l1), float(c_r), [float(v) for v in lam[-2:]]
-
-
 @PROFILE
 @given(**POINTS)
 def test_kernel_matches_mpmath_reference(kind, x, theta, phi, n):
-    spectra = []
-    pair_spectrum = strategies._pair_spectrum
-
-    def recording(*gram):
-        lam = pair_spectrum(*gram)
-        spectra.append(lam[:, 0, 0].tolist())
-        return lam
-
-    with mock.patch.object(strategies, "_pair_spectrum", recording):
-        c_l1, c_r = kernel_point(kind, x, theta, phi, n)
-    ref_l1, ref_r, ref_lam = mpmath_reference(kind, x, theta, phi, n)
+    c_l1, c_r = kernel_point(kind, x, theta, phi, n)
+    ref_l1, ref_r, ref_lam, _ = mpmath_reference(kind, x, theta, phi, n)
     assert abs(c_l1 - ref_l1) <= 1e-12
     assert abs(c_r - ref_r) <= 1e-12
-    (lam,) = spectra
+    lam = kernel_spectrum(kind, x, theta, phi, n)
     assert max(abs(a - b) for a, b in zip(lam, ref_lam)) <= 1e-12
     assert abs(sum(lam) - 1.0) <= 1e-12 and min(lam) >= -1e-12  # trace 1 and PSD
-
-
-@PROFILE
-@given(**{**POINTS, "n": st.integers(1, 10**3)})
-def test_kernel_matches_pointwise_oracle(kind, x, theta, phi, n):
-    c_l1, c_r = kernel_point(kind, x, theta, phi, n)
-    reduced = simulate_reduced(StrategySpec(kind, x, n, GateParams(theta, phi)))
-    assert abs(c_l1 - l1_coherence(reduced)) <= 1e-12
-    assert abs(c_r - relative_entropy_coherence(reduced)) <= 1e-12
 
 
 @PROFILE
@@ -157,8 +97,8 @@ def test_n_uses_collapse_into_one_use(kind, x, theta, phi, n):
 )
 def test_scalar_forms_equal_their_plane_entry(kind, xs, thetas, phi, n, i, j):
     x, theta = xs[i], thetas[j]
-    closed = closed_form_l1_plane(kind, xs, thetas, phi, n)
     plane_x, plane_theta = np.array(xs)[:, None], np.array(thetas)[None, :]
+    closed = strategies._closed_form_l1(kind, plane_x, plane_theta, phi, n)
     elements, _ = strategies._elementwise_l1(kind, plane_x, plane_theta, phi, n)
     if kind == ONE_QUBIT:
         assert closed_form_l1_one_qubit(x, theta, phi, n) == closed[i, j]

@@ -4,203 +4,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ybc import strategies
-from ybc.braid_ybe import GateParams, build_s
-from ybc.coherence import l1_coherence
-from ybc.linalg import DensityMatrix, identity, kron, max_abs_diff
+from ybc import braid_ybe, linalg, strategies
+from ybc.linalg import identity, kron, max_abs_diff
 from ybc.strategies import (
     ONE_QUBIT,
     REPORT_COLUMNS,
     TWO_QUBIT,
-    StrategySpec,
-    apply_channel,
     batched_grid,
-    closed_form_l1,
     closed_form_l1_one_qubit,
-    closed_form_l1_plane,
     closed_form_l1_two_qubit,
     discrepancy_report,
     elementwise_reduced_one_qubit,
     elementwise_reduced_two_qubit,
-    prepare_input,
-    prepare_one_qubit_input,
-    prepare_two_qubit_input,
-    reduced_system_state,
-    simulate_reduced,
-    simulated_l1,
 )
-from ybc.coherence import relative_entropy_coherence
 
-
-def spec(kind, x, n, theta, phi=0.0) -> StrategySpec:
-    return StrategySpec(kind, x, n, GateParams(theta, phi))
-
-
-class TestPrepare:
-    def test_one_qubit_extremes(self):
-        rho0 = prepare_one_qubit_input(0.0)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 0] = 1.0
-        assert max_abs_diff(rho0.mat, expected) == 0.0
-        rho1 = prepare_one_qubit_input(1.0)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[2, 2] = 1.0  # |10>
-        assert max_abs_diff(rho1.mat, expected) == 0.0
-
-    def test_one_qubit_half_is_maximally_coherent(self):
-        rho = prepare_one_qubit_input(0.5)
-        reduced = reduced_system_state(rho, ONE_QUBIT)
-        assert abs(l1_coherence(reduced) - 1.0) <= 1e-12
-
-    def test_two_qubit_extreme(self):
-        rho = prepare_two_qubit_input(0.0)
-        expected = np.zeros((8, 8), dtype=complex)
-        expected[2, 2] = 1.0  # |010>
-        assert max_abs_diff(rho.mat, expected) == 0.0
-
-    def test_two_qubit_full_state_coherence(self):
-        # l1 of the full three-qubit input is 2 sqrt(x (1 - x)).
-        for x in (0.1, 0.3, 0.5, 0.8):
-            rho = prepare_two_qubit_input(x)
-            assert abs(l1_coherence(rho) - 2.0 * np.sqrt(x * (1 - x))) <= 1e-12
-
-    def test_two_qubit_half_reduces_to_bell_like_state(self):
-        rho = prepare_two_qubit_input(0.5)
-        reduced = reduced_system_state(rho, TWO_QUBIT)
-        assert abs(l1_coherence(reduced) - 1.0) <= 1e-12
-        # (|01> + |10>)/sqrt(2) on the system pair
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[1, 1] = expected[2, 2] = expected[1, 2] = expected[2, 1] = 0.5
-        assert max_abs_diff(reduced.mat, expected) <= 1e-12
-
-    def test_rejects_x_out_of_range(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            prepare_one_qubit_input(1.2)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            prepare_two_qubit_input(-0.1)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError, match="kind"):
-            StrategySpec("three", 0.5, 1, GateParams(0.0, 0.0))
-        with pytest.raises(ValueError, match="n_uses"):
-            StrategySpec(ONE_QUBIT, 0.5, 0, GateParams(0.0, 0.0))
-
-    @pytest.mark.parametrize("n", [1.7, 2.0, True, "3", None])
-    def test_spec_rejects_non_integral_uses(self, n):
-        with pytest.raises(ValueError, match="n_uses"):
-            StrategySpec(ONE_QUBIT, 0.5, n, GateParams(0.0, 0.0))
-
-    def test_spec_accepts_numpy_integer_uses(self):
-        s = StrategySpec(TWO_QUBIT, 0.5, np.int64(3), GateParams(0.0, 0.0))
-        assert s.n_uses == 3 and type(s.n_uses) is int
-
-
-class TestApplyChannel:
-    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
-    def test_theta_half_pi_is_identity(self, kind):
-        for n in (1, 3, 8):
-            s = spec(kind, 0.3, n, np.pi / 2, 0.7)
-            rho = prepare_input(s)
-            out = apply_channel(rho, s)
-            assert max_abs_diff(out.mat, rho.mat) <= 1e-12
-
-    def test_two_uses_equal_one_twice(self):
-        s2 = spec(ONE_QUBIT, 0.4, 2, 0.9, 0.3)
-        s1 = spec(ONE_QUBIT, 0.4, 1, 0.9, 0.3)
-        rho = prepare_input(s2)
-        once_twice = apply_channel(apply_channel(rho, s1), s1)
-        out = apply_channel(rho, s2)
-        assert max_abs_diff(out.mat, once_twice.mat) <= 1e-12
-
-    def test_theta_zero_acts_as_s_conjugation(self):
-        # At theta = 0 the gate is i S; the phase drops in the adjoint action.
-        s = spec(ONE_QUBIT, 0.0, 1, 0.0, 0.0)
-        out = apply_channel(prepare_input(s), s)
-        s_mat = build_s(0.0)
-        rho00 = np.zeros((4, 4), dtype=complex)
-        rho00[0, 0] = 1.0
-        expected = s_mat @ rho00 @ s_mat.conj().T
-        assert max_abs_diff(out.mat, expected) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        rho = prepare_one_qubit_input(0.5)
-        with pytest.raises(ValueError, match="8x8"):
-            apply_channel(rho, spec(TWO_QUBIT, 0.5, 1, 0.3))
-
-    def test_purity_preserved(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            kind = ONE_QUBIT if rng.uniform() < 0.5 else TWO_QUBIT
-            s = spec(
-                kind,
-                float(rng.uniform()),
-                int(rng.integers(1, 9)),
-                float(rng.uniform(0, 2 * np.pi)),
-                float(rng.uniform(0, 2 * np.pi)),
-            )
-            out = apply_channel(prepare_input(s), s)
-            assert abs(out.purity() - 1.0) <= 1e-10
-
-    def test_composition_over_uses(self):
-        rng = np.random.default_rng(37)
-        for _ in range(10):
-            j = int(rng.integers(1, 5))
-            k = int(rng.integers(1, 5))
-            theta = float(rng.uniform(0, 2 * np.pi))
-            phi = float(rng.uniform(0, 2 * np.pi))
-            x = float(rng.uniform())
-            rho = prepare_two_qubit_input(x)
-            combined = apply_channel(rho, spec(TWO_QUBIT, x, j + k, theta, phi))
-            stepped = apply_channel(
-                apply_channel(rho, spec(TWO_QUBIT, x, j, theta, phi)),
-                spec(TWO_QUBIT, x, k, theta, phi),
-            )
-            assert max_abs_diff(combined.mat, stepped.mat) <= 1e-12
-
-
-class TestChannelUnitaryCache:
-    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
-    def test_cached_unitary_is_read_only(self, kind):
-        s = spec(kind, 0.5, 3, 0.7, 0.2)
-        u = strategies.channel_unitary(s)
-        before = u.copy()
-        with pytest.raises(ValueError, match="read-only"):
-            u[0, 0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            u *= 2.0
-        again = strategies.channel_unitary(s)
-        assert again is u
-        assert np.array_equal(again, before)
-
-
-class TestReducedState:
-    def test_identity_channel_keeps_input_coherence(self):
-        for x in (0.0, 0.25, 0.5, 1.0):
-            for kind in (ONE_QUBIT, TWO_QUBIT):
-                value = simulated_l1(spec(kind, x, 1, np.pi / 2, 0.9))
-                assert abs(value - 2.0 * np.sqrt(x * (1 - x))) <= 1e-10
-
-    def test_reduced_state_contract(self):
-        rng = np.random.default_rng(41)
-        for _ in range(15):
-            kind = ONE_QUBIT if rng.uniform() < 0.5 else TWO_QUBIT
-            s = spec(
-                kind,
-                float(rng.uniform()),
-                int(rng.integers(1, 6)),
-                float(rng.uniform(0, 2 * np.pi)),
-                float(rng.uniform(0, 2 * np.pi)),
-            )
-            reduced = simulate_reduced(s)
-            assert abs(np.trace(reduced.mat) - 1.0) <= 1e-12
-            assert max_abs_diff(reduced.mat, reduced.mat.conj().T) <= 1e-12
-            assert reduced.min_eigenvalue() >= -1e-10
-            assert reduced.dim == (2 if kind == ONE_QUBIT else 4)
-
-    def test_reduced_rejects_unknown_kind(self):
-        rho = prepare_one_qubit_input(0.5)
-        with pytest.raises(ValueError, match="kind"):
-            reduced_system_state(rho, "both")
+from reference import mpmath_reference
 
 
 class TestClosedFormOneQubit:
@@ -219,14 +37,14 @@ class TestClosedFormOneQubit:
                 expected = abs(alpha) / (4.0 * np.sqrt(2))
                 value = closed_form_l1_one_qubit(0.0, theta, 0.5, n)
                 assert abs(value - expected) <= 1e-12
-                assert abs(value - simulated_l1(spec(ONE_QUBIT, 0.0, n, theta, 0.5))) <= 1e-12
+                assert abs(value - mpmath_reference(ONE_QUBIT, 0.0, theta, 0.5, n)[0]) <= 1e-12
 
     def test_frozen_general_point(self):
         # Away from the identity slice the reference expression and the
         # simulation differ; both values are pinned so any change to either
         # path is visible.  (x, theta, phi, N) = (0.3, 0.8, pi/4, 1).
         closed = closed_form_l1_one_qubit(0.3, 0.8, np.pi / 4, 1)
-        sim = simulated_l1(spec(ONE_QUBIT, 0.3, 1, 0.8, np.pi / 4))
+        sim = mpmath_reference(ONE_QUBIT, 0.3, 0.8, np.pi / 4, 1)[0]
         assert abs(closed - 0.530215648622174) <= 1e-12
         assert abs(sim - 0.700677947064328) <= 1e-12
 
@@ -249,8 +67,8 @@ class TestClosedFormTwoQubit:
                 assert abs(value - 2.0 * np.sqrt(x * (1 - x))) <= 1e-10
 
     def test_matches_simulation_everywhere(self):
-        # The two-qubit closed form reproduces the oracle at every sampled
-        # point, both parities of N.
+        # The two-qubit closed form reproduces the reference at every
+        # sampled point, both parities of N.
         rng = np.random.default_rng(43)
         worst = 0.0
         for _ in range(120):
@@ -258,16 +76,16 @@ class TestClosedFormTwoQubit:
             theta = float(rng.uniform(0, 2 * np.pi))
             phi = float(rng.uniform(0, 2 * np.pi))
             n = int(rng.integers(1, 9))
-            sim = simulated_l1(spec(TWO_QUBIT, x, n, theta, phi))
+            sim = mpmath_reference(TWO_QUBIT, x, theta, phi, n)[0]
             closed = closed_form_l1_two_qubit(x, theta, n)
             worst = max(worst, abs(sim - closed))
         assert worst <= 1e-10
 
     def test_maximum_exceeds_two(self):
         # The sweep maximum reaches ~2.22 at x = 1/2, theta = pi/4, N = 1;
-        # recorded here as an observable of the closed form and the oracle.
+        # recorded here as an observable of the closed form and the reference.
         value = closed_form_l1_two_qubit(0.5, np.pi / 4, 1)
-        assert abs(value - simulated_l1(spec(TWO_QUBIT, 0.5, 1, np.pi / 4, 0.3))) <= 1e-10
+        assert abs(value - mpmath_reference(TWO_QUBIT, 0.5, np.pi / 4, 0.3, 1)[0]) <= 1e-10
         assert 2.2 < value < 2.3
 
 
@@ -358,15 +176,15 @@ class TestElementwiseTwoQubit:
             phi = float(rng.uniform(0, 2 * np.pi))
             n = int(rng.integers(1, 5))
             sigma, _ = elementwise_reduced_two_qubit(x, theta, phi, n)
-            sim = simulate_reduced(spec(TWO_QUBIT, x, n, theta, phi))
-            assert max_abs_diff(np.diag(sigma), np.diag(sim.mat)) <= 1e-10
+            sim = mpmath_reference(TWO_QUBIT, x, theta, phi, n)[3]
+            assert max_abs_diff(np.diag(sigma), np.diag(sim)) <= 1e-10
 
     def test_inner_block_moduli_double_the_simulation(self):
-        # sigma_14 and sigma_23 carry twice the oracle's moduli; pinned so
+        # sigma_14 and sigma_23 carry twice the reference's moduli; pinned so
         # the evaluator is known to follow the reference form.
         for x, theta, n in ((0.3, 0.9, 1), (0.6, 2.1, 2)):
             sigma, _ = elementwise_reduced_two_qubit(x, theta, 0.4, n)
-            sim = simulate_reduced(spec(TWO_QUBIT, x, n, theta, 0.4)).mat
+            sim = mpmath_reference(TWO_QUBIT, x, theta, 0.4, n)[3]
             assert abs(abs(sigma[0, 3]) - 2.0 * abs(sim[0, 3])) <= 1e-10
             assert abs(abs(sigma[1, 2]) - 2.0 * abs(sim[1, 2])) <= 1e-10
 
@@ -379,7 +197,7 @@ class TestPhiIndependence:
             x = float(rng.uniform())
             theta = float(rng.uniform(0, 2 * np.pi))
             n = int(rng.integers(1, 9))
-            values = [simulated_l1(spec(TWO_QUBIT, x, n, theta, p)) for p in phis]
+            values = [mpmath_reference(TWO_QUBIT, x, theta, p, n)[0] for p in phis]
             assert max(values) - min(values) <= 1e-10
 
 
@@ -397,9 +215,9 @@ class TestBatchedGrid:
         c_l1, c_r = batched_grid(kind, xs, thetas, 0.61, n)
         for i, x in enumerate(xs):
             for j, theta in enumerate(thetas):
-                reduced = simulate_reduced(spec(kind, float(x), n, float(theta), 0.61))
-                assert abs(c_l1[i, j] - l1_coherence(reduced)) <= 1e-12
-                assert abs(c_r[i, j] - relative_entropy_coherence(reduced)) <= 1e-12
+                ref_l1, ref_r, _, _ = mpmath_reference(kind, float(x), float(theta), 0.61, n)
+                assert abs(c_l1[i, j] - ref_l1) <= 1e-12
+                assert abs(c_r[i, j] - ref_r) <= 1e-12
 
     @pytest.mark.parametrize(
         "kind, xs, thetas, phi, n, message",
@@ -410,16 +228,32 @@ class TestBatchedGrid:
             (TWO_QUBIT, [0.5], [0.1], 0.0, 0, "n_uses"),
             ("three", [0.5], [0.1], 0.0, 1, "kind"),
             (ONE_QUBIT, [0.5], [0.1], 0.0, 2**53 + 1, r"2\*\*53"),
+            (ONE_QUBIT, [0.5], [0.1], 0.0, 2.0, "n_uses"),
+            (ONE_QUBIT, [0.5], [0.1], 0.0, 1.7, "n_uses"),
+            (ONE_QUBIT, [0.5], [0.1], 0.0, True, "n_uses"),
+            (ONE_QUBIT, [0.5], [0.1], 0.0, "3", "n_uses"),
+            (ONE_QUBIT, [0.5], [0.1], 0.0, None, "n_uses"),
+            # 2 N theta overflows: past it the sines are NaN.
+            (TWO_QUBIT, [0.0, 1.0], [0.0, 1.5e307 * math.pi], 0.0, 2, "2 N theta"),
+            (ONE_QUBIT, [0.5], [0.0, 1e300 * math.pi], 0.0, 10**9, "2 N theta"),
+            (ONE_QUBIT, [0.5], [-1e300], 0.0, 10**9, "2 N theta"),
+            pytest.param(TWO_QUBIT, [0.5], [1e-300], 0.0, 10**400, "2 N theta", id="N-1e400"),
         ],
     )
     def test_validates_inputs(self, kind, xs, thetas, phi, n, message):
         with pytest.raises(ValueError, match=message):
             batched_grid(kind, xs, thetas, phi, n)
 
+    def test_accepts_numpy_integer_uses(self):
+        for kind in (ONE_QUBIT, TWO_QUBIT):
+            got = batched_grid(kind, [0.3], [0.8], 0.2, np.int64(3))
+            for a, b in zip(got, batched_grid(kind, [0.3], [0.8], 0.2, 3)):
+                assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
     def test_trace_check_raises(self, kind, monkeypatch):
-        # A channel that is not trace preserving must fail loudly, as the
-        # pointwise entropy does, instead of producing clipped numbers.
+        # A channel that is not trace preserving must fail loudly instead
+        # of producing clipped numbers.
         original = strategies._power_coefficients
         monkeypatch.setattr(
             strategies, "_power_coefficients", lambda *a: [1.01 * c for c in original(*a)]
@@ -430,8 +264,7 @@ class TestBatchedGrid:
 
     @pytest.mark.parametrize("smallest, raises", [(-1e-9, True), (-1e-11, False)])
     def test_negative_eigenvalue_check(self, smallest, raises, monkeypatch):
-        # Below -EIG_CLAMP is an error, as in the pointwise entropy; noise
-        # within the clamp is set to 0.
+        # Below -EIG_CLAMP is an error; noise within the clamp is set to 0.
         original = strategies._pair_spectrum
 
         def pair_spectrum(*gram):
@@ -529,21 +362,18 @@ class TestBatchedGrid:
         # The kernel works from cos(N a), sin(N a) and two columns of S: no
         # channel unitary, gate, matrix power, tensor product or eigvalsh.
         def forbidden(*args, **kwargs):
-            raise AssertionError("the kernel reached a pointwise-oracle routine")
+            raise AssertionError("the kernel reached a gate, matrix power or eigensolver")
 
         for owner, name in (
-            (strategies, "build_r_theta_phi"),
-            (strategies, "kron"),
+            (braid_ybe, "build_r_theta_phi"),
+            (linalg, "kron"),
             (np, "kron"),
             (np.linalg, "matrix_power"),
             (np.linalg, "eigvalsh"),
         ):
             monkeypatch.setattr(owner, name, forbidden)
-        strategies._channel_unitary.cache_clear()
         batched_grid(kind, [0.0, 0.3, 1.0], [0.2, 1.9], 0.4, 10**9 + 1)
         discrepancy_report((kind,), (0.0, 0.3), (0.2, np.pi / 2), (0.0, 0.5), (1, 2, 7))
-        info = strategies._channel_unitary.cache_info()
-        assert info.misses == info.hits == 0
 
     def test_relative_entropy_optional(self):
         c_l1, c_r = batched_grid(
@@ -552,6 +382,12 @@ class TestBatchedGrid:
         )
         assert np.isfinite(c_l1).all()
         assert np.isnan(c_r).all()
+
+
+def sweep_closed(kind, xs, thetas, phi, n):
+    """The closed-form column of ``ybc sweep`` over an (x, theta) plane."""
+    blocks = strategies.grid_blocks(kind, xs, thetas, [phi], [n], strategies.sweep_columns)
+    return np.concatenate(list(blocks))[:, :, 0, 2]
 
 
 class TestClosedFormPlane:
@@ -564,8 +400,8 @@ class TestClosedFormPlane:
         ]
         thetas = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 37), poles, [1e-9, -2.5]])
         for phi in (0.0, math.pi / 4.0, 0.13 * math.pi, 1.7 * math.pi, -2.3):
-            one = closed_form_l1_plane(ONE_QUBIT, self.XS, thetas, phi, n)
-            two = closed_form_l1_plane(TWO_QUBIT, self.XS, thetas, phi, n)
+            one = sweep_closed(ONE_QUBIT, self.XS, thetas, phi, n)
+            two = sweep_closed(TWO_QUBIT, self.XS, thetas, phi, n)
             assert one.shape == two.shape == (len(self.XS), len(thetas))
             for i, x in enumerate(self.XS.tolist()):
                 for j, theta in enumerate(thetas.tolist()):
@@ -577,17 +413,17 @@ class TestClosedFormPlane:
         xs, thetas = np.array([0.0, 0.5]), np.array([0.1, 0.2])
         for bad_xs in ([0.0, 1.5], [-0.1, 0.5], [0.5, np.nan]):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                closed_form_l1_plane(kind, np.array(bad_xs), thetas, 0.0, 1)
+                sweep_closed(kind, np.array(bad_xs), thetas, 0.0, 1)
         for n in (0, -1, 1.7, 2.0, True):
             with pytest.raises(ValueError, match="n_uses"):
-                closed_form_l1_plane(kind, xs, thetas, 0.0, n)
+                sweep_closed(kind, xs, thetas, 0.0, n)
         for bad_thetas, phi in (([0.1, np.inf], 0.0), ([0.1, np.nan], 0.0), ([0.1], np.nan)):
             with pytest.raises(ValueError, match="finite"):
-                closed_form_l1_plane(kind, xs, np.array(bad_thetas), phi, 1)
+                sweep_closed(kind, xs, np.array(bad_thetas), phi, 1)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
-            closed_form_l1_plane("three", [0.5], [0.1], 0.0, 1)
+            sweep_closed("three", [0.5], [0.1], 0.0, 1)
 
     def test_scalar_forms_reject_non_integral_uses(self):
         with pytest.raises(ValueError, match="n_uses"):
@@ -603,23 +439,29 @@ def pole_thetas(n):
 
 
 def assert_report_matches_pointwise(report, xs, thetas, phis):
-    """Every point of a report against the DensityMatrix oracle and the scalar evaluators.
+    """Every point of a report against its kernel plane entry and the scalar evaluators.
 
-    Returns the smallest diagonal entry of the 4x4 assemblies, or 0.0.
+    The simulation columns equal, bit for bit, the entry of ``batched_grid``
+    at the point.  Returns the smallest diagonal entry of the 4x4
+    assemblies, or 0.0.
     """
+    planes = {}
     worst = 0.0
     for k, ix, it, ip, j in np.ndindex(report.values.shape[:-1]):
         kind, n = report.kinds[k], report.ns[j]
-        s = spec(kind, float(xs[ix]), n, float(thetas[it]), float(phis[ip]))
+        x, theta, phi = float(xs[ix]), float(thetas[it]), float(phis[ip])
+        if (k, ip, j) not in planes:
+            planes[k, ip, j] = batched_grid(kind, xs, thetas, phi, n)
+        c_l1, c_r = (plane[ix, it] for plane in planes[k, ip, j])
         point = dict(zip(REPORT_COLUMNS, report.values[k, ix, it, ip, j].tolist()))
-        reduced = simulate_reduced(s)
-        assert abs(point["c_l1_sim"] - l1_coherence(reduced)) <= 1e-12
-        assert abs(point["c_r_sim"] - relative_entropy_coherence(reduced)) <= 1e-12
-        assert point["c_l1_closed"] == closed_form_l1(s)
-        assemble = (
-            elementwise_reduced_one_qubit if kind == ONE_QUBIT else elementwise_reduced_two_qubit
-        )
-        sigma, appendix = assemble(s.x, s.gate.theta, s.gate.phi, n)
+        assert point["c_l1_sim"] == c_l1 and point["c_r_sim"] == c_r
+        if kind == ONE_QUBIT:
+            closed = closed_form_l1_one_qubit(x, theta, phi, n)
+            sigma, appendix = elementwise_reduced_one_qubit(x, theta, phi, n)
+        else:
+            closed = closed_form_l1_two_qubit(x, theta, n)
+            sigma, appendix = elementwise_reduced_two_qubit(x, theta, phi, n)
+        assert point["c_l1_closed"] == closed
         assert point["c_l1_appendix"] == appendix
         assert point["deviation_closed"] == abs(point["c_l1_sim"] - point["c_l1_closed"])
         assert point["deviation_appendix"] == abs(point["c_l1_sim"] - point["c_l1_appendix"])
@@ -678,7 +520,7 @@ class TestDiscrepancyReport:
 
     def test_identity_slice_agreement(self):
         # At theta = pi/2 every evaluator that reduces to the identity
-        # channel agrees with the oracle: the two-qubit closed form, the
+        # channel agrees with the kernel: the two-qubit closed form, the
         # one-qubit closed form at odd N, and both element assemblies for
         # the one-qubit strategy.
         ns = (1, 2, 3, 4)
@@ -693,7 +535,7 @@ class TestDiscrepancyReport:
 
     def test_even_use_closed_form_gap_on_identity_slice(self):
         # The reference one-qubit closed form returns 0 for even N at
-        # theta = pi/2 while the oracle returns 2 sqrt(x (1 - x)); the
+        # theta = pi/2 while the kernel returns 2 sqrt(x (1 - x)); the
         # report records the gap instead of asserting agreement.
         report = discrepancy_report((ONE_QUBIT,), (0.5,), (np.pi / 2,), (0.0,), (2,))
         point = dict(zip(REPORT_COLUMNS, report.values.reshape(-1).tolist()))
@@ -740,19 +582,21 @@ class TestDiscrepancyReport:
             with pytest.raises(ValueError, match="empty"):
                 discrepancy_report(*axes[:i], (), *axes[i + 1:])
 
-    def test_harness_detects_injected_channel_bug(self):
-        # Conjugating the simulated output by exp(i 0.01 X (x) I) on the
-        # gate's qubit pair must push the deviation against the two-qubit
+    def test_harness_detects_injected_channel_bug(self, monkeypatch):
+        # Conjugating the kernel's S by exp(i 0.01 X (x) I) on the gate's
+        # qubit pair must push the report's deviation against the two-qubit
         # closed form above 1e-3, confirming the cross-check would catch a
-        # wrong channel.
+        # wrong channel.  S stays a Hermitian involution, so R^N stays
+        # unitary and the kernel's trace check passes.
         x_gate = np.array([[0, 1], [1, 0]], dtype=complex)
-        pert4 = np.cos(0.01) * identity(4) + 1j * np.sin(0.01) * kron(x_gate, identity(2))
-        pert = kron(identity(2), pert4)
-        worst = 0.0
-        for theta in np.linspace(0.3, 5.9, 12):
-            s = spec(TWO_QUBIT, 0.5, 1, float(theta), np.pi / 4)
-            sigma = apply_channel(prepare_input(s), s)
-            bugged = DensityMatrix(pert @ sigma.mat @ pert.conj().T, sigma.dims)
-            value = l1_coherence(reduced_system_state(bugged, TWO_QUBIT))
-            worst = max(worst, abs(value - closed_form_l1_two_qubit(0.5, float(theta), 1)))
-        assert worst > 1e-3
+        pert = np.cos(0.01) * identity(4) + 1j * np.sin(0.01) * kron(x_gate, identity(2))
+        build_s = strategies.build_s
+        thetas = np.linspace(0.3, 5.9, 12)
+
+        def worst_deviation():
+            report = discrepancy_report((TWO_QUBIT,), (0.5,), thetas, (np.pi / 4,), (1,))
+            return float(report.column("deviation_closed").max())
+
+        assert worst_deviation() <= 1e-10
+        monkeypatch.setattr(strategies, "build_s", lambda phi: pert @ build_s(phi) @ pert.conj().T)
+        assert worst_deviation() > 1e-3

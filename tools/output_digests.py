@@ -4,10 +4,11 @@ Usage: python3 tools/output_digests.py
 
 Runs ``ybc.cli.main`` from this checkout's ``src`` in a temporary directory
 for each command in ``COMMANDS`` and prints one ``sha256  label`` line per
-output: the CSV of every command, and for ``compare`` also its standard
-output without the closing ``wrote ... to PATH`` line, which names the
-temporary file.  Compare the lines of two commits to check that a change
-kept the bytes.  Exits 1 if a command does not exit 0.
+output: the CSV of every command but ``verify``, which writes none, and for
+``verify`` and ``compare`` also their standard output without the closing
+``wrote ... to PATH`` line, which names the temporary file.  Compare the
+lines of two commits to check that a change kept the bytes.  Exits 1 if a
+command does not exit 0.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ COMPARE_BLOCKS_GRID = ("--x", "0:1:101", "--theta", "0:2:256", "--phi", "0,0.25"
 
 # (label, argv without --out)
 COMMANDS = [
+    ("verify", ("verify",)),
     ("sweep-two-large", ("sweep", "--strategy", "two") + LARGE_GRID),
     ("sweep-one-large", ("sweep", "--strategy", "one") + LARGE_GRID),
     *((f"figure-{fig}", ("figure", fig)) for fig in ("2a", "2b", "4a", "4b")),
@@ -50,15 +52,17 @@ def digests(directory: str) -> list[tuple[str, str]]:
 
     lines = []
     for label, argv in COMMANDS:
+        writes_csv = argv[0] != "verify"
         out = os.path.join(directory, f"{label}.csv")
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            code = cli.main([*argv, "--out", out])
+            code = cli.main([*argv, "--out", out] if writes_csv else list(argv))
         if code != 0:
             raise RuntimeError(f"{label}: {' '.join(argv)} exited {code}")
-        with open(out, "rb") as fh:
-            lines.append((_sha256(fh.read()), f"{label}.csv"))
-        if argv[0] == "compare":
+        if writes_csv:
+            with open(out, "rb") as fh:
+                lines.append((_sha256(fh.read()), f"{label}.csv"))
+        if argv[0] in ("verify", "compare"):
             summary = [line for line in stdout.getvalue().splitlines(keepends=True)
                        if not line.startswith("wrote ")]
             lines.append((_sha256("".join(summary).encode()), f"{label}.stdout"))
