@@ -4,8 +4,9 @@ Every test that pins the simulation kernel (``strategies.batched_grid``)
 to a value reads that value here.  The reference follows the definition
 step by step, in mpmath: R(theta, phi)^N by repeated squaring, applied to
 the input (on the last two qubits for the two-qubit kind), then the
-ancilla, the last qubit, traced out.  ``kernel_spectrum`` reads the
-kernel's side of the spectrum pins.
+ancilla, the last qubit, traced out.  ``kernel_spectrum`` and
+``kernel_reduced_state`` read the kernel's side of the spectrum and
+entry pins.
 """
 
 from unittest import mock
@@ -67,3 +68,19 @@ def kernel_spectrum(kind, x, theta, phi, n):
         batched_grid(kind, [x], [theta], phi, n)
     (lam,) = spectra
     return lam
+
+
+def kernel_reduced_state(kind, x, theta, phi, n):
+    """The reduced state that the kernel forms at one point, as a complex array.
+
+    Weights the kernel's per-theta terms at x as ``_weighted_measures``
+    does, and sets the diagonal and upper entries they hold.
+    """
+    same_a, same_b, cross = strategies._theta_terms(kind, np.array([float(theta)]), phi, n)
+    values = ((1.0 - x) * same_a + x * same_b + np.sqrt(x * (1.0 - x)) * cross)[:, 0]
+    ds = strategies._SYSTEM_DIM[kind]
+    rows, cols = np.triu_indices(ds, 1)
+    upper = values[ds : ds + rows.size] + 1j * values[ds + rows.size : ds + 2 * rows.size]
+    sigma = np.diag(values[:ds]).astype(complex)
+    sigma[rows, cols], sigma[cols, rows] = upper, upper.conj()
+    return sigma

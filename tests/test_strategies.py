@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,162 @@ from ybc.strategies import (
     elementwise_reduced_two_qubit,
 )
 
-from reference import mpmath_reference
+from reference import kernel_reduced_state, kernel_spectrum, mpmath_reference
+
+
+def identity_power(theta, n):
+    return np.ones_like(theta), np.zeros_like(theta)
+
+
+def input_reduced_state(kind, x):
+    """The input's reduced state, read from the kernel with R^N set to I exactly."""
+    with mock.patch.object(strategies, "_power_coefficients", identity_power):
+        return kernel_reduced_state(kind, x, 0.0, 0.0, 1)
+
+
+def input_l1(kind, xs):
+    """The kernel's c_l1 of the input at each x, with R^N set to I exactly."""
+    with mock.patch.object(strategies, "_power_coefficients", identity_power):
+        return batched_grid(kind, xs, [0.0], 0.0, 1)[0][:, 0]
+
+
+def kernel_power(theta, phi, n):
+    """R(theta, phi)^N as the kernel forms it: cos(N a) I + i sin(N a) S(phi)."""
+    cos_na, sin_na = strategies._power_coefficients(np.array([theta]), n)
+    return cos_na[0] * identity(4) + 1j * sin_na[0] * braid_ybe.build_s(phi)
+
+
+def random_point(rng, max_uses):
+    kind = ONE_QUBIT if rng.uniform() < 0.5 else TWO_QUBIT
+    return (
+        kind,
+        float(rng.uniform()),
+        float(rng.uniform(0, 2 * np.pi)),
+        float(rng.uniform(0, 2 * np.pi)),
+        int(rng.integers(1, max_uses + 1)),
+    )
+
+
+class TestPrepare:
+    """The strategies' inputs, and the kernel's validation of x, kind and N."""
+
+    def test_one_qubit_extremes(self):
+        # The input amplitudes sit at |00> and |10> of (S, A).
+        assert strategies._INPUT_SUPPORT[ONE_QUBIT] == [0, 2]
+        assert max_abs_diff(input_reduced_state(ONE_QUBIT, 0.0), np.diag([1.0, 0.0])) == 0.0
+        assert max_abs_diff(input_reduced_state(ONE_QUBIT, 1.0), np.diag([0.0, 1.0])) == 0.0
+
+    def test_one_qubit_half_is_maximally_coherent(self):
+        assert abs(input_l1(ONE_QUBIT, [0.5])[0] - 1.0) <= 1e-12
+
+    def test_two_qubit_extreme(self):
+        # |010> of (S1, S2, A): the system pair in |01>.
+        expected = np.zeros((4, 4))
+        expected[1, 1] = 1.0
+        assert max_abs_diff(input_reduced_state(TWO_QUBIT, 0.0), expected) == 0.0
+
+    def test_two_qubit_full_state_coherence(self):
+        # The ancilla starts in |0>, so the l1 of the full three-qubit input
+        # is that of its system pair, 2 sqrt(x (1 - x)).
+        xs = np.array([0.1, 0.3, 0.5, 0.8])
+        assert np.abs(input_l1(TWO_QUBIT, xs) - 2.0 * np.sqrt(xs * (1 - xs))).max() <= 1e-12
+
+    def test_two_qubit_half_reduces_to_bell_like_state(self):
+        assert abs(input_l1(TWO_QUBIT, [0.5])[0] - 1.0) <= 1e-12
+        # (|01> + |10>)/sqrt(2) on the system pair
+        expected = np.zeros((4, 4), dtype=complex)
+        expected[1, 1] = expected[2, 2] = expected[1, 2] = expected[2, 1] = 0.5
+        assert max_abs_diff(input_reduced_state(TWO_QUBIT, 0.5), expected) <= 1e-12
+
+    def test_rejects_x_out_of_range(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            batched_grid(ONE_QUBIT, [1.2], [0.0], 0.0, 1)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            batched_grid(TWO_QUBIT, [-0.1], [0.0], 0.0, 1)
+
+    def test_spec_validation(self):
+        with pytest.raises(ValueError, match="kind"):
+            batched_grid("three", [0.5], [0.0], 0.0, 1)
+        with pytest.raises(ValueError, match="n_uses"):
+            batched_grid(ONE_QUBIT, [0.5], [0.0], 0.0, 0)
+
+    @pytest.mark.parametrize("n", [1.7, 2.0, True, "3", None])
+    def test_spec_rejects_non_integral_uses(self, n):
+        with pytest.raises(ValueError, match="n_uses"):
+            batched_grid(ONE_QUBIT, [0.5], [0.0], 0.0, n)
+
+    def test_spec_accepts_numpy_integer_uses(self):
+        for kind in (ONE_QUBIT, TWO_QUBIT):
+            got = batched_grid(kind, [0.3], [0.8], 0.2, np.int64(3))
+            for a, b in zip(got, batched_grid(kind, [0.3], [0.8], 0.2, 3)):
+                assert np.array_equal(a, b)
+
+
+class TestApplyChannel:
+    """R^N as the kernel forms it, and its action on the input."""
+
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    def test_theta_half_pi_is_identity(self, kind):
+        for n in (1, 3, 8):
+            out = kernel_reduced_state(kind, 0.3, np.pi / 2, 0.7, n)
+            assert max_abs_diff(out, input_reduced_state(kind, 0.3)) <= 1e-12
+
+    def test_two_uses_equal_one_twice(self):
+        r = braid_ybe.build_r_theta_phi(braid_ybe.GateParams(0.9, 0.3))
+        assert max_abs_diff(kernel_power(0.9, 0.3, 1), r) <= 1e-12
+        assert max_abs_diff(kernel_power(0.9, 0.3, 2), r @ r) <= 1e-12
+
+    def test_theta_zero_acts_as_s_conjugation(self):
+        # At theta = 0 the gate is i S; the phase drops in the adjoint action.
+        # S|00>, as a (system, ancilla) matrix, gives the reduced state.
+        v = braid_ybe.build_s(0.0)[:, 0].reshape(2, 2)
+        out = kernel_reduced_state(ONE_QUBIT, 0.0, 0.0, 0.0, 1)
+        assert max_abs_diff(out, v @ v.conj().T) <= 1e-12
+
+    def test_purity_preserved(self):
+        # R^N stays unitary, so the global state stays pure with norm 1:
+        # the reduced state has trace 1 and shares the Gram pair's spectrum.
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            kind, x, theta, phi, n = random_point(rng, 8)
+            u = kernel_power(theta, phi, n)
+            assert max_abs_diff(u @ u.conj().T, identity(4)) <= 1e-10
+            sigma = kernel_reduced_state(kind, x, theta, phi, n)
+            lam = kernel_spectrum(kind, x, theta, phi, n)
+            assert abs(np.trace(sigma).real - 1.0) <= 1e-10
+            assert abs(np.trace(sigma @ sigma).real - sum(v * v for v in lam)) <= 1e-10
+
+    def test_composition_over_uses(self):
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            j = int(rng.integers(1, 5))
+            k = int(rng.integers(1, 5))
+            theta = float(rng.uniform(0, 2 * np.pi))
+            phi = float(rng.uniform(0, 2 * np.pi))
+            stepped = kernel_power(theta, phi, k) @ kernel_power(theta, phi, j)
+            assert max_abs_diff(kernel_power(theta, phi, j + k), stepped) <= 1e-12
+
+
+class TestReducedState:
+    def test_identity_channel_keeps_input_coherence(self):
+        xs = np.array([0.0, 0.25, 0.5, 1.0])
+        for kind in (ONE_QUBIT, TWO_QUBIT):
+            c_l1, _ = batched_grid(kind, xs, [np.pi / 2], 0.9, 1)
+            assert np.abs(c_l1[:, 0] - 2.0 * np.sqrt(xs * (1 - xs))).max() <= 1e-10
+
+    def test_reduced_state_contract(self):
+        rng = np.random.default_rng(41)
+        for _ in range(15):
+            kind, x, theta, phi, n = random_point(rng, 5)
+            reduced = kernel_reduced_state(kind, x, theta, phi, n)
+            assert abs(np.trace(reduced) - 1.0) <= 1e-12
+            assert max_abs_diff(reduced, reduced.conj().T) <= 1e-12
+            assert np.linalg.eigvalsh(reduced).min() >= -1e-10
+            assert reduced.shape == ((2, 2) if kind == ONE_QUBIT else (4, 4))
+
+    def test_reduced_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind"):
+            batched_grid("both", [0.5], [0.0], 0.0, 1)
 
 
 class TestClosedFormOneQubit:
@@ -228,11 +384,6 @@ class TestBatchedGrid:
             (TWO_QUBIT, [0.5], [0.1], 0.0, 0, "n_uses"),
             ("three", [0.5], [0.1], 0.0, 1, "kind"),
             (ONE_QUBIT, [0.5], [0.1], 0.0, 2**53 + 1, r"2\*\*53"),
-            (ONE_QUBIT, [0.5], [0.1], 0.0, 2.0, "n_uses"),
-            (ONE_QUBIT, [0.5], [0.1], 0.0, 1.7, "n_uses"),
-            (ONE_QUBIT, [0.5], [0.1], 0.0, True, "n_uses"),
-            (ONE_QUBIT, [0.5], [0.1], 0.0, "3", "n_uses"),
-            (ONE_QUBIT, [0.5], [0.1], 0.0, None, "n_uses"),
             # 2 N theta overflows: past it the sines are NaN.
             (TWO_QUBIT, [0.0, 1.0], [0.0, 1.5e307 * math.pi], 0.0, 2, "2 N theta"),
             (ONE_QUBIT, [0.5], [0.0, 1e300 * math.pi], 0.0, 10**9, "2 N theta"),
@@ -243,12 +394,6 @@ class TestBatchedGrid:
     def test_validates_inputs(self, kind, xs, thetas, phi, n, message):
         with pytest.raises(ValueError, match=message):
             batched_grid(kind, xs, thetas, phi, n)
-
-    def test_accepts_numpy_integer_uses(self):
-        for kind in (ONE_QUBIT, TWO_QUBIT):
-            got = batched_grid(kind, [0.3], [0.8], 0.2, np.int64(3))
-            for a, b in zip(got, batched_grid(kind, [0.3], [0.8], 0.2, 3)):
-                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
     def test_trace_check_raises(self, kind, monkeypatch):
