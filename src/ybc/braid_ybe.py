@@ -51,19 +51,20 @@ class CheckResult(NamedTuple):
     passed: bool
 
 
-def build_s(phi: float) -> np.ndarray:
-    """The unitary, Hermitian, involutive braid matrix S(phi)."""
+def build_s(phi: float | np.ndarray) -> np.ndarray:
+    """The unitary, Hermitian, involutive braid matrix S(phi).
+
+    An array of phases gives the C-contiguous stack of shape
+    ``phi.shape + (4, 4)``, each matrix bitwise equal to its scalar call.
+    """
     ep = np.exp(1j * phi)
     em = np.exp(-1j * phi)
-    return np.array(
-        [
-            [0, ep, 1j * ep, 0],
-            [em, 0, 0, ep],
-            [-1j * em, 0, 0, 1j * ep],
-            [0, em, -1j * em, 0],
-        ],
-        dtype=complex,
-    ) / np.sqrt(2.0)
+    s = np.zeros(np.shape(ep) + (4, 4), dtype=complex)
+    s[..., 0, 1] = s[..., 1, 3] = ep
+    s[..., 0, 2] = s[..., 2, 3] = 1j * ep
+    s[..., 1, 0] = s[..., 3, 1] = em
+    s[..., 2, 0] = s[..., 3, 2] = -1j * em
+    return s / np.sqrt(2.0)
 
 
 def build_r_theta_phi(params: GateParams) -> np.ndarray:
@@ -182,6 +183,19 @@ def check_far_commutation(b: np.ndarray, tol: float = DEFAULT_TOL) -> CheckResul
     return CheckResult(residual, residual <= tol)
 
 
+def _ybe_residual(
+    r_u: np.ndarray, r_w: np.ndarray, r_v: np.ndarray, tol: float
+) -> CheckResult:
+    """Residual of R1(u) R2(w) R1(v) = R2(v) R1(w) R2(u) from R(u), R(w), R(v).
+
+    R1 = R (x) I and R2 = I (x) R; each R is built once and feeds both.
+    """
+    i2 = identity(2)
+    (u1, u2), (w1, w2), (v1, v2) = ((kron(r, i2), kron(i2, r)) for r in (r_u, r_w, r_v))
+    residual = max_abs_diff(u1 @ w2 @ v1, v2 @ w1 @ u2)
+    return CheckResult(residual, residual <= tol)
+
+
 def check_ybe_additive(
     phi: float, mu: float, nu: float, tol: float = DEFAULT_TOL
 ) -> CheckResult:
@@ -189,18 +203,9 @@ def check_ybe_additive(
 
     R is the rational family at the given phi; R1 = R (x) I, R2 = I (x) R.
     """
-    i2 = identity(2)
-
-    def r1(m):
-        return kron(yang_baxterize_rational(phi, m), i2)
-
-    def r2(m):
-        return kron(i2, yang_baxterize_rational(phi, m))
-
-    lhs = r1(mu) @ r2(mu + nu) @ r1(nu)
-    rhs = r2(nu) @ r1(mu + nu) @ r2(mu)
-    residual = max_abs_diff(lhs, rhs)
-    return CheckResult(residual, residual <= tol)
+    return _ybe_residual(
+        *(yang_baxterize_rational(phi, m) for m in (mu, mu + nu, nu)), tol
+    )
 
 
 def check_ybe_multiplicative(
@@ -214,18 +219,7 @@ def check_ybe_multiplicative(
     ``builder`` maps a spectral parameter to a 4x4 matrix, e.g.
     ``lambda t: yang_baxterize_eight_vertex(+1, q, t)``.
     """
-    i2 = identity(2)
-
-    def r1(t):
-        return kron(builder(t), i2)
-
-    def r2(t):
-        return kron(i2, builder(t))
-
-    lhs = r1(x) @ r2(x * y) @ r1(y)
-    rhs = r2(y) @ r1(x * y) @ r2(x)
-    residual = max_abs_diff(lhs, rhs)
-    return CheckResult(residual, residual <= tol)
+    return _ybe_residual(builder(x), builder(x * y), builder(y), tol)
 
 
 def evolution_hamiltonian(

@@ -95,12 +95,16 @@ def _check_far_commutation() -> tuple[float, str]:
     return res, "b1 b3 = b3 b1 on 4 qubits"
 
 
+def _r_grid() -> np.ndarray:
+    """R(theta, phi) stacked over the 32x32 angle grid, indexed [theta, phi]."""
+    theta = _phi_grid()[:, None, None, None]
+    s = braid_ybe.build_s(_phi_grid())
+    return np.sin(theta) * identity(4) + 1j * np.cos(theta) * s
+
+
 def _check_r_unitary() -> tuple[float, str]:
-    res = 0.0
-    for theta in np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False):
-        for phi in _phi_grid():
-            r = braid_ybe.build_r_theta_phi(GateParams(theta, phi))
-            res = max(res, max_abs_diff(r @ r.conj().T, identity(4)))
+    r = _r_grid()
+    res = float(np.abs(r @ r.conj().swapaxes(-1, -2) - identity(4)).max())
     return res, "R(theta, phi) unitarity over a 32x32 angle grid"
 
 

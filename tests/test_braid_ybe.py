@@ -14,7 +14,7 @@ from ybc.braid_ybe import (
     yang_baxterize_eight_vertex,
     yang_baxterize_rational,
 )
-from ybc.linalg import dagger, identity, max_abs_diff
+from ybc.linalg import dagger, identity, kron, max_abs_diff
 
 PHI_GRID = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
 
@@ -43,6 +43,24 @@ class TestBuildS:
             assert max_abs_diff(s @ dagger(s), identity(4)) <= 1e-12
             assert max_abs_diff(s, dagger(s)) <= 1e-12
             assert max_abs_diff(s @ s, identity(4)) <= 1e-12
+
+    def test_stack_is_bitwise_the_scalar_calls(self):
+        rng = np.random.default_rng(23)
+        phis = np.concatenate(
+            [
+                np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False),
+                [-0.0, np.pi, -np.pi, -1.3, 1e-300, 5e3],
+                rng.uniform(-10.0, 10.0, 500),
+            ]
+        )
+        stack = build_s(phis)
+        assert stack.shape == (phis.size, 4, 4) and stack.flags.c_contiguous
+        for k, phi in enumerate(phis):
+            scalar = build_s(float(phi)).tobytes()
+            assert stack[k].tobytes() == build_s(phi).tobytes() == scalar
+        grid = build_s(phis[:6].reshape(2, 3))
+        assert grid.shape == (2, 3, 4, 4)
+        assert grid.tobytes() == stack[:6].tobytes()
 
 
 class TestBraidRelation:
@@ -152,6 +170,24 @@ class TestAdditiveYBE:
                     assert result.passed, (phi, mu, nu, result.residual)
 
 
+    def test_residual_is_bitwise_the_unshared_products(self):
+        # Building each R once and feeding it to both embeddings changes no bit.
+        def r1(phi, m):
+            return kron(yang_baxterize_rational(phi, m), identity(2))
+
+        def r2(phi, m):
+            return kron(identity(2), yang_baxterize_rational(phi, m))
+
+        values = (-2.0, -0.5, 0.3, 1.0, 2.0)
+        for phi in (0.0, np.pi / 4, 1.1):
+            for mu in values:
+                for nu in values:
+                    lhs = r1(phi, mu) @ r2(phi, mu + nu) @ r1(phi, nu)
+                    rhs = r2(phi, nu) @ r1(phi, mu + nu) @ r2(phi, mu)
+                    residual = check_ybe_additive(phi, mu, nu).residual
+                    assert residual == max_abs_diff(lhs, rhs)
+
+
 class TestEightVertex:
     def test_matrix_at_q_one(self):
         expected = np.array(
@@ -237,6 +273,31 @@ class TestMultiplicativeYBE:
                     for y in spectral:
                         result = check_ybe_multiplicative(builder, x, y, tol=1e-10)
                         assert result.passed, (sign, q, x, y, result.residual)
+
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_builds_each_r_once_bitwise_as_before(self, normalized):
+        builder = self.family(-1, np.exp(-1j * np.pi / 3), normalized)
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return builder(t)
+
+        def r1(t):
+            return kron(builder(t), identity(2))
+
+        def r2(t):
+            return kron(identity(2), builder(t))
+
+        for x in (0.25, 1.0, 4.0):
+            for y in (0.5, 2.0):
+                calls.clear()
+                residual = check_ybe_multiplicative(counted, x, y).residual
+                assert sorted(calls) == sorted([x, y, x * y])
+                lhs = r1(x) @ r2(x * y) @ r1(y)
+                rhs = r2(y) @ r1(x * y) @ r2(x)
+                assert residual == max_abs_diff(lhs, rhs)
 
 
 class TestEvolutionHamiltonian:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from ybc import cli, strategies
-from ybc.braid_ybe import GateParams
+from ybc.braid_ybe import GateParams, build_r_theta_phi
+from ybc.linalg import identity, max_abs_diff
 from ybc.strategies import (
     ONE_QUBIT,
     batched_grid,
@@ -89,6 +90,20 @@ class TestVerify:
         assert cli.main(["verify", "--only", "dcnot"]) == 0
         out = capsys.readouterr().out
         assert "min at phi=" in out and "phase-aligned" in out
+
+
+    def test_stacked_r_is_bitwise_the_scalar_gates(self):
+        r = cli._r_grid()
+        rr = r @ r.conj().swapaxes(-1, -2)
+        thetas = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+        worst = 0.0
+        for i, theta in enumerate(thetas):
+            for j, phi in enumerate(cli._phi_grid()):
+                gate = build_r_theta_phi(GateParams(theta, phi))
+                assert r[i, j].tobytes() == gate.tobytes()
+                assert rr[i, j].tobytes() == (gate @ gate.conj().T).tobytes()
+                worst = max(worst, max_abs_diff(gate @ gate.conj().T, identity(4)))
+        assert cli._check_r_unitary()[0] == worst
 
 
 class TestSweep:

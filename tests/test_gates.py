@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ybc import gates
 from ybc.braid_ybe import build_s
 from ybc.gates import (
     LocalFactors,
@@ -95,6 +98,84 @@ class TestEquivalence:
         assert not report.passed
         assert report.residual > 1e-2
         assert np.isfinite(report.residual_up_to_phase)
+
+
+def perturbed_factors():
+    """The factors of ``test_perturbed_factor_fails``, A times diag(1, e^{0.1 i})."""
+    f = local_factors()
+    return LocalFactors(f.a @ np.diag([1.0, np.exp(0.1j)]), f.b, f.c, f.d)
+
+
+def scalar_scan(scan_points):
+    """The scan one phase at a time through ``equivalence_residuals``."""
+    factors = local_factors()
+    grid = np.linspace(0.0, 2.0 * np.pi, scan_points, endpoint=False)
+    residuals = [equivalence_residuals(p, factors)[0] for p in grid]
+    best = int(np.argmin(residuals))
+    span = 2.0 * np.pi / scan_points
+
+    def exact_at(p):
+        return equivalence_residuals(p, factors)[0]
+
+    phi_best = gates._refine(exact_at, grid[best] - span, grid[best] + span)
+    if residuals[best] <= exact_at(phi_best):
+        phi_best = float(grid[best])
+    return verify_dcnot_equivalence(phi=phi_best)
+
+
+class TestBlockedScan:
+    @pytest.mark.parametrize("scan_points", [4096, 1000])
+    @pytest.mark.parametrize("factors", [local_factors, perturbed_factors])
+    def test_batched_residuals_are_bitwise_the_scalar_ones(self, factors, scan_points):
+        # 1000 phases leave a last block of 232, short of SCAN_BLOCK.
+        f = factors()
+        left, right = kron(f.a, f.b), kron(f.c, f.d)
+        grid = np.linspace(0.0, 2.0 * np.pi, scan_points, endpoint=False)
+        batched = np.concatenate(
+            [
+                gates._exact_residuals(grid[i : i + gates.SCAN_BLOCK], left, right)
+                for i in range(0, scan_points, gates.SCAN_BLOCK)
+            ]
+        )
+        scalar = np.array([equivalence_residuals(p, f)[0] for p in grid])
+        assert batched.tobytes() == scalar.tobytes()
+        one_point = [gates._exact_residuals(np.array([p]), left, right)[0] for p in grid]
+        assert np.array(one_point).tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("scan_points", [4096, 1000, 1, 2])
+    def test_report_is_the_scalar_scans(self, scan_points):
+        assert verify_dcnot_equivalence(scan_points=scan_points) == scalar_scan(
+            scan_points
+        )
+
+    def test_accepts_numpy_int(self):
+        assert verify_dcnot_equivalence(scan_points=np.int64(1000)) == scalar_scan(1000)
+
+    @pytest.mark.parametrize("scan_points", [0, -1, True, False, 2.0, 2.5, "16", None])
+    def test_rejects_bad_scan_points(self, scan_points):
+        with pytest.raises(ValueError, match="scan_points"):
+            verify_dcnot_equivalence(scan_points=scan_points)
+
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_phi(self, phi):
+        with pytest.raises(ValueError, match="finite"):
+            equivalence_residuals(phi)
+        with pytest.raises(ValueError, match="finite"):
+            verify_dcnot_equivalence(phi=phi)
+
+    def test_peak_memory_grows_by_under_64_bytes_a_phase(self):
+        # The blocked scan holds the grid and its residuals, 16 bytes a
+        # phase; stacking S(phi) for the whole grid at once holds about 660.
+        def peak(scan_points):
+            tracemalloc.start()
+            try:
+                verify_dcnot_equivalence(scan_points=scan_points)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        verify_dcnot_equivalence(scan_points=16)
+        assert peak(65536) - peak(4096) < 64 * (65536 - 4096)
 
 
 def test_equivalence_holds_via_s_inverse_relation():

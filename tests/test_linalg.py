@@ -39,6 +39,17 @@ class TestKron:
             assert max_abs_diff(lhs, rhs) <= 1e-12
 
 
+    @pytest.mark.parametrize(
+        "shape_a, shape_b",
+        [((2, 2), (4, 4)), ((4, 4), (2, 2)), ((1, 1), (8, 8)), ((2, 3), (3, 1))],
+    )
+    def test_bitwise_equal_to_np_kron(self, shape_a, shape_b):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            a, b = random_complex(rng, shape_a), random_complex(rng, shape_b)
+            assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
+
+
 class TestDagger:
     def test_identity(self):
         assert max_abs_diff(dagger(identity(3)), identity(3)) == 0.0
