@@ -67,11 +67,19 @@ def build_s(phi: float | np.ndarray) -> np.ndarray:
     return s / np.sqrt(2.0)
 
 
+def build_r(theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndarray:
+    """R(theta, phi) = sin(theta) I + i cos(theta) S(phi); unitary for all angles.
+
+    Broadcasts like ``build_s``: arrays of angles give the stack of shape
+    ``np.broadcast_shapes(theta.shape, phi.shape) + (4, 4)``.
+    """
+    theta = np.asarray(theta)[..., None, None]
+    return np.sin(theta) * identity(4) + 1j * np.cos(theta) * build_s(phi)
+
+
 def build_r_theta_phi(params: GateParams) -> np.ndarray:
-    """R(theta, phi) = sin(theta) I + i cos(theta) S(phi); unitary for all angles."""
-    return np.sin(params.theta) * identity(4) + 1j * np.cos(params.theta) * build_s(
-        params.phi
-    )
+    """R(theta, phi) at one validated angle pair."""
+    return build_r(params.theta, params.phi)
 
 
 def yang_baxterize_rational(phi: float, mu: float) -> np.ndarray:

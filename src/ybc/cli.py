@@ -95,15 +95,8 @@ def _check_far_commutation() -> tuple[float, str]:
     return res, "b1 b3 = b3 b1 on 4 qubits"
 
 
-def _r_grid() -> np.ndarray:
-    """R(theta, phi) stacked over the 32x32 angle grid, indexed [theta, phi]."""
-    theta = _phi_grid()[:, None, None, None]
-    s = braid_ybe.build_s(_phi_grid())
-    return np.sin(theta) * identity(4) + 1j * np.cos(theta) * s
-
-
 def _check_r_unitary() -> tuple[float, str]:
-    r = _r_grid()
+    r = braid_ybe.build_r(_phi_grid()[:, None], _phi_grid())
     res = float(np.abs(r @ r.conj().swapaxes(-1, -2) - identity(4)).max())
     return res, "R(theta, phi) unitarity over a 32x32 angle grid"
 

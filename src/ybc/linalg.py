@@ -17,10 +17,13 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Element ((ia*rows_b + ib), (ja*cols_b + jb)) equals a[ia, ja] * b[ib, jb],
     which matches the big-endian qubit ordering used throughout.  One
     broadcast product forms the same products as ``np.kron``, so the result
-    is bitwise equal, without its per-call axis bookkeeping.
+    is bitwise equal, without its per-call axis bookkeeping.  Both operands
+    must be 2-D; ValueError otherwise (``np.kron`` takes any rank).
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"kron takes two matrices, got shapes {a.shape}, {b.shape}")
     (rows_a, cols_a), (rows_b, cols_b) = a.shape, b.shape
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(
         rows_a * rows_b, cols_a * cols_b

@@ -4,6 +4,7 @@ import pytest
 from ybc.braid_ybe import (
     GateParams,
     build_eight_vertex_b,
+    build_r,
     build_r_theta_phi,
     build_s,
     check_braid_relation,
@@ -150,6 +151,17 @@ class TestRThetaPhi:
     def test_rejects_non_finite_angles(self):
         with pytest.raises(ValueError, match="finite"):
             GateParams(np.nan, 0.0)
+
+
+    def test_stack_is_bitwise_the_scalar_gates(self):
+        thetas = np.concatenate([PHI_GRID, [-0.0, -1.3, 5e3]])
+        stack = build_r(thetas[:, None], PHI_GRID)
+        assert stack.shape == (thetas.size, PHI_GRID.size, 4, 4)
+        for i, theta in enumerate(thetas):
+            for j, phi in enumerate(PHI_GRID):
+                formula = np.sin(theta) * identity(4) + 1j * np.cos(theta) * build_s(phi)
+                gate = build_r_theta_phi(GateParams(theta, phi)).tobytes()
+                assert stack[i, j].tobytes() == gate == formula.tobytes()
 
 
 class TestAdditiveYBE:

@@ -92,16 +92,11 @@ class TestVerify:
         assert "min at phi=" in out and "phase-aligned" in out
 
 
-    def test_stacked_r_is_bitwise_the_scalar_gates(self):
-        r = cli._r_grid()
-        rr = r @ r.conj().swapaxes(-1, -2)
-        thetas = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+    def test_r_unitarity_is_the_scalar_gates_worst_residual(self):
         worst = 0.0
-        for i, theta in enumerate(thetas):
-            for j, phi in enumerate(cli._phi_grid()):
+        for theta in np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False):
+            for phi in cli._phi_grid():
                 gate = build_r_theta_phi(GateParams(theta, phi))
-                assert r[i, j].tobytes() == gate.tobytes()
-                assert rr[i, j].tobytes() == (gate @ gate.conj().T).tobytes()
                 worst = max(worst, max_abs_diff(gate @ gate.conj().T, identity(4)))
         assert cli._check_r_unitary()[0] == worst
 

@@ -49,6 +49,11 @@ class TestKron:
             a, b = random_complex(rng, shape_a), random_complex(rng, shape_b)
             assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
 
+    @pytest.mark.parametrize("shape_a, shape_b", [((2,), (2, 2)), ((2, 2), (2, 2, 2))])
+    def test_rejects_non_matrices(self, shape_a, shape_b):
+        with pytest.raises(ValueError, match="two matrices"):
+            kron(np.ones(shape_a), np.ones(shape_b))
+
 
 class TestDagger:
     def test_identity(self):
