@@ -82,15 +82,28 @@ def build_r_theta_phi(params: GateParams) -> np.ndarray:
     return build_r(params.theta, params.phi)
 
 
-def yang_baxterize_rational(phi: float, mu: float) -> np.ndarray:
+def _finite(value, name: str) -> np.ndarray:
+    """``value`` as a float array; ValueError unless every entry is finite."""
+    array = np.asarray(value, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return array
+
+
+def yang_baxterize_rational(phi: float, mu: float | np.ndarray) -> np.ndarray:
     """Rational YBE solution (I + i mu S(phi)) / sqrt(1 + mu^2).
 
     Equals R(theta, phi) under cos(theta) = mu/sqrt(1+mu^2),
     sin(theta) = 1/sqrt(1+mu^2); tends to i S(phi) as mu -> infinity.
+    Broadcasts over ``mu``: an array gives the stack of shape
+    ``mu.shape + (4, 4)``, each matrix bitwise its one-point call.
+    ValueError for a non-finite phi or mu, or an overflowing 1 + mu^2.
     """
-    if not math.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu!r}")
-    return (identity(4) + 1j * mu * build_s(phi)) / math.sqrt(1.0 + mu * mu)
+    _finite(phi, "phi")
+    mu = _finite(mu, "mu")[..., None, None]
+    with np.errstate(over="ignore"):
+        hyp = _finite(np.sqrt(1.0 + mu * mu), "sqrt(1 + mu^2)")
+    return (identity(4) + 1j * mu * build_s(phi)) / hyp
 
 
 def _check_sign(sign: int) -> int:
@@ -99,32 +112,26 @@ def _check_sign(sign: int) -> int:
     return int(sign)
 
 
-def build_eight_vertex_b(sign: int, q: complex, normalized: bool = False) -> np.ndarray:
+def build_eight_vertex_b(
+    sign: int, q: complex | np.ndarray, normalized: bool = False
+) -> np.ndarray:
     """Eight-vertex braid matrix b_(+/-)(q).
 
     Unnormalized form [[1,0,0,q],[0,1,s,0],[0,-s,1,0],[-1/q,0,0,1]] with
     s = sign; its eigenvalues are 1-i and 1+i, each doubly degenerate.
     With ``normalized`` the matrix is scaled by 1/sqrt(2), which is unitary
-    when |q| = 1 (so q = e^{-i phi} for real phi).
+    when |q| = 1 (so q = e^{-i phi} for real phi).  It is the x = 0 point of
+    ``yang_baxterize_eight_vertex`` and broadcasts over ``q`` as it does.
     """
-    s = _check_sign(sign)
-    q = complex(q)
-    if q == 0:
-        raise ValueError("deformation parameter q must be nonzero")
-    b = np.array(
-        [
-            [1, 0, 0, q],
-            [0, 1, s, 0],
-            [0, -s, 1, 0],
-            [-1.0 / q, 0, 0, 1],
-        ],
-        dtype=complex,
-    )
+    b = yang_baxterize_eight_vertex(sign, q, 0.0)
     return b / np.sqrt(2.0) if normalized else b
 
 
 def yang_baxterize_eight_vertex(
-    sign: int, q: complex, x: float, normalized: bool = False
+    sign: int,
+    q: complex | np.ndarray,
+    x: float | np.ndarray,
+    normalized: bool = False,
 ) -> np.ndarray:
     """Spectral-parameter family obtained from the eight-vertex braid matrix.
 
@@ -139,32 +146,42 @@ def yang_baxterize_eight_vertex(
     x = 0 recovers b and x = 1 gives 2I.  The normalized variant is
     cos(t) B + sin(t) B^{-1} with B the 1/sqrt(2)-scaled b,
     cos(t) = 1/sqrt(1+x^2) and sin(t) = x/sqrt(1+x^2); it is unitary for
-    every real x when |q| = 1.
+    every real x when |q| = 1.  B and its inverse are formed once per call.
+
+    ``q`` and ``x`` broadcast: arrays give the stack of shape
+    ``np.broadcast_shapes(q.shape, x.shape) + (4, 4)``, each matrix bitwise
+    its one-point call.  ValueError for a sign other than +1 or -1, a q that
+    is zero or whose q or 1/q is not finite, and a non-finite x (or 1 + x^2
+    when normalized).
     """
     s = _check_sign(sign)
-    q = complex(q)
-    if q == 0:
-        raise ValueError("deformation parameter q must be nonzero")
-    if not math.isfinite(x):
-        raise ValueError(f"spectral parameter x must be finite, got {x!r}")
+    q = np.asarray(q, dtype=complex)
+    with np.errstate(all="ignore"):
+        q_ok = np.isfinite(q) & np.isfinite(1.0 / q)
+    if not q_ok.all():
+        raise ValueError(f"q must be finite and nonzero, with 1/q finite, got {q!r}")
+    x = _finite(x, "spectral parameter x")
     if normalized:
-        hyp = math.sqrt(1.0 + x * x)
         b = build_eight_vertex_b(s, q, normalized=True)
+        x = x[..., None, None]
+        with np.errstate(over="ignore"):
+            hyp = _finite(np.sqrt(1.0 + x * x), "sqrt(1 + x^2)")
         return (b + x * np.linalg.inv(b)) / hyp
-    return np.array(
-        [
-            [1 + x, 0, 0, q * (1 - x)],
-            [0, 1 + x, s * (1 - x), 0],
-            [0, -s * (1 - x), 1 + x, 0],
-            [-(1 - x) / q, 0, 0, 1 + x],
-        ],
-        dtype=complex,
-    )
+    plus, minus = 1 + x, 1 - x
+    r = np.zeros(np.broadcast_shapes(q.shape, x.shape) + (4, 4), dtype=complex)
+    r[..., 0, 0] = r[..., 1, 1] = r[..., 2, 2] = r[..., 3, 3] = plus
+    r[..., 0, 3] = q * minus
+    r[..., 1, 2] = s * minus
+    r[..., 2, 1] = -s * minus
+    # Python's complex division: numpy's multiplies by the reciprocal and can
+    # round the last bit differently, and eigvals' order on b depends on it.
+    r[..., 3, 0] = np.divide(-minus, q, dtype=object)
+    return r
 
 
 def _embed_two_site(b: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """Embed a two-site 4x4 operator at (site, site+1) in an n-qubit register."""
-    if b.shape != (4, 4):
+    """Embed a two-site 4x4 operator, or a stack, at (site, site+1) of n qubits."""
+    if b.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-site operator, got {b.shape}")
     if site < 0 or site + 1 >= n_sites:
         raise ValueError(f"site {site} does not fit in {n_sites} qubits")
@@ -174,7 +191,7 @@ def _embed_two_site(b: np.ndarray, site: int, n_sites: int) -> np.ndarray:
 
 
 def check_braid_relation(b: np.ndarray, tol: float = DEFAULT_TOL) -> CheckResult:
-    """Residual of b1 b2 b1 = b2 b1 b2 for the three-qubit embeddings of b."""
+    """Residual of b1 b2 b1 = b2 b1 b2 on three qubits; the worst for a stack of b."""
     b = np.asarray(b, dtype=complex)
     b1 = _embed_two_site(b, 0, 3)
     b2 = _embed_two_site(b, 1, 3)
@@ -183,7 +200,7 @@ def check_braid_relation(b: np.ndarray, tol: float = DEFAULT_TOL) -> CheckResult
 
 
 def check_far_commutation(b: np.ndarray, tol: float = DEFAULT_TOL) -> CheckResult:
-    """Residual of b1 b3 = b3 b1 on four qubits (|i - j| >= 2 generators)."""
+    """Residual of far commutation b1 b3 = b3 b1 on four qubits; worst over a stack."""
     b = np.asarray(b, dtype=complex)
     b1 = _embed_two_site(b, 0, 4)
     b3 = _embed_two_site(b, 2, 4)
@@ -197,19 +214,24 @@ def _ybe_residual(
     """Residual of R1(u) R2(w) R1(v) = R2(v) R1(w) R2(u) from R(u), R(w), R(v).
 
     R1 = R (x) I and R2 = I (x) R; each R is built once and feeds both.
+    Broadcastable stacks of R give the worst residual over the stack.
     """
     i2 = identity(2)
-    (u1, u2), (w1, w2), (v1, v2) = ((kron(r, i2), kron(i2, r)) for r in (r_u, r_w, r_v))
-    residual = max_abs_diff(u1 @ w2 @ v1, v2 @ w1 @ u2)
+    lhs = kron(r_u, i2) @ kron(i2, r_w) @ kron(r_v, i2)
+    residual = max_abs_diff(lhs, kron(i2, r_v) @ kron(r_w, i2) @ kron(i2, r_u))
     return CheckResult(residual, residual <= tol)
 
 
 def check_ybe_additive(
-    phi: float, mu: float, nu: float, tol: float = DEFAULT_TOL
+    phi: float,
+    mu: float | np.ndarray,
+    nu: float | np.ndarray,
+    tol: float = DEFAULT_TOL,
 ) -> CheckResult:
     """Residual of R1(mu) R2(mu+nu) R1(nu) = R2(nu) R1(mu+nu) R2(mu).
 
     R is the rational family at the given phi; R1 = R (x) I, R2 = I (x) R.
+    Broadcastable arrays of mu and nu give the worst residual over the grid.
     """
     return _ybe_residual(
         *(yang_baxterize_rational(phi, m) for m in (mu, mu + nu, nu)), tol
@@ -217,15 +239,17 @@ def check_ybe_additive(
 
 
 def check_ybe_multiplicative(
-    builder: Callable[[float], np.ndarray],
-    x: float,
-    y: float,
+    builder: Callable[[float | np.ndarray], np.ndarray],
+    x: float | np.ndarray,
+    y: float | np.ndarray,
     tol: float = DEFAULT_TOL,
 ) -> CheckResult:
     """Residual of R1(x) R2(xy) R1(y) = R2(y) R1(xy) R2(x) for a gate family.
 
     ``builder`` maps a spectral parameter to a 4x4 matrix, e.g.
-    ``lambda t: yang_baxterize_eight_vertex(+1, q, t)``.
+    ``lambda t: yang_baxterize_eight_vertex(+1, q, t)``.  A builder that
+    broadcasts takes broadcastable arrays of x and y, and the residual is
+    then the worst over the grid.
     """
     return _ybe_residual(builder(x), builder(x * y), builder(y), tol)
 

@@ -12,22 +12,23 @@ import numpy as np
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices with row-major block convention.
+    """Kronecker product of two matrices, or of two broadcastable stacks of them.
 
     Element ((ia*rows_b + ib), (ja*cols_b + jb)) equals a[ia, ja] * b[ib, jb],
     which matches the big-endian qubit ordering used throughout.  One
-    broadcast product forms the same products as ``np.kron``, so the result
-    is bitwise equal, without its per-call axis bookkeeping.  Both operands
-    must be 2-D; ValueError otherwise (``np.kron`` takes any rank).
+    broadcast product forms the same products as ``np.kron``, so a 2-D call
+    is bitwise equal to it, without its per-call axis bookkeeping.  The last
+    two axes of each operand are the matrix and the leading axes broadcast,
+    so each matrix of a stacked result is bitwise the 2-D kron of its pair.
+    ValueError for an operand below 2-D (``np.kron`` takes any rank).
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
+    if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"kron takes two matrices, got shapes {a.shape}, {b.shape}")
-    (rows_a, cols_a), (rows_b, cols_b) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        rows_a * rows_b, cols_a * cols_b
-    )
+    (rows_a, cols_a), (rows_b, cols_b) = a.shape[-2:], b.shape[-2:]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (rows_a * rows_b, cols_a * cols_b))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,13 @@ class TestBraidRelation:
             result = check_far_commutation(build_s(phi), tol=1e-12)
             assert result.passed
 
+    @pytest.mark.parametrize("check", [check_braid_relation, check_far_commutation])
+    def test_stack_is_the_worst_scalar_residual(self, check):
+        cphase = np.diag([1.0, 1.0, 1.0, np.exp(1j * np.pi / 3)])
+        stack = np.concatenate([build_s(PHI_GRID), [cphase, identity(4)]])
+        worst = max(check(b).residual for b in stack)
+        assert check(stack.reshape(2, 17, 4, 4), tol=1e-12) == (worst, worst <= 1e-12)
+
 
 class TestRationalYangBaxterization:
     def test_mu_zero_is_identity(self):
@@ -112,6 +122,17 @@ class TestRationalYangBaxterization:
                 r_mu = yang_baxterize_rational(phi, mu)
                 r_theta = build_r_theta_phi(GateParams(theta, phi))
                 assert max_abs_diff(r_mu, r_theta) <= 1e-12
+
+    def test_stack_is_bitwise_the_one_point_calls(self):
+        mus = np.array([[-1e8, -2.0, -0.5, -0.0], [0.0, 0.3, 1.0, 4.0]])
+        for phi in (0.0, np.pi / 4, 2.2):
+            stack = yang_baxterize_rational(phi, mus)
+            assert stack.shape == mus.shape + (4, 4)
+            for k in np.ndindex(mus.shape):
+                mu = float(mus[k])
+                formula = (identity(4) + 1j * mu * build_s(phi)) / math.sqrt(1.0 + mu * mu)
+                point = yang_baxterize_rational(phi, mu)
+                assert stack[k].tobytes() == point.tobytes() == formula.tobytes()
 
 
 class TestRThetaPhi:
@@ -199,6 +220,15 @@ class TestAdditiveYBE:
                     residual = check_ybe_additive(phi, mu, nu).residual
                     assert residual == max_abs_diff(lhs, rhs)
 
+    def test_grid_is_the_worst_scalar_residual(self):
+        values = [-2.0, -1.0, -0.5, 0.3, 1.0, 2.0]
+        mu, nu = np.array(values)[:, None], np.array(values)
+        for phi in (0.0, np.pi / 4, 1.1):
+            worst = max(
+                check_ybe_additive(phi, m, n).residual for m in values for n in values
+            )
+            assert check_ybe_additive(phi, mu, nu, tol=1e-16) == (worst, worst <= 1e-16)
+
 
 class TestEightVertex:
     def test_matrix_at_q_one(self):
@@ -261,6 +291,74 @@ class TestEightVertex:
             )
             assert max_abs_diff(r @ dagger(r), identity(4)) <= 1e-12
 
+    @staticmethod
+    def written_out(sign, q, x, normalized):
+        """The family entry by entry in Python scalars, one point at a time."""
+        if normalized:
+            b = np.array(
+                [[1, 0, 0, q], [0, 1, sign, 0], [0, -sign, 1, 0], [-1.0 / q, 0, 0, 1]],
+                dtype=complex,
+            ) / np.sqrt(2.0)
+            return (b + x * np.linalg.inv(b)) / math.sqrt(1.0 + x * x)
+        return np.array(
+            [
+                [1 + x, 0, 0, q * (1 - x)],
+                [0, 1 + x, sign * (1 - x), 0],
+                [0, -sign * (1 - x), 1 + x, 0],
+                [-(1 - x) / q, 0, 0, 1 + x],
+            ],
+            dtype=complex,
+        )
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_stack_is_bitwise_the_one_point_calls(self, normalized):
+        phases = np.exp(-1j * np.array([0.0, np.pi / 4, np.pi / 3, 2.0, -2.9]))
+        qs = np.concatenate([phases, [0.5 + 2j, -3.0 + 0.1j]])[:, None]
+        xs = np.array([-3.0, -0.5, 0.0, 1 / 16, 0.7, 1.0, 4.0, 16.0])
+        for sign in (+1, -1):
+            stack = yang_baxterize_eight_vertex(sign, qs, xs, normalized)
+            assert stack.shape == (qs.size, xs.size, 4, 4)
+            for i, q in enumerate(qs[:, 0].tolist()):
+                b = build_eight_vertex_b(sign, q, normalized)
+                assert b.tobytes() == build_eight_vertex_b(sign, qs, normalized)[i, 0].tobytes()
+                for j, x in enumerate(xs.tolist()):
+                    point = yang_baxterize_eight_vertex(sign, q, x, normalized)
+                    assert stack[i, j].tobytes() == point.tobytes()
+                    # Equal values; b's (0, 3) entry is q * 1.0, so a -0 imaginary
+                    # part of q reads +0 there.
+                    assert np.array_equal(point, self.written_out(sign, q, x, normalized))
+
+
+class TestRejectsNonFiniteInput:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: yang_baxterize_rational(np.nan, 0.5),
+            lambda: yang_baxterize_rational(np.inf, 0.5),
+            lambda: yang_baxterize_rational(0.5, np.inf),
+            lambda: yang_baxterize_rational(0.5, np.array([0.1, np.nan])),
+            lambda: check_ybe_additive(np.nan, 0.5, 1.0),
+            lambda: check_ybe_additive(0.3, 1e308, 1e308),
+            lambda: build_eight_vertex_b(+1, np.nan),
+            lambda: build_eight_vertex_b(+1, complex(np.inf, 1.0)),
+            lambda: build_eight_vertex_b(+1, 1e-320),
+            lambda: build_eight_vertex_b(-1, np.array([1.0, 1e-320j])),
+            lambda: yang_baxterize_eight_vertex(+1, 1.0, np.array([0.5, np.inf])),
+            lambda: yang_baxterize_eight_vertex(-1, 1.0, np.nan, normalized=True),
+            lambda: yang_baxterize_rational(0.5, np.array([1.0, 1e160])),
+            lambda: yang_baxterize_eight_vertex(+1, 1.0, -1e160, normalized=True),
+        ],
+        ids=[
+            "phi-nan", "phi-inf", "mu-inf", "mu-array-nan", "additive-phi-nan",
+            "additive-mu-plus-nu-overflows", "q-nan", "q-inf", "inverse-q-overflows",
+            "q-array-inverse-overflows", "x-array-inf", "normalized-x-nan",
+            "mu-squared-overflows", "normalized-x-squared-overflows",
+        ],
+    )
+    def test_raises_value_error(self, call):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
 
 class TestMultiplicativeYBE:
     @staticmethod
@@ -285,6 +383,22 @@ class TestMultiplicativeYBE:
                     for y in spectral:
                         result = check_ybe_multiplicative(builder, x, y, tol=1e-10)
                         assert result.passed, (sign, q, x, y, result.residual)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_grid_is_the_worst_scalar_residual(self, normalized):
+        spectral = [0.25, 0.5, 1.0, 2.0, 4.0]
+        x, y = np.meshgrid(spectral, spectral, indexing="ij")
+        for sign in (+1, -1):
+            for q in (1.0, np.exp(-1j * np.pi / 4), 0.5 + 2j):
+                builder = functools.partial(
+                    yang_baxterize_eight_vertex, sign, q, normalized=normalized
+                )
+                worst = max(
+                    check_ybe_multiplicative(builder, u, v).residual
+                    for u in spectral
+                    for v in spectral
+                )
+                assert check_ybe_multiplicative(builder, x, y) == (worst, worst <= 1e-10)
 
 
     @pytest.mark.parametrize("normalized", [False, True])

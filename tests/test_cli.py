@@ -1,3 +1,4 @@
+import collections
 import importlib.util
 import math
 import warnings
@@ -6,8 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ybc import cli, strategies
-from ybc.braid_ybe import GateParams, build_r_theta_phi
+from ybc import braid_ybe, cli, gates, strategies
+from ybc.braid_ybe import (
+    GateParams,
+    build_eight_vertex_b,
+    build_r_theta_phi,
+    build_s,
+    check_braid_relation,
+    check_far_commutation,
+    check_ybe_additive,
+    check_ybe_multiplicative,
+    yang_baxterize_eight_vertex,
+)
 from ybc.linalg import identity, max_abs_diff
 from ybc.strategies import (
     ONE_QUBIT,
@@ -39,6 +50,65 @@ def reference_sweep_csv(kind, xs, thetas, phis, ns) -> str:
                         f"{kind},{angles},{n}," + ",".join(cli._fmt(v) for v in values)
                     )
     return "\n".join(rows) + "\n"
+
+
+def _per_point_ybe_multiplicative():
+    spectral = (0.25, 0.5, 1.0, 2.0, 4.0)
+    worst = 0.0
+    for sign in (+1, -1):
+        for q in (1.0, np.exp(-1j * np.pi / 4.0), np.exp(-1j * np.pi / 3.0)):
+            for normalized in (False, True):
+
+                def family(t, s=sign, qq=q, nn=normalized):
+                    return yang_baxterize_eight_vertex(s, qq, t, nn)
+
+                for x in spectral:
+                    for y in spectral:
+                        residual = check_ybe_multiplicative(family, x, y).residual
+                        worst = max(worst, residual)
+    return worst
+
+
+def _per_point_eight_vertex_unitary():
+    worst = 0.0
+    for sign in (+1, -1):
+        for phi in cli._phi_grid(8):
+            q = np.exp(-1j * phi)
+            b = build_eight_vertex_b(sign, q, normalized=True)
+            worst = max(worst, max_abs_diff(b @ b.conj().T, identity(4)))
+            for x in (-3.0, -0.5, 0.0, 0.7, 2.0):
+                r = yang_baxterize_eight_vertex(sign, q, x, normalized=True)
+                worst = max(worst, max_abs_diff(r @ r.conj().T, identity(4)))
+    return worst
+
+
+# The worst residual of the per-point public calls that each stacked verify
+# check replaces, one point at a time.
+PER_POINT_WORST = {
+    "s-unitary": lambda: max(
+        max_abs_diff(build_s(p).conj().T @ build_s(p), identity(4)) for p in cli._phi_grid()
+    ),
+    "s-involution": lambda: max(
+        max_abs_diff(build_s(p) @ build_s(p), identity(4)) for p in cli._phi_grid()
+    ),
+    "s-hermitian": lambda: max(
+        max_abs_diff(build_s(p), build_s(p).conj().T) for p in cli._phi_grid()
+    ),
+    "braid": lambda: max(
+        check_braid_relation(build_s(p)).residual for p in cli._phi_grid()
+    ),
+    "far-commute": lambda: max(
+        check_far_commutation(build_s(p)).residual for p in cli._phi_grid(8)
+    ),
+    "ybe-additive": lambda: max(
+        check_ybe_additive(phi, mu, nu).residual
+        for phi in (0.0, math.pi / 4.0, 1.1)
+        for mu in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+        for nu in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+    ),
+    "ybe-multiplicative": _per_point_ybe_multiplicative,
+    "eight-vertex-unitary": _per_point_eight_vertex_unitary,
+}
 
 
 def failing_after_first_chunk(rows):
@@ -99,6 +169,29 @@ class TestVerify:
                 gate = build_r_theta_phi(GateParams(theta, phi))
                 worst = max(worst, max_abs_diff(gate @ gate.conj().T, identity(4)))
         assert cli._check_r_unitary()[0] == worst
+
+    @pytest.mark.parametrize("key", PER_POINT_WORST)
+    def test_stacked_check_is_the_per_point_worst_residual(self, key):
+        check = {k: fn for k, fn, _ in cli.VERIFY_CHECKS}[key]
+        assert check()[0] == PER_POINT_WORST[key]()
+
+    def test_calls_inv_and_kron_a_bounded_number_of_times(self, capsys, monkeypatch):
+        # Each check evaluates its grid as one stack; one call per point
+        # took 530 inv and 2,612 kron calls.
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        for module in (braid_ybe, gates):
+            monkeypatch.setattr(module, "kron", counted("kron", module.kron))
+        assert cli.main(["verify"]) == 0
+        assert calls["inv"] <= 12 and calls["kron"] <= 150, calls
 
 
 class TestSweep:

@@ -49,10 +49,25 @@ class TestKron:
             a, b = random_complex(rng, shape_a), random_complex(rng, shape_b)
             assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
 
-    @pytest.mark.parametrize("shape_a, shape_b", [((2,), (2, 2)), ((2, 2), (2, 2, 2))])
+    @pytest.mark.parametrize("shape_a, shape_b", [((2,), (2, 2)), ((2, 2), (2,))])
     def test_rejects_non_matrices(self, shape_a, shape_b):
         with pytest.raises(ValueError, match="two matrices"):
             kron(np.ones(shape_a), np.ones(shape_b))
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b",
+        [((2, 2), (2, 2, 2)), ((3, 4, 4), (2, 2)), ((5, 1, 2, 2), (3, 4, 4)), ((2, 3), (4, 3, 1))],
+    )
+    def test_stack_entries_are_the_2d_krons(self, shape_a, shape_b):
+        rng = np.random.default_rng(29)
+        a, b = random_complex(rng, shape_a), random_complex(rng, shape_b)
+        stack = kron(a, b)
+        lead = np.broadcast_shapes(shape_a[:-2], shape_b[:-2])
+        rows, cols = shape_a[-2] * shape_b[-2], shape_a[-1] * shape_b[-1]
+        assert stack.shape == lead + (rows, cols)
+        a, b = np.broadcast_to(a, lead + shape_a[-2:]), np.broadcast_to(b, lead + shape_b[-2:])
+        for k in np.ndindex(lead):
+            assert stack[k].tobytes() == kron(a[k], b[k]).tobytes() == np.kron(a[k], b[k]).tobytes()
 
 
 class TestDagger:
