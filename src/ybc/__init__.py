@@ -20,7 +20,6 @@ from .strategies import (
     TWO_QUBIT,
     closed_form_l1_one_qubit,
     closed_form_l1_two_qubit,
-    discrepancy_report,
     elementwise_reduced_one_qubit,
     elementwise_reduced_two_qubit,
 )

@@ -151,8 +151,8 @@ def yang_baxterize_eight_vertex(
     ``q`` and ``x`` broadcast: arrays give the stack of shape
     ``np.broadcast_shapes(q.shape, x.shape) + (4, 4)``, each matrix bitwise
     its one-point call.  ValueError for a sign other than +1 or -1, a q that
-    is zero or whose q or 1/q is not finite, and a non-finite x (or 1 + x^2
-    when normalized).
+    is zero or whose q or 1/q is not finite, a non-finite x (or 1 + x^2
+    when normalized), and a built entry that overflows, such as q(1-x).
     """
     s = _check_sign(sign)
     q = np.asarray(q, dtype=complex)
@@ -161,21 +161,23 @@ def yang_baxterize_eight_vertex(
     if not q_ok.all():
         raise ValueError(f"q must be finite and nonzero, with 1/q finite, got {q!r}")
     x = _finite(x, "spectral parameter x")
-    if normalized:
-        b = build_eight_vertex_b(s, q, normalized=True)
-        x = x[..., None, None]
-        with np.errstate(over="ignore"):
-            hyp = _finite(np.sqrt(1.0 + x * x), "sqrt(1 + x^2)")
-        return (b + x * np.linalg.inv(b)) / hyp
-    plus, minus = 1 + x, 1 - x
-    r = np.zeros(np.broadcast_shapes(q.shape, x.shape) + (4, 4), dtype=complex)
-    r[..., 0, 0] = r[..., 1, 1] = r[..., 2, 2] = r[..., 3, 3] = plus
-    r[..., 0, 3] = q * minus
-    r[..., 1, 2] = s * minus
-    r[..., 2, 1] = -s * minus
-    # Python's complex division: numpy's multiplies by the reciprocal and can
-    # round the last bit differently, and eigvals' order on b depends on it.
-    r[..., 3, 0] = np.divide(-minus, q, dtype=object)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if normalized:
+            b = build_eight_vertex_b(s, q, normalized=True)
+            hyp = _finite(np.sqrt(1.0 + x * x), "sqrt(1 + x^2)")[..., None, None]
+            r = (b + x[..., None, None] * np.linalg.inv(b)) / hyp
+        else:
+            plus, minus = 1 + x, 1 - x
+            r = np.zeros(np.broadcast_shapes(q.shape, x.shape) + (4, 4), dtype=complex)
+            r[..., 0, 0] = r[..., 1, 1] = r[..., 2, 2] = r[..., 3, 3] = plus
+            r[..., 0, 3] = q * minus
+            r[..., 1, 2] = s * minus
+            r[..., 2, 1] = -s * minus
+            # Python's complex division, so that the entry is bitwise -(1-x)/q
+            # of Python scalars: numpy's can round the last bit differently.
+            r[..., 3, 0] = np.divide(-minus, q, dtype=object)
+    if not np.isfinite(r).all():
+        raise ValueError(f"the built entries must be finite, got q={q!r} and x={x!r}")
     return r
 
 

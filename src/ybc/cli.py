@@ -176,19 +176,33 @@ VERIFY_CHECKS: list[tuple[str, Callable[[], tuple[float, str]], float]] = [
 ]
 
 
+def _tolerance_override(args) -> float | None:
+    """The --tolerance flag, else YBC_TOLERANCE, else None.
+
+    ValueError unless the value given is a positive finite real.
+    """
+    if args.tolerance is not None:
+        value = args.tolerance
+        error = f"--tolerance must be a positive real, got {value!r}"
+    elif (value := os.environ.get("YBC_TOLERANCE")) is not None:
+        error = f"invalid YBC_TOLERANCE value: {value!r}"
+    else:
+        return None
+    try:
+        value = float(value)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(error)
+    return value
+
+
 def cmd_verify(args) -> int:
-    override = args.tolerance
-    if override is None:
-        env = os.environ.get("YBC_TOLERANCE")
-        if env is not None:
-            try:
-                override = float(env)
-            except ValueError:
-                print(f"invalid YBC_TOLERANCE value: {env!r}", file=sys.stderr)
-                return 2
-            if not math.isfinite(override) or override <= 0:
-                print(f"invalid YBC_TOLERANCE value: {env!r}", file=sys.stderr)
-                return 2
+    try:
+        override = _tolerance_override(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     selected = [
         (key, fn, tol)
         for key, fn, tol in VERIFY_CHECKS
@@ -215,15 +229,13 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# The most rows that one sweep or compare grid may have.  sweep and figure
-# stream the grid from the kernel to the file in blocks of x rows
-# (``strategies.grid_blocks``), so their memory does not grow with the rows:
-# a one-plane 4000 x 250 sweep at the cap peaks at 12 MB (one-qubit) and
-# 22 MB (two-qubit) traced by tracemalloc.  compare walks the same blocks
-# but keeps its report, 48 bytes a row, for the summary, so a one-plane
-# compare grid at the cap peaks at 61 MB (one-qubit) and 72 MB
-# (two-qubit).  It is checked on the parsed counts, before any axis is
-# allocated.
+# The most rows that one sweep or compare grid may have.  sweep, figure and
+# compare stream the grid from the kernel to the file in blocks of x rows
+# (``strategies.grid_blocks`` through ``_write_grid``), so their memory does
+# not grow with the rows: at the cap, a one-plane 4000 x 250 grid peaks at
+# 12 MB (sweep) or 13 MB (compare) for the one-qubit strategy, and 23 MB
+# (either) for the two-qubit one, traced by tracemalloc around ``main``.
+# The count is checked on the parsed counts, before any axis is allocated.
 MAX_ROWS = 1_000_000
 
 
@@ -364,11 +376,24 @@ def _csv_rows(kind, xs, thetas, phis, ns, values: Iterable[np.ndarray]) -> Itera
         yield "".join(cells.ravel().tolist())
 
 
-def _write_sweep(command: str, out: str, kind, xs, thetas, phis, ns) -> bool:
-    """Stream a sweep grid from the kernel to ``out``, one block of x rows at a time."""
-    blocks = strategies.grid_blocks(kind, xs, thetas, phis, ns, strategies.sweep_columns)
-    rows = (row for block in blocks for row in block)
-    return _write_csv(command, out, SWEEP_HEADER, _csv_rows(kind, xs, thetas, phis, ns, rows))
+def _write_grid(command: str, out: str, header: str, kinds, axes, columns, summary=None) -> bool:
+    """Stream each kind's grid from the kernel to ``out``, one block of x rows at a time.
+
+    ``axes`` are the grid's (xs, thetas, phis, ns).  ``columns`` gives the
+    value columns of each block of ``strategies.grid_blocks``, and the
+    leading ones that ``header`` names are written.  ``summary``, if given,
+    takes each whole block as it passes.
+    """
+    width = len(header.split(",")) - 5  # after strategy,x,theta,phi,N
+
+    def rows(kind):
+        for block in strategies.grid_blocks(kind, *axes, columns):
+            if summary is not None:
+                summary.add(kind, block)
+            yield from block[..., :width]
+
+    chunks = (chunk for kind in kinds for chunk in _csv_rows(kind, *axes, rows(kind)))
+    return _write_csv(command, out, header, chunks)
 
 
 def cmd_sweep(args) -> int:
@@ -387,7 +412,8 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if not _write_sweep("sweep", args.out, args.strategy, xs, thetas, phis, ns):
+    axes, columns = (xs, thetas, phis, ns), strategies.sweep_columns
+    if not _write_grid("sweep", args.out, SWEEP_HEADER, (args.strategy,), axes, columns):
         return 2
     print(f"wrote {len(xs) * len(thetas) * len(phis) * len(ns)} rows to {args.out}")
     return 0
@@ -401,26 +427,16 @@ def cmd_figure(args) -> int:
     kind, n = FIGURES[args.id]
     xs = np.linspace(0.0, 1.0, 101)
     thetas = np.linspace(0.0, 2.0 * np.pi, 256)
-    if not _write_sweep("figure", args.out, kind, xs, thetas, [math.pi / 4.0], [n]):
+    axes, columns = (xs, thetas, [math.pi / 4.0], [n]), strategies.sweep_columns
+    if not _write_grid("figure", args.out, SWEEP_HEADER, (kind,), axes, columns):
         return 2
     print(f"wrote figure {args.id} grid ({len(xs) * len(thetas)} rows) to {args.out}")
     return 0
 
 
-# The report columns that compare prints, and those each --formula blanks.
-COMPARE_COLUMNS = (
-    "c_l1_sim", "c_l1_closed", "c_l1_appendix", "deviation_closed", "deviation_appendix"
-)
-DROPPED_COLUMNS = {
-    "all": (),
-    "closed": ("c_l1_appendix", "deviation_appendix"),
-    "elements": ("c_l1_closed", "deviation_closed"),
-}
-
-
 def cmd_compare(args) -> int:
     formula = args.formula
-    if formula not in DROPPED_COLUMNS:
+    if formula not in strategies.DROPPED_COLUMNS:
         print(
             f"--formula must be closed, elements or all, got {formula!r}",
             file=sys.stderr,
@@ -446,25 +462,13 @@ def cmd_compare(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
 
-    try:
-        report = strategies.discrepancy_report(kinds, xs, thetas, phis, ns)
-    except ValueError as exc:
-        print(f"compare: {exc}", file=sys.stderr)
+    summary = strategies.DeviationSummary(ns)
+    columns = functools.partial(strategies.compare_columns, formula=formula)
+    axes = (xs, thetas, phis, ns)
+    if not _write_grid("compare", args.out, COMPARE_HEADER, kinds, axes, columns, summary):
         return 2
-    # Blank the formula columns not selected; the summary drops them too.
-    for name in DROPPED_COLUMNS[formula]:
-        report.column(name)[...] = np.nan
-    # The printed columns lead REPORT_COLUMNS, so they are read as a view.
-    columns = report.values[..., : len(COMPARE_COLUMNS)]
-    rows = (
-        chunk
-        for kind, values in zip(kinds, columns)
-        for chunk in _csv_rows(kind, xs, thetas, phis, ns, values)
-    )
-    if not _write_csv("compare", args.out, COMPARE_HEADER, rows):
-        return 2
-    print(report.format_summary())
-    print(f"wrote {columns[..., 0].size} rows to {args.out}")
+    print(summary.format_summary())
+    print(f"wrote {len(kinds) * len(xs) * len(thetas) * len(phis) * len(ns)} rows to {args.out}")
     return 0
 
 
@@ -588,11 +592,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.formula = "all"
         if args.out is None:
             print("compare: missing required option: out", file=sys.stderr)
-            return 2
-    if args.command == "verify" and args.tolerance is not None:
-        if not math.isfinite(args.tolerance) or args.tolerance <= 0:
-            print(f"--tolerance must be a positive real, got {args.tolerance!r}",
-                  file=sys.stderr)
             return 2
     return args.fn(args)
 

@@ -10,8 +10,8 @@ on qubits (S1, S2, A), and the gate acts as I (x) R on (S2, A) only:
 
     sigma_S = Tr_A [ (I (x) R)^N rho_SA (I (x) R^dagger)^N ].
 
-The simulation kernel (``grid_blocks``, which ``batched_grid`` and
-``discrepancy_report`` also walk, and which every command runs) computes
+The simulation kernel (``grid_blocks``, which every grid command walks,
+and whose one-plane form is ``batched_grid``) computes
 these reduced states in closed form over (x, theta, phi, N) grids.
 S(phi)^2 = I, so R^N = cos(N a) I + i sin(N a) S with a = pi/2 - theta;
 the evolved state is cos(N a) psi + i sin(N a) S psi, with N a taken
@@ -24,11 +24,11 @@ shares (Schmidt decomposition).  The tests pin the kernel against a
 
 The module also evaluates two reference closed-form coherence
 expressions and two reference element-wise assemblies of the reduced
-state, so that ``discrepancy_report`` can quantify where each reference
-formula agrees with the simulation.  The evaluators are kept exactly as
-the formulas are stated, on purpose: where a reference expression
-disagrees with the simulation, the report documents it rather than
-patching the formula.
+state, so that ``ybc compare`` (``compare_columns`` and
+``DeviationSummary``) can quantify where each reference formula agrees
+with the simulation.  The evaluators are kept exactly as the formulas are
+stated, on purpose: where a reference expression disagrees with the
+simulation, the summary documents it rather than patching the formula.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def _theta_terms(kind, theta, phi, n):
     return terms(a, a), terms(b, b), terms(a, b) + terms(b, a)
 
 
-def _weighted_measures(kind, terms, x, with_relative_entropy):
+def _weighted_measures(kind, terms, x):
     """(c_l1, c_r) at x from the per-theta ``terms`` of ``_theta_terms``.
 
     A reduced state whose trace is off 1 by more than
@@ -218,8 +218,6 @@ def _weighted_measures(kind, terms, x, with_relative_entropy):
             f"expected within {DEFAULT_TOL}"
         )
     c_l1 = 2.0 * np.sqrt(upper_re**2 + upper_im**2).sum(axis=0)
-    if not with_relative_entropy:
-        return c_l1, np.full_like(c_l1, np.nan)
     lam = _pair_spectrum(*gram)
     if lam.min() < -EIG_CLAMP:
         raise ValueError(f"reduced state has a negative eigenvalue: {float(lam.min())!r}")
@@ -250,11 +248,14 @@ def grid_blocks(kind, xs, thetas, phis, ns, columns) -> Iterator[np.ndarray]:
     are even and hold at most ``_BLOCK_POINTS`` points over all planes (one
     x row if a row holds more), so the working memory does not grow with
     the number of x values.  Every value is elementwise in x, so the blocks
-    give the same bytes as one evaluation over the whole grid.
+    give the same bytes as one evaluation over the whole grid.  An empty
+    axis raises ValueError.
     """
     xs = np.asarray(xs, dtype=float)
     theta = np.asarray(thetas, dtype=float)[None, :]
     planes = [(float(phi), n) for phi in phis for n in ns]
+    if 0 in (xs.size, theta.size, len(planes)):
+        raise ValueError("the grid must not be empty")
     for phi, n in planes:
         _check_points(kind, xs, theta, phi, n)
     terms = [_theta_terms(kind, theta, phi, n) for phi, n in planes]
@@ -270,22 +271,16 @@ def grid_blocks(kind, xs, thetas, phis, ns, columns) -> Iterator[np.ndarray]:
 
 
 def batched_grid(
-    kind: StrategyKind,
-    xs: np.ndarray,
-    thetas: np.ndarray,
-    phi: float,
-    n: int,
-    with_relative_entropy: bool = True,
+    kind: StrategyKind, xs: np.ndarray, thetas: np.ndarray, phi: float, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The simulation kernel over an (x, theta) grid at fixed phi and N.
 
     Returns (c_l1, c_r) arrays of shape (len(xs), len(thetas)) from the
-    one-plane walk of ``grid_blocks``; c_r is NaN-filled when not
-    requested.
+    one-plane walk of ``grid_blocks``.
     """
 
     def measures(kind, terms, x, *plane):
-        return _weighted_measures(kind, terms, x, with_relative_entropy)
+        return _weighted_measures(kind, terms, x)
 
     values = np.concatenate(list(grid_blocks(kind, xs, thetas, [phi], [n], measures)))
     return values[:, :, 0, 0], values[:, :, 0, 1]
@@ -297,7 +292,7 @@ def sweep_columns(kind, terms, x, theta, phi: float, n: int) -> tuple[np.ndarray
     c_l1 and c_r of the kernel, the closed form and its deviation from the
     kernel's c_l1.
     """
-    c_l1, c_r = _weighted_measures(kind, terms, x, True)
+    c_l1, c_r = _weighted_measures(kind, terms, x)
     closed = _closed_form_l1(kind, x, theta, phi, n)
     return c_l1, c_r, closed, np.abs(c_l1 - closed)
 
@@ -521,6 +516,42 @@ def _elementwise_l1(kind, x, theta, phi: float, n: int) -> tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 
 
+def default_axes():
+    """The default grid of ``ybc compare``: 11 x values, 64 angles, two phases, N 1..4.
+
+    Returns (xs, thetas, phis, ns).
+    """
+    return (
+        np.linspace(0.0, 1.0, 11),
+        np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False),
+        [0.0, math.pi / 4.0],
+        [1, 2, 3, 4],
+    )
+
+
+# The columns of ``compare_columns`` that each ``ybc compare --formula``
+# blanks to NaN, by position: the element or the closed-form columns.
+DROPPED_COLUMNS = {"all": (), "closed": (2, 4), "elements": (1, 3)}
+
+
+def compare_columns(kind, terms, x, theta, phi: float, n: int, formula="all") -> list:
+    """The value columns of ``ybc compare`` for ``grid_blocks``.
+
+    The five that compare prints, in its CSV order: c_l1 of the kernel, the
+    closed form, the element assembly, and the deviations of the two from
+    the kernel's c_l1.  Then the lowest diagonal entry of the assembly.
+    Every column is computed, so every check runs (the kernel's c_r, which
+    is not kept, with its negative-eigenvalue check too), and then those
+    that ``formula`` drops are set to NaN.
+    """
+    c_l1, _, closed, deviation = sweep_columns(kind, terms, x, theta, phi, n)
+    appendix, lowest_diagonal = _elementwise_l1(kind, x, theta, phi, n)
+    columns = [c_l1, closed, appendix, deviation, np.abs(c_l1 - appendix)]
+    for k in DROPPED_COLUMNS[formula]:
+        columns[k] = np.full_like(c_l1, np.nan)
+    return columns + [lowest_diagonal]
+
+
 @dataclass(frozen=True)
 class FormulaStats:
     kind: StrategyKind
@@ -531,59 +562,61 @@ class FormulaStats:
     mean_deviation: float
 
 
-# The value columns of a discrepancy report, in order along its last axis.
-# The five that ``ybc compare`` prints come first, in its CSV order.
-REPORT_COLUMNS = (
-    "c_l1_sim",
-    "c_l1_closed",
-    "c_l1_appendix",
-    "deviation_closed",
-    "deviation_appendix",
-    "c_r_sim",
-)
+class DeviationSummary:
+    """Max and mean deviation per (kind, formula, parity) of a compare grid.
 
-
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    """The cross-check over a (kind, x, theta, phi, N) grid.
-
-    ``values[k, ix, it, ip, j]`` holds the ``REPORT_COLUMNS`` of the point
-    (kinds[k], xs[ix], thetas[it], phis[ip], ns[j]); in C order the points
-    run kind, then x, theta, phi and N, the row order of ``ybc compare``.
+    ``add`` takes each block of ``grid_blocks`` over ``compare_columns`` as
+    it passes, with its kind; ``ns`` are the grid's N values.  NaN
+    deviations, blanked by ``--formula``, are skipped.  The sum runs in row
+    order, one double at a time (``np.cumsum`` does not sum pairwise), so
+    the summary does not depend on the blocks, and it equals a Python
+    ``sum`` of the deviations in row order where that sum is not
+    compensated (before Python 3.12).  The lowest diagonal entry of the
+    element assemblies is kept too: below -1e-10 it is flagged rather than
+    clamped.
     """
 
-    kinds: tuple[StrategyKind, ...]
-    ns: tuple[int, ...]
-    values: np.ndarray
-    flags: tuple[str, ...]
+    def __init__(self, ns):
+        self._odd = np.array([n % 2 == 1 for n in ns])
+        self._groups = {}  # (kind, formula, parity): (count, max, sum)
+        self.worst_negative = 0.0
 
-    def column(self, name: str) -> np.ndarray:
-        """One value column over the grid, as a view into ``values``."""
-        return self.values[..., REPORT_COLUMNS.index(name)]
+    def add(self, kind, block: np.ndarray) -> None:
+        # The planes run phi outer, N inner.
+        odd = np.tile(self._odd, block.shape[2] // self._odd.size)
+        for formula, column in (("closed", 3), ("appendix", 4)):
+            for parity, keep in (("odd", odd), ("even", ~odd)):
+                devs = block[:, :, keep, column]
+                devs = devs[np.isfinite(devs)]
+                if devs.size:
+                    key = (kind, formula, parity)
+                    count, largest, total = self._groups.get(key, (0, -math.inf, 0.0))
+                    total = float(np.cumsum(np.concatenate(([total], devs)))[-1])
+                    largest = max(largest, float(devs.max()))
+                    self._groups[key] = (count + devs.size, largest, total)
+        self.worst_negative = min(self.worst_negative, float(block[..., -1].min()))
 
     def stats(self) -> list[FormulaStats]:
-        """Max and mean of the finite deviations per (kind, formula, parity).
-
-        The deviations are reduced in row order as Python floats, with
-        ``max`` and ``sum``/count, so the printed digits do not depend on
-        the array layout.
-        """
-        kinds = np.array(self.kinds)
-        odd = np.array([n % 2 == 1 for n in self.ns])
+        """One entry per (kind, formula, parity) with a finite deviation."""
         rows = []
         for kind in (ONE_QUBIT, TWO_QUBIT):
             for formula in ("closed", "appendix"):
-                deviations = self.column(f"deviation_{formula}")[kinds == kind]
-                for parity, keep in (("odd", odd), ("even", ~odd)):
-                    devs = deviations[..., keep]
-                    devs = devs[np.isfinite(devs)].tolist()
-                    if devs:
+                for parity in ("odd", "even"):
+                    if (kind, formula, parity) in self._groups:
+                        count, largest, total = self._groups[kind, formula, parity]
                         rows.append(
-                            FormulaStats(
-                                kind, formula, parity, len(devs), max(devs), sum(devs) / len(devs)
-                            )
+                            FormulaStats(kind, formula, parity, count, largest, total / count)
                         )
         return rows
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        if self.worst_negative < -1e-10:
+            return (
+                "two-qubit element assembly produced a negative diagonal entry "
+                f"({self.worst_negative:.3e})",
+            )
+        return ()
 
     def format_summary(self, match_tol: float = 1e-10) -> str:
         lines = [
@@ -604,61 +637,3 @@ class DiscrepancyReport:
         for flag in self.flags:
             lines.append(f"flag: {flag}")
         return "\n".join(lines)
-
-
-def default_axes():
-    """The default grid of ``ybc compare``: 11 x values, 64 angles, two phases, N 1..4.
-
-    Returns (xs, thetas, phis, ns).
-    """
-    return (
-        np.linspace(0.0, 1.0, 11),
-        np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False),
-        [0.0, math.pi / 4.0],
-        [1, 2, 3, 4],
-    )
-
-
-def _report_columns(kind, terms, x, theta, phi: float, n: int) -> tuple[np.ndarray, ...]:
-    """The ``REPORT_COLUMNS`` for ``grid_blocks``, then the lowest diagonal entry.
-
-    Adds the element assembly and its deviation to the columns of a sweep.
-    """
-    c_l1, c_r, closed, deviation = sweep_columns(kind, terms, x, theta, phi, n)
-    appendix, lowest_diagonal = _elementwise_l1(kind, x, theta, phi, n)
-    return c_l1, closed, appendix, deviation, np.abs(c_l1 - appendix), c_r, lowest_diagonal
-
-
-def discrepancy_report(kinds, xs, thetas, phis, ns) -> DiscrepancyReport:
-    """Evaluate every point of the grid and summarize deviations per formula.
-
-    The simulation is the ground truth; deviations quantify the reference
-    formulas.  Each kind's grid is walked by ``grid_blocks`` in blocks of x
-    rows, where the simulation kernel, the closed form and the element
-    assembly fill the report one block at a time.  Assembled element
-    matrices with a diagonal entry below -1e-10 are flagged rather than
-    clamped.
-    """
-    kinds, phis, ns = tuple(kinds), [float(phi) for phi in phis], tuple(ns)
-    xs, thetas = np.asarray(xs, dtype=float), np.asarray(thetas, dtype=float)
-    shape = (len(kinds), xs.size, thetas.size, len(phis), len(ns))
-    if 0 in shape:
-        raise ValueError("discrepancy grid must not be empty")
-    values = np.empty(shape + (len(REPORT_COLUMNS),))
-    worst_negative = 0.0
-    for k, kind in enumerate(kinds):
-        start = 0
-        for block in grid_blocks(kind, xs, thetas, phis, ns, _report_columns):
-            rows = block.shape[0]
-            values[k, start : start + rows] = block[..., :-1].reshape(
-                (rows,) + shape[2:] + (len(REPORT_COLUMNS),)
-            )
-            worst_negative = min(worst_negative, float(block[..., -1].min()))
-            start += rows
-    flags = []
-    if worst_negative < -1e-10:
-        flags.append(
-            "two-qubit element assembly produced a negative diagonal entry "
-            f"({worst_negative:.3e})"
-        )
-    return DiscrepancyReport(kinds, ns, values, tuple(flags))

@@ -34,8 +34,8 @@ from ybc.strategies import (
     ONE_QUBIT,
     TWO_QUBIT,
     batched_grid,
+    compare_columns,
     default_axes,
-    discrepancy_report,
 )
 
 from reference import kernel_spectrum, mpmath_reference
@@ -53,19 +53,19 @@ def criterion(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def figure_one_n1():
-    c, _ = batched_grid(ONE_QUBIT, X_GRID, THETA_GRID, math.pi / 4, 1, False)
+    c, _ = batched_grid(ONE_QUBIT, X_GRID, THETA_GRID, math.pi / 4, 1)
     return c
 
 
 @pytest.fixture(scope="module")
 def figure_two_n1():
-    c, _ = batched_grid(TWO_QUBIT, X_GRID, THETA_GRID, math.pi / 4, 1, False)
+    c, _ = batched_grid(TWO_QUBIT, X_GRID, THETA_GRID, math.pi / 4, 1)
     return c
 
 
 @pytest.fixture(scope="module")
 def figure_two_n2():
-    c, _ = batched_grid(TWO_QUBIT, X_GRID, THETA_GRID, math.pi / 4, 2, False)
+    c, _ = batched_grid(TWO_QUBIT, X_GRID, THETA_GRID, math.pi / 4, 2)
     return c
 
 
@@ -160,7 +160,7 @@ def test_criterion_07_identity_channel_fixed_point():
     worst = 0.0
     for kind in (ONE_QUBIT, TWO_QUBIT):
         for n in range(1, 9):
-            value, _ = batched_grid(kind, xs, [math.pi / 2], 0.9, n, False)
+            value, _ = batched_grid(kind, xs, [math.pi / 2], 0.9, n)
             worst = max(worst, float(np.abs(value[:, 0] - 2.0 * np.sqrt(xs * (1.0 - xs))).max()))
     criterion(
         7, worst <= 1e-10, f"theta=pi/2 coherence deviation {worst:.2e} (tol 1e-10)"
@@ -209,7 +209,7 @@ def test_criterion_08_purity_and_composition():
 def _edge_coherence(kind) -> float:
     """The largest N = 1 coherence at x in {0, 1} and theta = n pi/2, n = 0..4."""
     thetas = [n * math.pi / 2 for n in range(5)]
-    c_l1, _ = batched_grid(kind, [0.0, 1.0], thetas, math.pi / 4, 1, False)
+    c_l1, _ = batched_grid(kind, [0.0, 1.0], thetas, math.pi / 4, 1)
     return float(c_l1.max())
 
 
@@ -269,15 +269,21 @@ def test_criterion_11_phi_independence():
         x = float(rng.uniform())
         theta = float(rng.uniform(0, 2 * math.pi))
         n = int(rng.integers(1, 9))
-        values = [batched_grid(TWO_QUBIT, [x], [theta], p, n, False)[0][0, 0] for p in phis]
+        values = [batched_grid(TWO_QUBIT, [x], [theta], p, n)[0][0, 0] for p in phis]
         worst = max(worst, max(values) - min(values))
     criterion(11, worst <= 1e-10, f"two-qubit phi spread {worst:.2e} (tol 1e-10)")
 
 
 def test_criterion_12_closed_form_cross_validation():
     kinds = (ONE_QUBIT, TWO_QUBIT)
-    report = discrepancy_report(kinds, *default_axes())
-    stats = report.stats()
+    axes = default_axes()
+    summary = strategies.DeviationSummary(axes[3])
+    points = 0
+    for kind in kinds:
+        for block in strategies.grid_blocks(kind, *axes, compare_columns):
+            summary.add(kind, block)
+            points += block[..., 0].size
+    stats = summary.stats()
     labels = {(s.kind, s.formula, s.parity) for s in stats}
     expected_labels = {
         (kind, formula, parity)
@@ -285,15 +291,18 @@ def test_criterion_12_closed_form_cross_validation():
         for formula in ("closed", "appendix")
         for parity in ("odd", "even")
     }
-    points = report.column("c_l1_sim").size
     ran = labels == expected_labels and points == 2 * 11 * 64 * 2 * 4
 
     ns = (1, 2, 3, 4)
-    slice_report = discrepancy_report(
-        kinds, np.linspace(0.0, 1.0, 11), (math.pi / 2,), (0.0, math.pi / 4), ns
+    slice_axes = (np.linspace(0.0, 1.0, 11), (math.pi / 2,), (0.0, math.pi / 4), ns)
+    one, two = (
+        np.concatenate(list(strategies.grid_blocks(kind, *slice_axes, compare_columns)))
+        .reshape(11, 1, 2, len(ns), -1)
+        for kind in kinds
     )
-    one_closed, two_closed = slice_report.column("deviation_closed")
-    one_appendix, two_appendix = slice_report.column("deviation_appendix")
+    # compare's deviation columns: from the closed form, from the elements.
+    one_closed, two_closed = one[..., 3], two[..., 3]
+    one_appendix, two_appendix = one[..., 4], two[..., 4]
     odd = [n % 2 == 1 for n in ns]
     even = [not o for o in odd]
     agreeing_worst = max(
@@ -312,7 +321,7 @@ def test_criterion_12_closed_form_cross_validation():
     criterion(
         12,
         ok,
-        f"report ran over {points} points with "
+        f"compare ran over {points} points with "
         f"{len(stats)} formula/parity stats; agreeing formulas deviate "
         f"{agreeing_worst:.2e} on the theta=pi/2 slice (tol 1e-10); "
         f"{len(documented)} reference-formula gaps documented, not asserted",

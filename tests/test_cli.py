@@ -156,6 +156,23 @@ class TestVerify:
         monkeypatch.setenv("YBC_TOLERANCE", "not-a-number")
         assert cli.main(["verify"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_env_tolerance_must_be_positive_and_finite(self, value, capsys, monkeypatch):
+        monkeypatch.setenv("YBC_TOLERANCE", value)
+        assert cli.main(["verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid YBC_TOLERANCE value: {value!r}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_tolerance_flag_must_be_positive_and_finite(self, value, capsys, monkeypatch):
+        # The flag is checked before, and instead of, YBC_TOLERANCE.
+        monkeypatch.setenv("YBC_TOLERANCE", "1e-10")
+        assert cli.main(["verify", "--tolerance", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"--tolerance must be a positive real, got {float(value)!r}\n"
+        assert captured.out == ""
+
     def test_dcnot_check_reports_minimizing_phi(self, capsys):
         assert cli.main(["verify", "--only", "dcnot"]) == 0
         out = capsys.readouterr().out
@@ -419,9 +436,20 @@ class TestFigure:
 
 
 class TestCompare:
-    def test_printed_columns_lead_the_report(self):
-        # cmd_compare reads its printed columns as a view of the report.
-        assert strategies.REPORT_COLUMNS[: len(cli.COMPARE_COLUMNS)] == cli.COMPARE_COLUMNS
+    def test_printed_columns_lead_the_report(self, tmp_path):
+        # compare writes the leading columns of strategies.compare_columns,
+        # as many as its header names, and the summary reads the rest.
+        width = len(cli.COMPARE_HEADER.split(",")) - 5
+        axes = ([0.2], [0.4 * math.pi], [0.3 * math.pi], [1])
+        (block,) = strategies.grid_blocks("two", *axes, strategies.compare_columns)
+        assert block.shape == (1, 1, 1, width + 1)
+        out = tmp_path / "cmp.csv"
+        assert cli.main([
+            "compare", "--strategy", "two", "--x", "0.2:0.2:1", "--theta", "0.4:0.4:1",
+            "--phi", "0.3", "--n", "1", "--out", str(out),
+        ]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[5:] == [cli._fmt(v) for v in block[0, 0, 0, :width].tolist()]
 
     def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch):
         def refuse(src, dst):
@@ -583,7 +611,6 @@ class TestRowCap:
     ):
         reached = []
         monkeypatch.setattr(strategies, "grid_blocks", lambda *a: reached.append(a))
-        monkeypatch.setattr(strategies, "discrepancy_report", lambda *a: reached.append(a))
         out = tmp_path / "big.csv"
         argv = [command, "--strategy", "one", *axes, "--phi", "0", "--n", "1", "--out", str(out)]
         assert cli.main(argv) == 2
@@ -626,6 +653,6 @@ class TestOutputDigests:
         figures = {argv[1] for argv in commands if argv[0] == "figure"}
         formulas = {argv[argv.index("--formula") + 1] for argv in commands if argv[0] == "compare"}
         assert figures == set(cli.FIGURES)
-        assert formulas == set(cli.DROPPED_COLUMNS)
+        assert formulas == set(strategies.DROPPED_COLUMNS)
         assert {argv[2] for argv in commands if argv[0] == "sweep"} == {"one", "two"}
         assert ("verify",) in commands

@@ -39,7 +39,7 @@ def kernel_measures(v):
     term = kernel_terms(v)
     zero = np.zeros_like(term)
     # At x = 0 the kernel's weighted rows are the first term's, unchanged.
-    c_l1, c_r = strategies._weighted_measures(kind, (term, zero, zero), 0.0, True)
+    c_l1, c_r = strategies._weighted_measures(kind, (term, zero, zero), 0.0)
     return c_l1.item(), c_r.item()
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from unittest import mock
@@ -9,12 +10,12 @@ from ybc import braid_ybe, linalg, strategies
 from ybc.linalg import identity, kron, max_abs_diff
 from ybc.strategies import (
     ONE_QUBIT,
-    REPORT_COLUMNS,
     TWO_QUBIT,
+    DeviationSummary,
     batched_grid,
     closed_form_l1_one_qubit,
     closed_form_l1_two_qubit,
-    discrepancy_report,
+    compare_columns,
     elementwise_reduced_one_qubit,
     elementwise_reduced_two_qubit,
 )
@@ -359,7 +360,7 @@ class TestPhiIndependence:
 
 def one_kernel_call(kind, x, theta, phi, n):
     """The kernel over the broadcast of x and theta in one call, without blocks."""
-    return strategies._weighted_measures(kind, strategies._theta_terms(kind, theta, phi, n), x, True)
+    return strategies._weighted_measures(kind, strategies._theta_terms(kind, theta, phi, n), x)
 
 
 class TestBatchedGrid:
@@ -403,9 +404,8 @@ class TestBatchedGrid:
         monkeypatch.setattr(
             strategies, "_power_coefficients", lambda *a: [1.01 * c for c in original(*a)]
         )
-        for with_entropy in (True, False):
-            with pytest.raises(ValueError, match="trace"):
-                batched_grid(kind, [0.2, 0.5], [0.3, 1.1], 0.4, 2, with_entropy)
+        with pytest.raises(ValueError, match="trace"):
+            batched_grid(kind, [0.2, 0.5], [0.3, 1.1], 0.4, 2)
 
     @pytest.mark.parametrize("smallest, raises", [(-1e-9, True), (-1e-11, False)])
     def test_negative_eigenvalue_check(self, smallest, raises, monkeypatch):
@@ -485,22 +485,28 @@ class TestBatchedGrid:
         rows = strategies._BLOCK_POINTS // (thetas.size * len(phis) * len(ns))
         assert walk_peak(20 * rows) <= 1.1 * walk_peak(2 * rows)
 
-        # compare's report on one 4000 x 250 plane: beyond the report array,
-        # the peak is that of two blocks.
+        # compare on one 4000 x 250 plane, its summary fed each block and
+        # the rows consumed as the CSV writer does: the peak is that of two
+        # blocks, with nothing subtracted.
         thetas = np.linspace(0.0, 2.0 * np.pi, 250)
 
-        def report_peak(rows):
+        def compare_peak(rows):
             xs = np.linspace(0.0, 1.0, rows)
+            summary = DeviationSummary((3,))
             tracemalloc.start()
             try:
-                report = discrepancy_report((kind,), xs, thetas, (0.4,), (3,))
-                peak = tracemalloc.get_traced_memory()[1]
+                for block in strategies.grid_blocks(
+                    kind, xs, thetas, (0.4,), (3,), compare_columns
+                ):
+                    summary.add(kind, block)
+                    for row in block[..., :5]:
+                        pass
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            return peak - report.values.nbytes
 
-        two_blocks = report_peak(2 * strategies._BLOCK_POINTS // thetas.size)
-        assert report_peak(4000) <= 1.1 * two_blocks
+        two_blocks = compare_peak(2 * strategies._BLOCK_POINTS // thetas.size)
+        assert compare_peak(4000) <= 1.1 * two_blocks
 
     @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
     def test_reaches_no_gate_power_or_eigensolver(self, kind, monkeypatch):
@@ -518,15 +524,7 @@ class TestBatchedGrid:
         ):
             monkeypatch.setattr(owner, name, forbidden)
         batched_grid(kind, [0.0, 0.3, 1.0], [0.2, 1.9], 0.4, 10**9 + 1)
-        discrepancy_report((kind,), (0.0, 0.3), (0.2, np.pi / 2), (0.0, 0.5), (1, 2, 7))
-
-    def test_relative_entropy_optional(self):
-        c_l1, c_r = batched_grid(
-            ONE_QUBIT, np.array([0.5]), np.array([0.8]), 0.0, 1,
-            with_relative_entropy=False,
-        )
-        assert np.isfinite(c_l1).all()
-        assert np.isnan(c_r).all()
+        compare_values(kind, (0.0, 0.3), (0.2, np.pi / 2), (0.0, 0.5), (1, 2, 7))
 
 
 def sweep_closed(kind, xs, thetas, phi, n):
@@ -583,35 +581,70 @@ def pole_thetas(n):
     return [p + d for p in poles for d in (0.0, -1e-9, 1e-9, -1e-7, 1e-7)]
 
 
-def assert_report_matches_pointwise(report, xs, thetas, phis):
-    """Every point of a report against its kernel plane entry and the scalar evaluators.
+# The columns of ``compare_columns``: the five that compare prints, then
+# the lowest diagonal entry of the element assembly.
+COMPARE_COLUMNS = (
+    "c_l1_sim",
+    "c_l1_closed",
+    "c_l1_appendix",
+    "deviation_closed",
+    "deviation_appendix",
+    "lowest_diagonal",
+)
 
-    The simulation columns equal, bit for bit, the entry of ``batched_grid``
-    at the point.  Returns the smallest diagonal entry of the 4x4
-    assemblies, or 0.0.
+
+def compare_values(kind, xs, thetas, phis, ns, formula="all"):
+    """compare's columns over one kind's grid, values[ix, it, ip, j, column]."""
+    columns = functools.partial(compare_columns, formula=formula)
+    blocks = strategies.grid_blocks(kind, xs, thetas, phis, ns, columns)
+    values = np.concatenate(list(blocks))
+    return values.reshape(values.shape[:2] + (len(phis), len(ns), len(COMPARE_COLUMNS)))
+
+
+def column(values, name):
+    return values[..., COMPARE_COLUMNS.index(name)]
+
+
+def compare_summary(kinds, xs, thetas, phis, ns):
+    """compare's summary of the grid, fed each block as the CLI walks it."""
+    summary = DeviationSummary(ns)
+    for kind in kinds:
+        for block in strategies.grid_blocks(kind, xs, thetas, phis, ns, compare_columns):
+            summary.add(kind, block)
+    return summary
+
+
+def assert_compare_matches_pointwise(kind, values, xs, thetas, phis, ns):
+    """Every point of one kind's compare columns against the kernel and the scalar evaluators.
+
+    The simulation column equals, bit for bit, the entry of ``batched_grid``
+    at the point, and the lowest-diagonal column the smallest diagonal
+    entry of the 4x4 assembly (0.0 for the one-qubit kind).  Returns the
+    smallest of those entries, or 0.0.
     """
     planes = {}
     worst = 0.0
-    for k, ix, it, ip, j in np.ndindex(report.values.shape[:-1]):
-        kind, n = report.kinds[k], report.ns[j]
+    for ix, it, ip, j in np.ndindex(values.shape[:-1]):
+        n = ns[j]
         x, theta, phi = float(xs[ix]), float(thetas[it]), float(phis[ip])
-        if (k, ip, j) not in planes:
-            planes[k, ip, j] = batched_grid(kind, xs, thetas, phi, n)
-        c_l1, c_r = (plane[ix, it] for plane in planes[k, ip, j])
-        point = dict(zip(REPORT_COLUMNS, report.values[k, ix, it, ip, j].tolist()))
-        assert point["c_l1_sim"] == c_l1 and point["c_r_sim"] == c_r
+        if (ip, j) not in planes:
+            planes[ip, j] = batched_grid(kind, xs, thetas, phi, n)[0]
+        point = dict(zip(COMPARE_COLUMNS, values[ix, it, ip, j].tolist()))
+        assert point["c_l1_sim"] == planes[ip, j][ix, it]
         if kind == ONE_QUBIT:
             closed = closed_form_l1_one_qubit(x, theta, phi, n)
             sigma, appendix = elementwise_reduced_one_qubit(x, theta, phi, n)
+            lowest = 0.0
         else:
             closed = closed_form_l1_two_qubit(x, theta, n)
             sigma, appendix = elementwise_reduced_two_qubit(x, theta, phi, n)
+            lowest = float(np.diag(sigma).real.min())
         assert point["c_l1_closed"] == closed
         assert point["c_l1_appendix"] == appendix
         assert point["deviation_closed"] == abs(point["c_l1_sim"] - point["c_l1_closed"])
         assert point["deviation_appendix"] == abs(point["c_l1_sim"] - point["c_l1_appendix"])
-        if kind == TWO_QUBIT:
-            worst = min(worst, float(np.diag(sigma).real.min()))
+        assert point["lowest_diagonal"] == lowest
+        worst = min(worst, lowest)
     return worst
 
 
@@ -627,25 +660,40 @@ def expected_flags(worst_negative):
 BOTH = (ONE_QUBIT, TWO_QUBIT)
 
 
+def stats_tuples(summary):
+    return [
+        (s.kind, s.formula, s.parity, s.count, s.max_deviation, s.mean_deviation)
+        for s in summary.stats()
+    ]
+
+
 class TestDiscrepancyReport:
+    """compare's cross-check as it streams: ``compare_columns`` and ``DeviationSummary``."""
+
     @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
     def test_records_match_pointwise_oracle(self, kind, n):
         xs, thetas, phis = (0.0, 0.3, 0.5, 1.0), pole_thetas(n), (0.0, 0.37 * math.pi, -1.9)
-        report = discrepancy_report((kind,), xs, thetas, phis, (n,))
-        assert report.values.shape == (1, len(xs), len(thetas), len(phis), 1, len(REPORT_COLUMNS))
-        worst = assert_report_matches_pointwise(report, xs, thetas, phis)
-        assert report.flags == expected_flags(worst)
+        values = compare_values(kind, xs, thetas, phis, (n,))
+        assert values.shape == (len(xs), len(thetas), len(phis), 1, len(COMPARE_COLUMNS))
+        worst = assert_compare_matches_pointwise(kind, values, xs, thetas, phis, (n,))
+        summary = compare_summary((kind,), xs, thetas, phis, (n,))
+        assert summary.worst_negative == worst
+        assert summary.flags == expected_flags(worst)
 
     def test_interleaved_generator_keeps_input_order(self):
         # Unsorted axes, phi 0 and -0 interleaved and the kinds from a
-        # generator: every entry sits at the grid point of its indices.
+        # generator: every entry sits at the grid point of its indices, and
+        # the summary lists the kinds in its own order.
         xs, phis, ns = (1.0, 0.0, 0.3), (-0.0, 0.9, 0.0), (2, 1)
         thetas = np.random.default_rng(5).permutation([0.0, 0.7, np.pi / 2, 2.0])
-        report = discrepancy_report((k for k in (TWO_QUBIT, ONE_QUBIT)), xs, thetas, phis, ns)
-        assert report.kinds == (TWO_QUBIT, ONE_QUBIT) and report.ns == ns
-        assert report.values.shape == (2, 3, 4, 3, 2, len(REPORT_COLUMNS))
-        assert_report_matches_pointwise(report, xs, thetas, phis)
+        summary = DeviationSummary(ns)
+        for kind in (k for k in (TWO_QUBIT, ONE_QUBIT)):
+            values = compare_values(kind, xs, thetas, phis, ns)
+            assert values.shape == (3, 4, 3, 2, len(COMPARE_COLUMNS))
+            assert_compare_matches_pointwise(kind, values, xs, thetas, phis, ns)
+            summary.add(kind, values.reshape((3, 4, 6, len(COMPARE_COLUMNS))))
+        assert [s.kind for s in summary.stats()] == [ONE_QUBIT] * 4 + [TWO_QUBIT] * 4
 
     def test_negative_diagonal_flag(self, monkeypatch):
         # The flag reports the smallest diagonal entry of any 4x4 assembly;
@@ -657,11 +705,17 @@ class TestDiscrepancyReport:
             return (s11, s22, s33, s44 - 1e-9 * (1.0 + x)), upper
 
         monkeypatch.setattr(strategies, "_two_qubit_elements", shifted)
-        xs, thetas, phis = (0.0, 0.6, 1.0), (0.0, 0.4), (0.3,)
-        report = discrepancy_report(BOTH, xs, thetas, phis, (1, 2))
-        worst = assert_report_matches_pointwise(report, xs, thetas, phis)
+        xs, thetas, phis, ns = (0.0, 0.6, 1.0), (0.0, 0.4), (0.3,), (1, 2)
+        worst = min(
+            assert_compare_matches_pointwise(
+                kind, compare_values(kind, xs, thetas, phis, ns), xs, thetas, phis, ns
+            )
+            for kind in BOTH
+        )
         assert worst < -1e-10
-        assert report.flags == expected_flags(worst)
+        summary = compare_summary(BOTH, xs, thetas, phis, ns)
+        assert summary.flags == expected_flags(worst)
+        assert f"flag: {expected_flags(worst)[0]}" in summary.format_summary()
 
     def test_identity_slice_agreement(self):
         # At theta = pi/2 every evaluator that reduces to the identity
@@ -669,67 +723,86 @@ class TestDiscrepancyReport:
         # one-qubit closed form at odd N, and both element assemblies for
         # the one-qubit strategy.
         ns = (1, 2, 3, 4)
-        report = discrepancy_report(
-            BOTH, (0.0, 0.25, 0.5, 0.75, 1.0), (np.pi / 2,), (0.0, np.pi / 4), ns
-        )
-        one, two = report.column("deviation_closed")
+        axes = ((0.0, 0.25, 0.5, 0.75, 1.0), (np.pi / 2,), (0.0, np.pi / 4), ns)
+        one, two = (compare_values(kind, *axes) for kind in BOTH)
         odd = [n % 2 == 1 for n in ns]
-        assert two.max() <= 1e-10
-        assert one[..., odd].max() <= 1e-10
-        assert report.column("deviation_appendix")[0].max() <= 1e-10
+        assert column(two, "deviation_closed").max() <= 1e-10
+        assert column(one, "deviation_closed")[..., odd].max() <= 1e-10
+        assert column(one, "deviation_appendix").max() <= 1e-10
 
     def test_even_use_closed_form_gap_on_identity_slice(self):
         # The reference one-qubit closed form returns 0 for even N at
-        # theta = pi/2 while the kernel returns 2 sqrt(x (1 - x)); the
-        # report records the gap instead of asserting agreement.
-        report = discrepancy_report((ONE_QUBIT,), (0.5,), (np.pi / 2,), (0.0,), (2,))
-        point = dict(zip(REPORT_COLUMNS, report.values.reshape(-1).tolist()))
+        # theta = pi/2 while the kernel returns 2 sqrt(x (1 - x)); compare
+        # records the gap instead of asserting agreement.
+        values = compare_values(ONE_QUBIT, (0.5,), (np.pi / 2,), (0.0,), (2,))
+        point = dict(zip(COMPARE_COLUMNS, values.reshape(-1).tolist()))
         assert point["c_l1_closed"] <= 1e-12
         assert abs(point["c_l1_sim"] - 1.0) <= 1e-10
         assert abs(point["deviation_closed"] - 1.0) <= 1e-10
 
     def test_summary_has_stats_per_formula_and_parity(self):
-        report = discrepancy_report(BOTH, (0.2, 0.7), (0.4, 1.2), (0.3,), (1, 2))
-        stats = report.stats()
-        labels = {(s.kind, s.formula, s.parity) for s in stats}
+        summary = compare_summary(BOTH, (0.2, 0.7), (0.4, 1.2), (0.3,), (1, 2))
+        labels = {(s.kind, s.formula, s.parity) for s in summary.stats()}
         assert (ONE_QUBIT, "closed", "odd") in labels
         assert (TWO_QUBIT, "appendix", "even") in labels
-        text = report.format_summary()
+        text = summary.format_summary()
         assert "max dev" in text and "closed" in text
 
     def test_stats_reduce_finite_deviations_in_row_order(self):
-        # The summary takes max and sum/len of Python floats in row order
-        # (kind, x, theta, phi, N) and skips NaN, as compare --formula blanks.
-        ns = (3, 1, 2)
-        report = discrepancy_report((TWO_QUBIT, ONE_QUBIT), (0.1, 0.9), (0.3, 2.5), (0.2, 1.1), ns)
-        report.column("deviation_appendix")[1, 0] = np.nan
+        # The summary takes max and a sum/count in row order (kind, x,
+        # theta, phi, N) and skips NaN, as compare --formula blanks.
+        xs, thetas, phis, ns = (0.1, 0.9), (0.3, 2.5), (0.2, 1.1), (3, 1, 2)
+        values = {kind: compare_values(kind, xs, thetas, phis, ns) for kind in BOTH}
+        column(values[ONE_QUBIT], "deviation_appendix")[0] = np.nan
+        summary = DeviationSummary(ns)
+        for kind in (TWO_QUBIT, ONE_QUBIT):
+            summary.add(kind, values[kind].reshape((2, 2, 6, len(COMPARE_COLUMNS))))
         expected = []
         for kind in BOTH:
             for formula in ("closed", "appendix"):
                 for parity, keep in (("odd", 1), ("even", 0)):
-                    devs = [
-                        report.column(f"deviation_{formula}")[index]
-                        for index in np.ndindex(report.values.shape[:-1])
-                        if report.kinds[index[0]] == kind and ns[index[-1]] % 2 == keep
-                    ]
-                    devs = [float(d) for d in devs if math.isfinite(d)]
+                    devs = column(values[kind], f"deviation_{formula}")
+                    devs = devs[..., np.array(ns) % 2 == keep]
+                    devs = [d for d in devs.ravel().tolist() if math.isfinite(d)]
                     if devs:
-                        mean = sum(devs) / len(devs)
+                        total = 0.0
+                        for d in devs:
+                            total += d
+                        mean = total / len(devs)
                         expected.append((kind, formula, parity, len(devs), max(devs), mean))
-        assert [
-            (s.kind, s.formula, s.parity, s.count, s.max_deviation, s.mean_deviation)
-            for s in report.stats()
-        ] == expected
+        assert stats_tuples(summary) == expected
+
+    @pytest.mark.parametrize("formula", ["all", "closed", "elements"])
+    def test_summary_does_not_depend_on_the_blocks(self, formula, monkeypatch):
+        # The same grid walked in one block and in blocks of one x row.
+        xs, thetas = np.linspace(0.0, 1.0, 9), np.linspace(0.1, 6.0, 7)
+        phis, ns = (0.0, 0.7), (1, 2, 3)
+        columns = functools.partial(compare_columns, formula=formula)
+
+        def summary():
+            result = DeviationSummary(ns)
+            for kind in BOTH:
+                blocks = list(strategies.grid_blocks(kind, xs, thetas, phis, ns, columns))
+                for block in blocks:
+                    result.add(kind, block)
+            return len(blocks), result
+
+        whole_blocks, whole = summary()
+        monkeypatch.setattr(strategies, "_BLOCK_POINTS", 1)
+        row_blocks, rows = summary()
+        assert (whole_blocks, row_blocks) == (1, len(xs))
+        assert rows.stats() == whole.stats() and rows.stats()
+        assert rows.format_summary() == whole.format_summary()
 
     def test_empty_grid_rejected(self):
-        axes = ((ONE_QUBIT,), (0.5,), (0.1,), (0.0,), (1,))
+        axes = ((0.5,), (0.1,), (0.0,), (1,))
         for i in range(len(axes)):
             with pytest.raises(ValueError, match="empty"):
-                discrepancy_report(*axes[:i], (), *axes[i + 1:])
+                compare_values(ONE_QUBIT, *axes[:i], (), *axes[i + 1:])
 
     def test_harness_detects_injected_channel_bug(self, monkeypatch):
         # Conjugating the kernel's S by exp(i 0.01 X (x) I) on the gate's
-        # qubit pair must push the report's deviation against the two-qubit
+        # qubit pair must push compare's deviation against the two-qubit
         # closed form above 1e-3, confirming the cross-check would catch a
         # wrong channel.  S stays a Hermitian involution, so R^N stays
         # unitary and the kernel's trace check passes.
@@ -739,8 +812,8 @@ class TestDiscrepancyReport:
         thetas = np.linspace(0.3, 5.9, 12)
 
         def worst_deviation():
-            report = discrepancy_report((TWO_QUBIT,), (0.5,), thetas, (np.pi / 4,), (1,))
-            return float(report.column("deviation_closed").max())
+            values = compare_values(TWO_QUBIT, (0.5,), thetas, (np.pi / 4,), (1,))
+            return float(column(values, "deviation_closed").max())
 
         assert worst_deviation() <= 1e-10
         monkeypatch.setattr(strategies, "build_s", lambda phi: pert @ build_s(phi) @ pert.conj().T)

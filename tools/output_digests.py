@@ -39,6 +39,8 @@ COMMANDS = [
       for formula in ("closed", "elements", "all")),
     # 206,848 rows: each kind's four (phi, N) planes take several x blocks.
     ("compare-blocks", ("compare", "--formula", "all") + COMPARE_BLOCKS_GRID),
+    # The same grid with the element columns blanked to NaN in every block.
+    ("compare-blocks-closed", ("compare", "--formula", "closed") + COMPARE_BLOCKS_GRID),
 ]
 
 
