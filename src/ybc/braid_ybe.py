@@ -90,13 +90,16 @@ def _finite(value, name: str) -> np.ndarray:
     return array
 
 
-def yang_baxterize_rational(phi: float, mu: float | np.ndarray) -> np.ndarray:
+def yang_baxterize_rational(
+    phi: float | np.ndarray, mu: float | np.ndarray
+) -> np.ndarray:
     """Rational YBE solution (I + i mu S(phi)) / sqrt(1 + mu^2).
 
     Equals R(theta, phi) under cos(theta) = mu/sqrt(1+mu^2),
     sin(theta) = 1/sqrt(1+mu^2); tends to i S(phi) as mu -> infinity.
-    Broadcasts over ``mu``: an array gives the stack of shape
-    ``mu.shape + (4, 4)``, each matrix bitwise its one-point call.
+    Broadcasts over ``phi`` and ``mu``: arrays give the stack of shape
+    ``np.broadcast_shapes(phi.shape, mu.shape) + (4, 4)``, each matrix
+    bitwise its one-point call.
     ValueError for a non-finite phi or mu, or an overflowing 1 + mu^2.
     """
     _finite(phi, "phi")
@@ -225,7 +228,7 @@ def _ybe_residual(
 
 
 def check_ybe_additive(
-    phi: float,
+    phi: float | np.ndarray,
     mu: float | np.ndarray,
     nu: float | np.ndarray,
     tol: float = DEFAULT_TOL,
@@ -233,7 +236,8 @@ def check_ybe_additive(
     """Residual of R1(mu) R2(mu+nu) R1(nu) = R2(nu) R1(mu+nu) R2(mu).
 
     R is the rational family at the given phi; R1 = R (x) I, R2 = I (x) R.
-    Broadcastable arrays of mu and nu give the worst residual over the grid.
+    Broadcastable arrays of phi, mu and nu give the worst residual over the
+    grid.
     """
     return _ybe_residual(
         *(yang_baxterize_rational(phi, m) for m in (mu, mu + nu, nu)), tol
@@ -256,22 +260,50 @@ def check_ybe_multiplicative(
     return _ybe_residual(builder(x), builder(x * y), builder(y), tol)
 
 
+def build_hamiltonian(
+    theta: float | np.ndarray,
+    phi: float | np.ndarray,
+    gamma: float | np.ndarray = 1.0,
+    hbar: float = 1.0,
+    step: float = 1e-4,
+) -> np.ndarray:
+    """Generator H = i hbar (dR/dt) R^dagger of the evolution R(theta + gamma t, phi).
+
+    The time derivative is taken by central finite difference with the given
+    step, so the result is Hermitian up to O(step^2) plus roundoff.  The
+    analytic value is gamma * hbar * S(phi), which tests use as reference.
+    Broadcasts like ``build_r`` over theta, phi and gamma: arrays give the
+    stack of shape ``np.broadcast_shapes(theta.shape, phi.shape,
+    gamma.shape) + (4, 4)``, each matrix bitwise its one-point call.
+    ValueError, naming the argument, for a non-finite theta, phi, gamma or
+    hbar or a step that is not positive and finite; ValueError also when
+    theta +/- gamma step or the generator overflows.
+    """
+    theta, phi, gamma, hbar = (
+        _finite(value, name)
+        for value, name in ((theta, "theta"), (phi, "phi"), (gamma, "gamma"), (hbar, "hbar"))
+    )
+    if not (_finite(step, "step") > 0):
+        raise ValueError(f"step must be positive, got {step!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = gamma * step
+        r_plus = build_r(theta + shift, phi)
+        r_minus = build_r(theta - shift, phi)
+        derivative = (r_plus - r_minus) / (2.0 * step)
+        r = build_r(theta, phi)
+        h = 1j * hbar * derivative @ r.conj().swapaxes(-1, -2)
+    if not np.isfinite(h).all():
+        raise ValueError(
+            "the generator must be finite: theta +/- gamma step or its scale overflows"
+        )
+    return h
+
+
 def evolution_hamiltonian(
     params: GateParams,
     gamma: float = 1.0,
     hbar: float = 1.0,
     step: float = 1e-4,
 ) -> np.ndarray:
-    """Generator H = i hbar (dR/dt) R^dagger of the evolution R(gamma t, phi).
-
-    The time derivative is taken by central finite difference with the given
-    step, so the result is Hermitian up to O(step^2) plus roundoff.  The
-    analytic value is gamma * hbar * S(phi), which tests use as reference.
-    """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step!r}")
-    r_plus = build_r_theta_phi(GateParams(params.theta + gamma * step, params.phi))
-    r_minus = build_r_theta_phi(GateParams(params.theta - gamma * step, params.phi))
-    derivative = (r_plus - r_minus) / (2.0 * step)
-    r = build_r_theta_phi(params)
-    return 1j * hbar * derivative @ r.conj().T
+    """``build_hamiltonian`` at one validated angle pair."""
+    return build_hamiltonian(params.theta, params.phi, gamma, hbar, step)

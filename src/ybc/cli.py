@@ -100,10 +100,9 @@ def _check_r_unitary() -> tuple[float, str]:
 
 def _check_ybe_additive() -> tuple[float, str]:
     mu, nu = np.meshgrid(*2 * ((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0),), indexing="ij")
-    res = max(
-        braid_ybe.check_ybe_additive(phi, mu, nu).residual
-        for phi in (0.0, math.pi / 4.0, 1.1)
-    )
+    # The three phases stacked: the rational builder broadcasts phi against mu.
+    phi = np.array([0.0, math.pi / 4.0, 1.1])[:, None, None]
+    res = braid_ybe.check_ybe_additive(phi, mu, nu).residual
     return res, "additive YBE over mu, nu in {-2,-1,-1/2,1/2,1,2}^2, 3 phases"
 
 
@@ -144,14 +143,11 @@ def _check_dcnot() -> tuple[float, str]:
 
 def _check_hamiltonian() -> tuple[float, str]:
     step = 1e-4
-    worst = 0.0
-    for gamma in (0.5, 1.0, 2.0):
-        for theta in (0.3, 1.0, 2.2):
-            for phi in (0.0, math.pi / 4.0):
-                h = braid_ybe.evolution_hamiltonian(
-                    GateParams(theta, phi), gamma=gamma, hbar=1.0, step=step
-                )
-                worst = max(worst, max_abs_diff(h, gamma * braid_ybe.build_s(phi)))
+    gamma, theta, phi = np.meshgrid(
+        (0.5, 1.0, 2.0), (0.3, 1.0, 2.2), (0.0, math.pi / 4.0), indexing="ij"
+    )
+    h = braid_ybe.build_hamiltonian(theta, phi, gamma, hbar=1.0, step=step)
+    worst = max_abs_diff(h, gamma[..., None, None] * braid_ybe.build_s(phi))
     h1 = braid_ybe.evolution_hamiltonian(GateParams(0.8, 0.3), step=step)
     h2 = braid_ybe.evolution_hamiltonian(GateParams(0.8, 0.3), step=step / 2.0)
     e1 = max_abs_diff(h1, braid_ybe.build_s(0.3))

@@ -59,6 +59,11 @@ def dcnot() -> np.ndarray:
     )
 
 
+# The residuals' target, built once and read-only; ``dcnot()`` returns a copy.
+_DCNOT = dcnot()
+_DCNOT.flags.writeable = False
+
+
 def local_factors() -> LocalFactors:
     """The four single-qubit unitaries of the DCNOT factorization."""
     s2 = math.sqrt(2.0)
@@ -103,25 +108,40 @@ def equivalence_residuals(
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
     f = factors if factors is not None else local_factors()
-    target = dcnot()
-    m = kron(f.a, f.b) @ build_s(phi) @ kron(f.c, f.d)
-    exact = max_abs_diff(m, target)
-    overlap = complex(np.trace(m.conj().T @ target))
+    m, exact = _factorization(phi, kron(f.a, f.b), kron(f.c, f.d))
+    overlap = complex(np.trace(m.conj().T @ _DCNOT))
     alpha = float(np.angle(overlap)) if overlap != 0 else 0.0
-    aligned = max_abs_diff(np.exp(1j * alpha) * m, target)
-    return exact, aligned, alpha
+    aligned = max_abs_diff(np.exp(1j * alpha) * m, _DCNOT)
+    return float(exact), aligned, alpha
+
+
+def _factorization(
+    phi: float | np.ndarray, left: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """M = left S(phi) right and its exact residual max|M - DCNOT|.
+
+    ``left`` and ``right`` are A (x) B and C (x) D.  A scalar ``phi`` gives
+    a 4x4 M from two 4x4 products.  A 1-D array of n phases gives the
+    (n, 4, 4) stack from two single products that share the constant
+    operand: left times the 4 x 4n row of the S(phi), then that, read as 4n
+    rows of 4, times right.  Each entry of M is the same sum of the same
+    products either way, so each residual is bitwise its one-phase call.
+    """
+    if np.ndim(phi) == 0:
+        m = left @ build_s(phi) @ right
+    else:
+        n = len(phi)
+        m = left @ build_s(phi).transpose(1, 0, 2).reshape(4, 4 * n)
+        # Row i * n + k of the second product is row i of M at phi[k].
+        m = (m.reshape(4 * n, 4) @ right).reshape(4, n, 4).transpose(1, 0, 2)
+    return m, np.abs(m - _DCNOT).max(axis=(-2, -1))
 
 
 def _exact_residuals(
-    phis: np.ndarray, left: np.ndarray, right: np.ndarray
+    phis: float | np.ndarray, left: np.ndarray, right: np.ndarray
 ) -> np.ndarray:
-    """max|left S(phi) right - DCNOT| for each phase of the array ``phis``.
-
-    ``left`` and ``right`` are A (x) B and C (x) D.  Each entry is bitwise
-    equal to the exact residual of ``equivalence_residuals`` at that phase.
-    """
-    m = left @ build_s(phis) @ right
-    return np.abs(m - dcnot()).max(axis=(-2, -1))
+    """max|left S(phi) right - DCNOT| for one phase or each of a 1-D array."""
+    return _factorization(phis, left, right)[1]
 
 
 def _refine(f, lo: float, hi: float, iterations: int = 80) -> float:
@@ -179,7 +199,7 @@ def verify_dcnot_equivalence(
     span = 2.0 * np.pi / scan_points
 
     def exact_at(p):
-        return _exact_residuals(np.array([p]), left, right)[0]
+        return _exact_residuals(p, left, right)
 
     phi_best = _refine(exact_at, grid[best] - span, grid[best] + span)
     if residuals[best] <= exact_at(phi_best):

@@ -7,6 +7,7 @@ import pytest
 from ybc.braid_ybe import (
     GateParams,
     build_eight_vertex_b,
+    build_hamiltonian,
     build_r,
     build_r_theta_phi,
     build_s,
@@ -228,6 +229,22 @@ class TestAdditiveYBE:
                 check_ybe_additive(phi, m, n).residual for m in values for n in values
             )
             assert check_ybe_additive(phi, mu, nu, tol=1e-16) == (worst, worst <= 1e-16)
+
+    def test_phase_stack_is_the_worst_per_phase_residual(self):
+        mu, nu = np.meshgrid(*2 * ((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0),), indexing="ij")
+        phis = (0.0, np.pi / 4, 1.1)
+        worst = max(check_ybe_additive(phi, mu, nu).residual for phi in phis)
+        stacked = check_ybe_additive(np.array(phis)[:, None, None], mu, nu, tol=1e-16)
+        assert stacked == (worst, worst <= 1e-16)
+
+    def test_phase_and_mu_stack_is_bitwise_the_one_point_calls(self):
+        phis = np.array([0.0, np.pi / 4, 1.1, -2.2])[:, None]
+        mus = np.array([-2.0, -0.0, 0.5, 1e8])
+        stack = yang_baxterize_rational(phis, mus)
+        assert stack.shape == (4, 4, 4, 4)
+        for i, j in np.ndindex(4, 4):
+            point = yang_baxterize_rational(float(phis[i, 0]), float(mus[j]))
+            assert stack[i, j].tobytes() == point.tobytes()
 
 
 class TestEightVertex:
@@ -467,3 +484,43 @@ class TestEvolutionHamiltonian:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError, match="step"):
             evolution_hamiltonian(GateParams(0.8, 0.3), step=0.0)
+
+    def test_stack_is_bitwise_the_scalar_calls(self):
+        gamma, theta, phi = np.meshgrid(
+            (0.5, 1.0, 2.0), (0.3, 1.0, 2.2), (0.0, np.pi / 4), indexing="ij"
+        )
+        stack = build_hamiltonian(theta, phi, gamma, hbar=1.5, step=1e-4)
+        assert stack.shape == (3, 3, 2, 4, 4)
+        for k in np.ndindex(theta.shape):
+            params = GateParams(float(theta[k]), float(phi[k]))
+            point = evolution_hamiltonian(params, gamma=float(gamma[k]), hbar=1.5, step=1e-4)
+            assert stack[k].tobytes() == point.tobytes()
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"hbar": np.nan}, "hbar must be finite"),
+            ({"hbar": np.inf}, "hbar must be finite"),
+            ({"gamma": np.nan}, "gamma must be finite"),
+            ({"gamma": -np.inf}, "gamma must be finite"),
+            ({"step": np.nan}, "step must be finite"),
+            ({"step": np.inf}, "step must be finite"),
+            ({"step": -1e-4}, "step must be positive"),
+            ({"gamma": 1e308, "step": 10.0}, "generator must be finite"),
+            ({"hbar": 1e308, "gamma": 10.0}, "generator must be finite"),
+        ],
+        ids=[
+            "hbar-nan", "hbar-inf", "gamma-nan", "gamma-minus-inf", "step-nan",
+            "step-inf", "step-negative", "shifted-theta-overflows", "generator-overflows",
+        ],
+    )
+    def test_rejects_bad_argument_by_name(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            evolution_hamiltonian(GateParams(0.8, 0.3), **kwargs)
+
+    @pytest.mark.parametrize("name", ["theta", "phi", "gamma"])
+    def test_stack_rejects_a_non_finite_entry(self, name):
+        angles = {"theta": 0.8, "phi": 0.3, "gamma": 1.0}
+        angles[name] = np.array([0.5, np.nan])
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            build_hamiltonian(**angles)

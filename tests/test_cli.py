@@ -17,6 +17,7 @@ from ybc.braid_ybe import (
     check_far_commutation,
     check_ybe_additive,
     check_ybe_multiplicative,
+    evolution_hamiltonian,
     yang_baxterize_eight_vertex,
 )
 from ybc.linalg import identity, max_abs_diff
@@ -108,6 +109,15 @@ PER_POINT_WORST = {
     ),
     "ybe-multiplicative": _per_point_ybe_multiplicative,
     "eight-vertex-unitary": _per_point_eight_vertex_unitary,
+    "hamiltonian": lambda: max(
+        max_abs_diff(
+            evolution_hamiltonian(GateParams(theta, phi), gamma=gamma, hbar=1.0, step=1e-4),
+            gamma * build_s(phi),
+        )
+        for gamma in (0.5, 1.0, 2.0)
+        for theta in (0.3, 1.0, 2.2)
+        for phi in (0.0, math.pi / 4.0)
+    ),
 }
 
 

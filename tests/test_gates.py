@@ -35,6 +35,13 @@ class TestDcnot:
         assert np.allclose(d.sum(axis=1), 1.0)
         assert np.allclose(d[d > 0], 1.0)
 
+    def test_returns_a_fresh_array_over_a_read_only_target(self):
+        d = dcnot()
+        d[0, 0] = 5.0
+        assert dcnot()[0, 0] == 1.0
+        assert not gates._DCNOT.flags.writeable
+        assert gates._DCNOT.tobytes() == dcnot().tobytes()
+
 
 class TestLocalFactors:
     def test_all_factors_unitary(self):
@@ -135,6 +142,30 @@ class TestBlockedScan:
         assert batched.tobytes() == scalar.tobytes()
         one_point = [gates._exact_residuals(np.array([p]), left, right)[0] for p in grid]
         assert np.array(one_point).tobytes() == scalar.tobytes()
+
+    # A scalar phase, a one-element stack, a full block and the short last
+    # block of the 1000-point grid, whose blocks start at 0, 256, 512, 768.
+    @pytest.mark.parametrize(
+        "phis",
+        [
+            0.7,
+            np.array([0.7]),
+            np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)[:256],
+            np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False)[768:],
+        ],
+        ids=["scalar", "one-element", "full-block", "short-last-block"],
+    )
+    @pytest.mark.parametrize("factors", [local_factors, perturbed_factors])
+    def test_flattened_products_are_bitwise_the_4x4_products(self, factors, phis):
+        f = factors()
+        left, right = kron(f.a, f.b), kron(f.c, f.d)
+        oracle = np.array([
+            np.abs(kron(f.a, f.b) @ build_s(p) @ kron(f.c, f.d) - dcnot()).max()
+            for p in np.atleast_1d(phis).tolist()
+        ])
+        residuals = gates._exact_residuals(phis, left, right)
+        assert np.shape(residuals) == np.shape(phis)
+        assert np.atleast_1d(residuals).tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("scan_points", [4096, 1000, 1, 2, np.int64(1000)])
     def test_report_is_the_scalar_scans(self, scan_points):
