@@ -1,20 +1,19 @@
 """Yang-Baxter braid gates and coherence dynamics under repeated channel use."""
 
 from .braid_ybe import (
-    GateParams,
     build_eight_vertex_b,
-    build_r_theta_phi,
+    build_hamiltonian,
+    build_r,
     build_s,
     check_braid_relation,
     check_far_commutation,
     check_ybe_additive,
     check_ybe_multiplicative,
-    evolution_hamiltonian,
     yang_baxterize_eight_vertex,
     yang_baxterize_rational,
 )
 from .gates import dcnot, local_factors, verify_dcnot_equivalence
-from .linalg import dagger, kron, max_abs_diff
+from .linalg import kron, max_abs_diff
 from .strategies import (
     ONE_QUBIT,
     TWO_QUBIT,

@@ -23,32 +23,11 @@ Yang-Baxter equation with multiplicative spectral parameters.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .linalg import identity, kron, max_abs_diff
-
-DEFAULT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class GateParams:
-    """Angle pair (theta, phi) selecting one gate R(theta, phi)."""
-
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError(f"angles must be finite: {self.theta}, {self.phi}")
-
-
-class CheckResult(NamedTuple):
-    residual: float
-    passed: bool
 
 
 def build_s(phi: float | np.ndarray) -> np.ndarray:
@@ -72,14 +51,10 @@ def build_r(theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndarray:
 
     Broadcasts like ``build_s``: arrays of angles give the stack of shape
     ``np.broadcast_shapes(theta.shape, phi.shape) + (4, 4)``.
+    ValueError, naming the angle, for a non-finite theta or phi.
     """
-    theta = np.asarray(theta)[..., None, None]
-    return np.sin(theta) * identity(4) + 1j * np.cos(theta) * build_s(phi)
-
-
-def build_r_theta_phi(params: GateParams) -> np.ndarray:
-    """R(theta, phi) at one validated angle pair."""
-    return build_r(params.theta, params.phi)
+    theta = _finite(theta, "theta")[..., None, None]
+    return np.sin(theta) * identity(4) + 1j * np.cos(theta) * build_s(_finite(phi, "phi"))
 
 
 def _finite(value, name: str) -> np.ndarray:
@@ -195,27 +170,23 @@ def _embed_two_site(b: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     return kron(op, identity(2 ** (n_sites - site - 2)))
 
 
-def check_braid_relation(b: np.ndarray, tol: float = DEFAULT_TOL) -> CheckResult:
+def check_braid_relation(b: np.ndarray) -> float:
     """Residual of b1 b2 b1 = b2 b1 b2 on three qubits; the worst for a stack of b."""
     b = np.asarray(b, dtype=complex)
     b1 = _embed_two_site(b, 0, 3)
     b2 = _embed_two_site(b, 1, 3)
-    residual = max_abs_diff(b1 @ b2 @ b1, b2 @ b1 @ b2)
-    return CheckResult(residual, residual <= tol)
+    return max_abs_diff(b1 @ b2 @ b1, b2 @ b1 @ b2)
 
 
-def check_far_commutation(b: np.ndarray, tol: float = DEFAULT_TOL) -> CheckResult:
+def check_far_commutation(b: np.ndarray) -> float:
     """Residual of far commutation b1 b3 = b3 b1 on four qubits; worst over a stack."""
     b = np.asarray(b, dtype=complex)
     b1 = _embed_two_site(b, 0, 4)
     b3 = _embed_two_site(b, 2, 4)
-    residual = max_abs_diff(b1 @ b3, b3 @ b1)
-    return CheckResult(residual, residual <= tol)
+    return max_abs_diff(b1 @ b3, b3 @ b1)
 
 
-def _ybe_residual(
-    r_u: np.ndarray, r_w: np.ndarray, r_v: np.ndarray, tol: float
-) -> CheckResult:
+def _ybe_residual(r_u: np.ndarray, r_w: np.ndarray, r_v: np.ndarray) -> float:
     """Residual of R1(u) R2(w) R1(v) = R2(v) R1(w) R2(u) from R(u), R(w), R(v).
 
     R1 = R (x) I and R2 = I (x) R; each R is built once and feeds both.
@@ -223,33 +194,26 @@ def _ybe_residual(
     """
     i2 = identity(2)
     lhs = kron(r_u, i2) @ kron(i2, r_w) @ kron(r_v, i2)
-    residual = max_abs_diff(lhs, kron(i2, r_v) @ kron(r_w, i2) @ kron(i2, r_u))
-    return CheckResult(residual, residual <= tol)
+    return max_abs_diff(lhs, kron(i2, r_v) @ kron(r_w, i2) @ kron(i2, r_u))
 
 
 def check_ybe_additive(
-    phi: float | np.ndarray,
-    mu: float | np.ndarray,
-    nu: float | np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> CheckResult:
+    phi: float | np.ndarray, mu: float | np.ndarray, nu: float | np.ndarray
+) -> float:
     """Residual of R1(mu) R2(mu+nu) R1(nu) = R2(nu) R1(mu+nu) R2(mu).
 
     R is the rational family at the given phi; R1 = R (x) I, R2 = I (x) R.
     Broadcastable arrays of phi, mu and nu give the worst residual over the
     grid.
     """
-    return _ybe_residual(
-        *(yang_baxterize_rational(phi, m) for m in (mu, mu + nu, nu)), tol
-    )
+    return _ybe_residual(*(yang_baxterize_rational(phi, m) for m in (mu, mu + nu, nu)))
 
 
 def check_ybe_multiplicative(
     builder: Callable[[float | np.ndarray], np.ndarray],
     x: float | np.ndarray,
     y: float | np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> CheckResult:
+) -> float:
     """Residual of R1(x) R2(xy) R1(y) = R2(y) R1(xy) R2(x) for a gate family.
 
     ``builder`` maps a spectral parameter to a 4x4 matrix, e.g.
@@ -257,7 +221,7 @@ def check_ybe_multiplicative(
     broadcasts takes broadcastable arrays of x and y, and the residual is
     then the worst over the grid.
     """
-    return _ybe_residual(builder(x), builder(x * y), builder(y), tol)
+    return _ybe_residual(builder(x), builder(x * y), builder(y))
 
 
 def build_hamiltonian(
@@ -285,25 +249,16 @@ def build_hamiltonian(
     )
     if not (_finite(step, "step") > 0):
         raise ValueError(f"step must be positive, got {step!r}")
+    overflow = "the generator must be finite: theta +/- gamma step or its scale overflows"
     with np.errstate(over="ignore", invalid="ignore"):
         shift = gamma * step
-        r_plus = build_r(theta + shift, phi)
-        r_minus = build_r(theta - shift, phi)
-        derivative = (r_plus - r_minus) / (2.0 * step)
+        plus, minus = theta + shift, theta - shift
+        # Checked here, or build_r would name theta for an overflowing shift.
+        if not (np.isfinite(plus).all() and np.isfinite(minus).all()):
+            raise ValueError(overflow)
+        derivative = (build_r(plus, phi) - build_r(minus, phi)) / (2.0 * step)
         r = build_r(theta, phi)
         h = 1j * hbar * derivative @ r.conj().swapaxes(-1, -2)
     if not np.isfinite(h).all():
-        raise ValueError(
-            "the generator must be finite: theta +/- gamma step or its scale overflows"
-        )
+        raise ValueError(overflow)
     return h
-
-
-def evolution_hamiltonian(
-    params: GateParams,
-    gamma: float = 1.0,
-    hbar: float = 1.0,
-    step: float = 1e-4,
-) -> np.ndarray:
-    """``build_hamiltonian`` at one validated angle pair."""
-    return build_hamiltonian(params.theta, params.phi, gamma, hbar, step)

@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import braid_ybe, gates, strategies
-from .braid_ybe import GateParams
 from .linalg import identity, max_abs_diff
 
 SWEEP_HEADER = "strategy,x,theta,phi,N,c_l1_sim,c_r_sim,c_l1_closed,deviation"
@@ -84,12 +83,12 @@ def _check_s_hermitian() -> tuple[float, str]:
 
 
 def _check_braid() -> tuple[float, str]:
-    res = braid_ybe.check_braid_relation(braid_ybe.build_s(_phi_grid())).residual
+    res = braid_ybe.check_braid_relation(braid_ybe.build_s(_phi_grid()))
     return res, "b1 b2 b1 = b2 b1 b2 on 3 qubits over 32 phases"
 
 
 def _check_far_commutation() -> tuple[float, str]:
-    res = braid_ybe.check_far_commutation(braid_ybe.build_s(_phi_grid(8))).residual
+    res = braid_ybe.check_far_commutation(braid_ybe.build_s(_phi_grid(8)))
     return res, "b1 b3 = b3 b1 on 4 qubits"
 
 
@@ -102,7 +101,7 @@ def _check_ybe_additive() -> tuple[float, str]:
     mu, nu = np.meshgrid(*2 * ((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0),), indexing="ij")
     # The three phases stacked: the rational builder broadcasts phi against mu.
     phi = np.array([0.0, math.pi / 4.0, 1.1])[:, None, None]
-    res = braid_ybe.check_ybe_additive(phi, mu, nu).residual
+    res = braid_ybe.check_ybe_additive(phi, mu, nu)
     return res, "additive YBE over mu, nu in {-2,-1,-1/2,1/2,1,2}^2, 3 phases"
 
 
@@ -114,7 +113,7 @@ def _check_ybe_multiplicative() -> tuple[float, str]:
     res = max(
         braid_ybe.check_ybe_multiplicative(
             functools.partial(family, sign, q[:, None, None], normalized=n), x, y
-        ).residual
+        )
         for sign in (+1, -1)
         for n in (False, True)
     )
@@ -148,8 +147,8 @@ def _check_hamiltonian() -> tuple[float, str]:
     )
     h = braid_ybe.build_hamiltonian(theta, phi, gamma, hbar=1.0, step=step)
     worst = max_abs_diff(h, gamma[..., None, None] * braid_ybe.build_s(phi))
-    h1 = braid_ybe.evolution_hamiltonian(GateParams(0.8, 0.3), step=step)
-    h2 = braid_ybe.evolution_hamiltonian(GateParams(0.8, 0.3), step=step / 2.0)
+    h1 = braid_ybe.build_hamiltonian(0.8, 0.3, step=step)
+    h2 = braid_ybe.build_hamiltonian(0.8, 0.3, step=step / 2.0)
     e1 = max_abs_diff(h1, braid_ybe.build_s(0.3))
     e2 = max_abs_diff(h2, braid_ybe.build_s(0.3))
     ratio = e1 / e2 if e2 > 0 else float("inf")

@@ -8,7 +8,8 @@ and factors as (A (x) B) S(phi) (C (x) D) for explicit single-qubit
 unitaries A, B, C, D.  The phase phi at which the factorization holds is
 not assumed; ``verify_dcnot_equivalence`` scans phi, refines the best
 point and reports the minimizing phi together with the residual both
-exactly and up to a global phase.
+exactly and up to a global phase.  ``equivalence_residuals`` gives the
+same residuals at one given phi.  Neither decides pass or fail.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 from .braid_ybe import build_s
 from .linalg import identity, kron, max_abs_diff
 
-DEFAULT_TOL = 1e-10
+# How far from unitary a factor of ``LocalFactors`` may be.
+_UNITARY_TOL = 1e-10
 SCAN_POINTS = 4096
 # The most phases whose S(phi) the scan stacks at once.  Stacking the whole
 # grid holds about 660 bytes a phase at once; the blocked scan keeps only
@@ -42,7 +44,7 @@ class LocalFactors:
         for name in ("a", "b", "c", "d"):
             m = np.asarray(getattr(self, name), dtype=complex)
             object.__setattr__(self, name, m)
-            if max_abs_diff(m @ m.conj().T, identity(2)) > DEFAULT_TOL:
+            if max_abs_diff(m @ m.conj().T, identity(2)) > _UNITARY_TOL:
                 raise ValueError(f"factor {name.upper()} is not unitary")
 
 
@@ -88,8 +90,6 @@ class EquivalenceReport:
     residual: float
     phase: float
     residual_up_to_phase: float
-    passed: bool
-    tol: float
 
     def best_residual(self) -> float:
         return min(self.residual, self.residual_up_to_phase)
@@ -163,25 +163,13 @@ def _refine(f, lo: float, hi: float, iterations: int = 80) -> float:
     return (a + b) / 2.0
 
 
-def verify_dcnot_equivalence(
-    phi: float | None = None,
-    tol: float = DEFAULT_TOL,
-    scan_points: int = SCAN_POINTS,
-) -> EquivalenceReport:
-    """Check the DCNOT factorization, scanning phi when none is given.
+def verify_dcnot_equivalence(scan_points: int = SCAN_POINTS) -> EquivalenceReport:
+    """Find the phi that best factors DCNOT, and its residuals.
 
-    With ``phi`` set, evaluates the residual at that phase only.  Otherwise
-    scans ``scan_points`` phases over [0, 2pi), ``SCAN_BLOCK`` at a time,
-    refines the best one, and reports the global minimum even when it misses
-    ``tol``.  Raises ValueError for a non-finite ``phi`` or a ``scan_points``
-    that is not an int >= 1.
+    Scans ``scan_points`` phases over [0, 2pi), ``SCAN_BLOCK`` at a time,
+    refines the best one, and reports the global minimum.  Raises
+    ValueError for a ``scan_points`` that is not an int >= 1.
     """
-    factors = local_factors()
-    if phi is not None:
-        exact, aligned, alpha = equivalence_residuals(phi, factors)
-        return EquivalenceReport(
-            float(phi), exact, alpha, aligned, min(exact, aligned) <= tol, tol
-        )
     if (
         isinstance(scan_points, bool)
         or not isinstance(scan_points, (int, np.integer))
@@ -189,6 +177,7 @@ def verify_dcnot_equivalence(
     ):
         raise ValueError(f"scan_points must be an int >= 1, got {scan_points!r}")
 
+    factors = local_factors()
     left, right = kron(factors.a, factors.b), kron(factors.c, factors.d)
     grid = np.linspace(0.0, 2.0 * np.pi, scan_points, endpoint=False)
     residuals = np.empty(scan_points)
@@ -205,6 +194,4 @@ def verify_dcnot_equivalence(
     if residuals[best] <= exact_at(phi_best):
         phi_best = float(grid[best])
     exact, aligned, alpha = equivalence_residuals(phi_best, factors)
-    return EquivalenceReport(
-        float(phi_best), exact, alpha, aligned, min(exact, aligned) <= tol, tol
-    )
+    return EquivalenceReport(float(phi_best), exact, alpha, aligned)

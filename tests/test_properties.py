@@ -28,14 +28,13 @@ from ybc import cli, strategies
 from ybc.strategies import (
     ONE_QUBIT,
     TWO_QUBIT,
-    batched_grid,
     closed_form_l1_one_qubit,
     closed_form_l1_two_qubit,
     elementwise_reduced_one_qubit,
     elementwise_reduced_two_qubit,
 )
 
-from reference import kernel_spectrum, mpmath_reference
+from reference import batched_grid, kernel_spectrum, mpmath_reference
 
 POINTS = dict(
     kind=st.sampled_from([ONE_QUBIT, TWO_QUBIT]),

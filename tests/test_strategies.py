@@ -12,7 +12,6 @@ from ybc.strategies import (
     ONE_QUBIT,
     TWO_QUBIT,
     DeviationSummary,
-    batched_grid,
     closed_form_l1_one_qubit,
     closed_form_l1_two_qubit,
     compare_columns,
@@ -20,7 +19,7 @@ from ybc.strategies import (
     elementwise_reduced_two_qubit,
 )
 
-from reference import kernel_reduced_state, kernel_spectrum, mpmath_reference
+from reference import batched_grid, kernel_reduced_state, kernel_spectrum, mpmath_reference
 
 
 def identity_power(theta, n):
@@ -121,7 +120,7 @@ class TestApplyChannel:
             assert max_abs_diff(out, input_reduced_state(kind, 0.3)) <= 1e-12
 
     def test_two_uses_equal_one_twice(self):
-        r = braid_ybe.build_r_theta_phi(braid_ybe.GateParams(0.9, 0.3))
+        r = braid_ybe.build_r(0.9, 0.3)
         assert max_abs_diff(kernel_power(0.9, 0.3, 1), r) <= 1e-12
         assert max_abs_diff(kernel_power(0.9, 0.3, 2), r @ r) <= 1e-12
 
@@ -516,7 +515,7 @@ class TestBatchedGrid:
             raise AssertionError("the kernel reached a gate, matrix power or eigensolver")
 
         for owner, name in (
-            (braid_ybe, "build_r_theta_phi"),
+            (braid_ybe, "build_r"),
             (linalg, "kron"),
             (np, "kron"),
             (np.linalg, "matrix_power"),
