@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import identity, kron, max_abs_diff
+from .linalg import _finite, identity, kron, max_abs_diff
 
 
 def build_s(phi: float | np.ndarray) -> np.ndarray:
@@ -35,7 +35,13 @@ def build_s(phi: float | np.ndarray) -> np.ndarray:
 
     An array of phases gives the C-contiguous stack of shape
     ``phi.shape + (4, 4)``, each matrix bitwise equal to its scalar call.
+    ValueError for a non-finite phi.
     """
+    return _s(_finite(phi, "phi"))
+
+
+def _s(phi: float | np.ndarray) -> np.ndarray:
+    """``build_s`` for a phi that the caller has already checked."""
     ep = np.exp(1j * phi)
     em = np.exp(-1j * phi)
     s = np.zeros(np.shape(ep) + (4, 4), dtype=complex)
@@ -54,15 +60,7 @@ def build_r(theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndarray:
     ValueError, naming the angle, for a non-finite theta or phi.
     """
     theta = _finite(theta, "theta")[..., None, None]
-    return np.sin(theta) * identity(4) + 1j * np.cos(theta) * build_s(_finite(phi, "phi"))
-
-
-def _finite(value, name: str) -> np.ndarray:
-    """``value`` as a float array; ValueError unless every entry is finite."""
-    array = np.asarray(value, dtype=float)
-    if not np.isfinite(array).all():
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return array
+    return np.sin(theta) * identity(4) + 1j * np.cos(theta) * _s(_finite(phi, "phi"))
 
 
 def yang_baxterize_rational(
@@ -77,17 +75,11 @@ def yang_baxterize_rational(
     bitwise its one-point call.
     ValueError for a non-finite phi or mu, or an overflowing 1 + mu^2.
     """
-    _finite(phi, "phi")
+    s = _s(_finite(phi, "phi"))
     mu = _finite(mu, "mu")[..., None, None]
     with np.errstate(over="ignore"):
         hyp = _finite(np.sqrt(1.0 + mu * mu), "sqrt(1 + mu^2)")
-    return (identity(4) + 1j * mu * build_s(phi)) / hyp
-
-
-def _check_sign(sign: int) -> int:
-    if sign not in (+1, -1):
-        raise ValueError(f"braid sign must be +1 or -1, got {sign!r}")
-    return int(sign)
+    return (identity(4) + 1j * mu * s) / hyp
 
 
 def build_eight_vertex_b(
@@ -132,7 +124,9 @@ def yang_baxterize_eight_vertex(
     is zero or whose q or 1/q is not finite, a non-finite x (or 1 + x^2
     when normalized), and a built entry that overflows, such as q(1-x).
     """
-    s = _check_sign(sign)
+    if sign not in (+1, -1):
+        raise ValueError(f"braid sign must be +1 or -1, got {sign!r}")
+    s = int(sign)
     q = np.asarray(q, dtype=complex)
     with np.errstate(all="ignore"):
         q_ok = np.isfinite(q) & np.isfinite(1.0 / q)
@@ -161,6 +155,7 @@ def yang_baxterize_eight_vertex(
 
 def _embed_two_site(b: np.ndarray, site: int, n_sites: int) -> np.ndarray:
     """Embed a two-site 4x4 operator, or a stack, at (site, site+1) of n qubits."""
+    b = np.asarray(b, dtype=complex)
     if b.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-site operator, got {b.shape}")
     if site < 0 or site + 1 >= n_sites:
@@ -172,7 +167,6 @@ def _embed_two_site(b: np.ndarray, site: int, n_sites: int) -> np.ndarray:
 
 def check_braid_relation(b: np.ndarray) -> float:
     """Residual of b1 b2 b1 = b2 b1 b2 on three qubits; the worst for a stack of b."""
-    b = np.asarray(b, dtype=complex)
     b1 = _embed_two_site(b, 0, 3)
     b2 = _embed_two_site(b, 1, 3)
     return max_abs_diff(b1 @ b2 @ b1, b2 @ b1 @ b2)
@@ -180,7 +174,6 @@ def check_braid_relation(b: np.ndarray) -> float:
 
 def check_far_commutation(b: np.ndarray) -> float:
     """Residual of far commutation b1 b3 = b3 b1 on four qubits; worst over a stack."""
-    b = np.asarray(b, dtype=complex)
     b1 = _embed_two_site(b, 0, 4)
     b3 = _embed_two_site(b, 2, 4)
     return max_abs_diff(b1 @ b3, b3 @ b1)

@@ -55,25 +55,20 @@ def _phi_grid(n: int = 32) -> np.ndarray:
     return np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
 
 
-def _identity_residual(m: np.ndarray) -> float:
-    """max |m - I| over a stack of 4x4 matrices."""
-    return float(np.abs(m - identity(4)).max())
-
-
 def _unitarity_residual(m: np.ndarray) -> float:
     """max |m m^dagger - I| over a stack of 4x4 matrices."""
-    return _identity_residual(m @ m.conj().swapaxes(-1, -2))
+    return max_abs_diff(m @ m.conj().swapaxes(-1, -2), identity(4))
 
 
 def _check_s_unitary() -> tuple[float, str]:
     s = braid_ybe.build_s(_phi_grid())
-    res = _identity_residual(s.conj().swapaxes(-1, -2) @ s)
+    res = max_abs_diff(s.conj().swapaxes(-1, -2) @ s, identity(4))
     return res, "S(phi)^dagger S(phi) = I over 32 phases"
 
 
 def _check_s_involution() -> tuple[float, str]:
     s = braid_ybe.build_s(_phi_grid())
-    return _identity_residual(s @ s), "S(phi)^2 = I over 32 phases"
+    return max_abs_diff(s @ s, identity(4)), "S(phi)^2 = I over 32 phases"
 
 
 def _check_s_hermitian() -> tuple[float, str]:
@@ -155,7 +150,7 @@ def _check_hamiltonian() -> tuple[float, str]:
     return worst, f"finite-difference H vs gamma*hbar*S, halving ratio {ratio:.2f}"
 
 
-# (key, description, callable, default tolerance)
+# (key, check returning (residual, description), default tolerance)
 VERIFY_CHECKS: list[tuple[str, Callable[[], tuple[float, str]], float]] = [
     ("s-unitary", _check_s_unitary, 1e-12),
     ("s-involution", _check_s_involution, 1e-12),
@@ -292,6 +287,28 @@ def _parse_int_list(text: str, name: str) -> list[int]:
     return values
 
 
+def _grid_axes(args, copies: int, defaults) -> list:
+    """The grid's (xs, thetas, phis, ns) from the four grid flags.
+
+    A flag that is not given takes its axis from ``defaults``.  ValueError
+    for a malformed flag, a grid of more than ``MAX_ROWS`` rows (``copies``
+    rows a point) or an x outside [0, 1].
+    """
+    xs, thetas, phis, ns = defaults
+    if args.x is not None:
+        xs = _parse_range(args.x, "x")
+    if args.theta is not None:
+        thetas = _parse_range(args.theta, "theta", scale=math.pi)
+    if args.phi is not None:
+        phis = _parse_list(args.phi, "phi", scale=math.pi)
+    if args.n is not None:
+        ns = _parse_int_list(args.n, "n")
+    axes = _grid(copies, xs, thetas, phis, ns)
+    if not all(0.0 <= x <= 1.0 for x in axes[0]):
+        raise ValueError("--x values must lie in [0, 1]")
+    return axes
+
+
 class _RowError(Exception):
     """A ValueError raised while the rows of a CSV were computed."""
 
@@ -395,15 +412,8 @@ def cmd_sweep(args) -> int:
     try:
         if args.strategy not in ("one", "two"):
             raise ValueError(f"--strategy must be one or two, got {args.strategy!r}")
-        xs, thetas, phis, ns = _grid(
-            1,
-            _parse_range(args.x, "x"),
-            _parse_range(args.theta, "theta", scale=math.pi),
-            _parse_list(args.phi, "phi", scale=math.pi),
-            _parse_int_list(args.n, "n"),
-        )
-        if not all(0.0 <= x <= 1.0 for x in xs):
-            raise ValueError("--x values must lie in [0, 1]")
+        # Every grid flag is required, so no default axis is read.
+        xs, thetas, phis, ns = _grid_axes(args, 1, strategies.default_axes())
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -431,28 +441,13 @@ def cmd_figure(args) -> int:
 
 def cmd_compare(args) -> int:
     formula = args.formula
-    if formula not in strategies.DROPPED_COLUMNS:
-        print(
-            f"--formula must be closed, elements or all, got {formula!r}",
-            file=sys.stderr,
-        )
-        return 2
-    xs, thetas, phis, ns = strategies.default_axes()
     try:
+        if formula not in strategies.DROPPED_COLUMNS:
+            raise ValueError(f"--formula must be closed, elements or all, got {formula!r}")
         if args.strategy not in ("one", "two", "all"):
             raise ValueError(f"--strategy must be one, two or all, got {args.strategy!r}")
         kinds = ("one", "two") if args.strategy == "all" else (args.strategy,)
-        if args.x is not None:
-            xs = _parse_range(args.x, "x")
-        if args.theta is not None:
-            thetas = _parse_range(args.theta, "theta", scale=math.pi)
-        if args.phi is not None:
-            phis = _parse_list(args.phi, "phi", scale=math.pi)
-        if args.n is not None:
-            ns = _parse_int_list(args.n, "n")
-        xs, thetas, phis, ns = _grid(len(kinds), xs, thetas, phis, ns)
-        if not all(0.0 <= x <= 1.0 for x in xs):
-            raise ValueError("--x values must lie in [0, 1]")
+        xs, thetas, phis, ns = _grid_axes(args, len(kinds), strategies.default_axes())
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -487,13 +482,17 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the --config file; flags take precedence."""
+    """Fill unset options from the --config file; flags take precedence.
+
+    ValueError for a key that is not an option of the command.
+    """
     if getattr(args, "config", None) is None:
         return
     config = _read_config(args.config)
     for key, value in config.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        # Parsed fields that are not options: subcommand, handler, --config, figure's id.
+        if not hasattr(args, attr) or attr in ("command", "fn", "config", "id"):
             raise ValueError(f"unknown config key {key!r}")
         if getattr(args, attr) is None:
             setattr(args, attr, value)
@@ -530,36 +529,35 @@ def build_parser() -> argparse.ArgumentParser:
     }
 
     p_sweep = sub.add_parser("sweep", help="evaluate a parameter grid to CSV")
-    p_sweep.add_argument("--strategy", default=None, help="one or two")
-    for key, help_text in common.items():
-        p_sweep.add_argument(f"--{key}", default=None, help=help_text)
-    p_sweep.add_argument("--out", default=None, help="output CSV path")
-    p_sweep.add_argument("--config", default=None, help="key=value config file")
-    p_sweep.set_defaults(fn=cmd_sweep)
-
     p_figure = sub.add_parser(
         "figure", help="emit a preset 101x256 grid (ids: 2a, 2b, 4a, 4b)"
     )
     p_figure.add_argument("id", help="figure id: 2a, 2b, 4a or 4b")
-    p_figure.add_argument("--out", default=None, help="output CSV path")
-    p_figure.add_argument("--config", default=None, help="key=value config file")
-    p_figure.set_defaults(fn=cmd_figure)
-
     p_compare = sub.add_parser(
         "compare", help="cross-validate reference formulas against the simulation"
     )
-    p_compare.add_argument("--strategy", default=None, help="one, two or all")
-    for key, help_text in common.items():
-        p_compare.add_argument(f"--{key}", default=None, help=help_text)
+    for p, kinds in ((p_sweep, "one or two"), (p_compare, "one, two or all")):
+        p.add_argument("--strategy", default=None, help=kinds)
+        for key, help_text in common.items():
+            p.add_argument(f"--{key}", default=None, help=help_text)
     p_compare.add_argument(
         "--formula",
         default=None,
         help="closed, elements or all (default all)",
     )
-    p_compare.add_argument("--out", default=None, help="output CSV path")
-    p_compare.add_argument("--config", default=None, help="key=value config file")
-    p_compare.set_defaults(fn=cmd_compare)
+    for p, fn in ((p_sweep, cmd_sweep), (p_figure, cmd_figure), (p_compare, cmd_compare)):
+        p.add_argument("--out", default=None, help="output CSV path")
+        p.add_argument("--config", default=None, help="key=value config file")
+        p.set_defaults(fn=fn)
     return parser
+
+
+# The options that each command needs, from the flags or --config.
+REQUIRED = {
+    "sweep": ("strategy", "x", "theta", "phi", "n", "out"),
+    "figure": ("out",),
+    "compare": ("out",),
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -570,24 +568,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "sweep":
-        missing = [k for k in ("strategy", "x", "theta", "phi", "n", "out")
-                   if getattr(args, k) is None]
-        if missing:
-            print(f"sweep: missing required options: {', '.join(missing)}",
-                  file=sys.stderr)
-            return 2
-    if args.command == "figure" and args.out is None:
-        print("figure: missing required option: out", file=sys.stderr)
-        return 2
     if args.command == "compare":
-        if args.strategy is None:
-            args.strategy = "all"
-        if args.formula is None:
-            args.formula = "all"
-        if args.out is None:
-            print("compare: missing required option: out", file=sys.stderr)
-            return 2
+        for key in ("strategy", "formula"):
+            if getattr(args, key) is None:
+                setattr(args, key, "all")
+    required = REQUIRED.get(args.command, ())
+    missing = [key for key in required if getattr(args, key) is None]
+    if missing:
+        plural = "s" if len(required) > 1 else ""
+        print(f"{args.command}: missing required option{plural}: {', '.join(missing)}",
+              file=sys.stderr)
+        return 2
     return args.fn(args)
 
 

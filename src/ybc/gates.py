@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braid_ybe import build_s
-from .linalg import identity, kron, max_abs_diff
+from .braid_ybe import _s
+from .linalg import _finite, _positive_int, identity, kron, max_abs_diff
 
 # How far from unitary a factor of ``LocalFactors`` may be.
 _UNITARY_TOL = 1e-10
@@ -29,6 +29,8 @@ SCAN_POINTS = 4096
 # grid holds about 660 bytes a phase at once; the blocked scan keeps only
 # the grid and its residuals, 16 bytes a phase (traced by tracemalloc).
 SCAN_BLOCK = 256
+# Golden-section steps of the refine around the best scanned phase.
+_REFINE_ITERATIONS = 80
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,7 @@ def equivalence_residuals(
     Re Tr[e^{i alpha} M^dagger DCNOT].  Raises ValueError for a non-finite
     ``phi``.
     """
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi!r}")
+    _finite(phi, "phi")
     f = factors if factors is not None else local_factors()
     m, exact = _factorization(phi, kron(f.a, f.b), kron(f.c, f.d))
     overlap = complex(np.trace(m.conj().T @ _DCNOT))
@@ -128,30 +129,23 @@ def _factorization(
     products either way, so each residual is bitwise its one-phase call.
     """
     if np.ndim(phi) == 0:
-        m = left @ build_s(phi) @ right
+        m = left @ _s(phi) @ right
     else:
         n = len(phi)
-        m = left @ build_s(phi).transpose(1, 0, 2).reshape(4, 4 * n)
+        m = left @ _s(phi).transpose(1, 0, 2).reshape(4, 4 * n)
         # Row i * n + k of the second product is row i of M at phi[k].
         m = (m.reshape(4 * n, 4) @ right).reshape(4, n, 4).transpose(1, 0, 2)
     return m, np.abs(m - _DCNOT).max(axis=(-2, -1))
 
 
-def _exact_residuals(
-    phis: float | np.ndarray, left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """max|left S(phi) right - DCNOT| for one phase or each of a 1-D array."""
-    return _factorization(phis, left, right)[1]
-
-
-def _refine(f, lo: float, hi: float, iterations: int = 80) -> float:
+def _refine(f, lo: float, hi: float) -> float:
     """Golden-section refinement of a scalar residual minimum in [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iterations):
+    for _ in range(_REFINE_ITERATIONS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -170,25 +164,19 @@ def verify_dcnot_equivalence(scan_points: int = SCAN_POINTS) -> EquivalenceRepor
     refines the best one, and reports the global minimum.  Raises
     ValueError for a ``scan_points`` that is not an int >= 1.
     """
-    if (
-        isinstance(scan_points, bool)
-        or not isinstance(scan_points, (int, np.integer))
-        or scan_points < 1
-    ):
-        raise ValueError(f"scan_points must be an int >= 1, got {scan_points!r}")
-
+    _positive_int(scan_points, "scan_points")
     factors = local_factors()
     left, right = kron(factors.a, factors.b), kron(factors.c, factors.d)
     grid = np.linspace(0.0, 2.0 * np.pi, scan_points, endpoint=False)
     residuals = np.empty(scan_points)
     for start in range(0, scan_points, SCAN_BLOCK):
         block = grid[start : start + SCAN_BLOCK]
-        residuals[start : start + block.size] = _exact_residuals(block, left, right)
+        residuals[start : start + block.size] = _factorization(block, left, right)[1]
     best = int(np.argmin(residuals))
     span = 2.0 * np.pi / scan_points
 
     def exact_at(p):
-        return _exact_residuals(p, left, right)
+        return _factorization(p, left, right)[1]
 
     phi_best = _refine(exact_at, grid[best] - span, grid[best] + span)
     if residuals[best] <= exact_at(phi_best):

@@ -1,4 +1,4 @@
-"""Dense complex-matrix helpers of the gate algebra and the verify checks.
+"""Dense complex-matrix helpers of the gate algebra, and the input rules.
 
 All operators are numpy complex128 arrays in row-major layout with
 big-endian qubit indexing: the basis index of |q1 q2 ... qn> is
@@ -32,13 +32,32 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """max_ij |a_ij - b_ij|, the residual metric used by all checkers."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    """max_ij |a_ij - b_ij|, the residual metric used by all checkers.
+
+    ``b`` may broadcast against ``a``, such as one matrix against a stack,
+    as long as the broadcast shape is ``a.shape``.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    try:
+        b = np.broadcast_to(b, a.shape)
+    except ValueError:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}") from None
     return float(np.abs(a - b).max())
 
 
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
+
+
+def _finite(value, name: str) -> np.ndarray:
+    """``value`` as a float array; ValueError unless every entry is finite."""
+    array = np.asarray(value, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return array
+
+
+def _positive_int(value, name: str) -> None:
+    """ValueError unless ``value`` is an int >= 1; floats (even 2.0) and bools are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")

@@ -40,8 +40,9 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .braid_ybe import build_s
+from .braid_ybe import _s
 from .coherence import DEFAULT_TOL, EIG_CLAMP
+from .linalg import _finite, _positive_int
 
 StrategyKind = Literal["one", "two"]
 
@@ -54,16 +55,9 @@ TWO_QUBIT: StrategyKind = "two"
 # identity channel.
 POLE_WINDOW = 1e-8
 
-
-def _check_kind(kind) -> None:
-    if kind not in (ONE_QUBIT, TWO_QUBIT):
-        raise ValueError(f"unknown strategy kind {kind!r}")
-
-
-def _check_uses(n) -> None:
-    """N must be an integer >= 1; floats (even 2.0) and bools are rejected."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n_uses must be a positive integer, got {n!r}")
+# The largest deviation at which the compare summary says that a reference
+# formula matches the simulation.
+MATCH_TOL = 1e-10
 
 
 # Basis indices of the two nonzero input amplitudes, sqrt(1-x) and sqrt(x):
@@ -77,12 +71,13 @@ def _check_points(kind, x: np.ndarray, theta: np.ndarray, phi: float, n) -> None
     2 N theta, the largest product that any formula forms, must be finite
     too: beyond it the sines turn into NaN.
     """
-    _check_kind(kind)
-    _check_uses(n)
+    if kind not in (ONE_QUBIT, TWO_QUBIT):
+        raise ValueError(f"unknown strategy kind {kind!r}")
+    _positive_int(n, "n_uses")
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("x values must lie in [0, 1]")
-    if not (np.all(np.isfinite(theta)) and math.isfinite(phi)):
-        raise ValueError("angles must be finite")
+    _finite(theta, "theta")
+    _finite(phi, "phi")
     largest = float(np.max(np.abs(theta), initial=0.0))
     if n > sys.float_info.max or not math.isfinite(2.0 * float(n) * largest):
         raise ValueError(f"2 N theta must be finite, got N={n} and |theta| up to {largest!r}")
@@ -126,7 +121,7 @@ def _power_coefficients(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
 
 def _support_columns(kind, phi: float) -> np.ndarray:
     """The columns of S(phi), or of I (x) S(phi), at the input's two nonzero amplitudes."""
-    s = build_s(phi)
+    s = _s(phi)
     if kind == TWO_QUBIT:
         s = np.block([[s, np.zeros_like(s)], [np.zeros_like(s), s]])
     return s[:, _INPUT_SUPPORT[kind]]
@@ -394,11 +389,6 @@ def _one_qubit_elements(x, theta, phi: float, n: int):
     s12 = 0.5 * (bracket + alpha_term) if odd else 0.5 * (bracket - alpha_term)
     s11 = np.where(pole, 1.0 - x, s11)
     s12 = np.where(pole, np.sqrt(x * (1.0 - x)), s12)
-    _check_finite(s11, s12, x, theta, phi, n)
-    return s11, s12
-
-
-def _check_finite(s11, s12, x, theta, phi: float, n: int) -> None:
     finite = np.isfinite(s11) & np.isfinite(s12.real) & np.isfinite(s12.imag)
     if not np.all(finite):
         first = int(np.argmin(finite))
@@ -406,6 +396,7 @@ def _check_finite(s11, s12, x, theta, phi: float, n: int) -> None:
         raise ValueError(
             f"non-finite element at x={x!r}, theta={theta!r}, phi={phi!r}, N={n}"
         )
+    return s11, s12
 
 
 def _two_qubit_elements(x, theta, phi: float, n: int):
@@ -601,7 +592,7 @@ class DeviationSummary:
             )
         return ()
 
-    def format_summary(self, match_tol: float = 1e-10) -> str:
+    def format_summary(self) -> str:
         lines = [
             "formula deviation summary (|simulated - formula| per grid point)",
             f"{'strategy':>8} {'formula':>9} {'parity':>6} {'points':>7} "
@@ -610,7 +601,7 @@ class DeviationSummary:
         for s in self.stats():
             verdict = (
                 "matches simulation"
-                if s.max_deviation <= match_tol
+                if s.max_deviation <= MATCH_TOL
                 else "deviates from simulation"
             )
             lines.append(

@@ -64,6 +64,12 @@ class TestBuildS:
         assert grid.shape == (2, 3, 4, 4)
         assert grid.tobytes() == stack[:6].tobytes()
 
+    def test_rejects_non_finite_phi(self):
+        # A NaN or infinite scalar, and one bad entry in a stack, named.
+        for bad in (np.nan, np.inf, -np.inf, np.array([0.5, np.nan, 1.0])):
+            with pytest.raises(ValueError, match="phi must be finite"):
+                build_s(bad)
+
 
 class TestBraidRelation:
     def test_identity_passes(self):

@@ -287,7 +287,13 @@ class TestSweep:
 
     def test_missing_options(self, capsys):
         assert cli.main(["sweep", "--strategy", "one"]) == 2
-        assert "missing required" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "sweep: missing required options: x, theta, phi, n, out\n"
+        )
+        # "options" follows what sweep requires, not how many are missing.
+        argv = ["--strategy", "one", "--x", "0:1:2", "--theta", "0:1:2", "--phi", "0", "--n", "1"]
+        assert cli.main(["sweep", *argv]) == 2
+        assert capsys.readouterr().err == "sweep: missing required options: out\n"
 
     def test_invalid_grid(self, capsys, tmp_path):
         code = cli.main([
@@ -337,7 +343,8 @@ class TestSweep:
             "sweep", "--strategy", "one", "--x", "0:2:3", "--theta", "0:1:2",
             "--phi", "0", "--n", "1", "--out", str(tmp_path / "x.csv"),
         ])
-        assert code == 2
+        assert code == 2 and list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == "--x values must lie in [0, 1]\n"
 
     def test_unwritable_output(self, capsys, tmp_path):
         code = cli.main([
@@ -398,10 +405,23 @@ class TestSweep:
         assert not (tmp_path / "config.csv").exists()
 
     def test_bad_config_key(self, tmp_path, capsys):
+        # A key must name an option of the command: not an unknown name, the
+        # parser's own fields, --config itself or a positional argument.
+        out = tmp_path / "out.csv"
+        sweep = f"strategy=one\nx=0.5:0.5:1\ntheta=0.5:0.5:1\nphi=0.25\nn=1\nout={out}\n"
+        cases = [
+            (["sweep"], "bogus=1\n", "bogus"),
+            (["sweep"], sweep + "fn=bogus\n", "fn"),
+            (["sweep"], sweep + "command=verify\n", "command"),
+            (["sweep"], sweep + "config=/nonexistent\n", "config"),
+            (["figure", "2a"], f"out={out}\nid=4b\n", "id"),
+        ]
         config = tmp_path / "bad.cfg"
-        config.write_text("bogus=1\n")
-        assert cli.main(["sweep", "--config", str(config)]) == 2
-        assert "config error" in capsys.readouterr().err
+        for argv, text, key in cases:
+            config.write_text(text)
+            assert cli.main([*argv, "--config", str(config)]) == 2
+            assert capsys.readouterr().err == f"config error: unknown config key {key!r}\n"
+            assert not out.exists()
 
 
 class TestCsvRows:
@@ -420,6 +440,7 @@ class TestFigure:
 
     def test_missing_out(self, capsys):
         assert cli.main(["figure", "2a"]) == 2
+        assert capsys.readouterr().err == "figure: missing required option: out\n"
 
     def test_figure_2a_header_and_size(self, tmp_path):
         out = tmp_path / "fig2a.csv"
@@ -491,6 +512,15 @@ class TestCompare:
         row = out.read_text().splitlines()[1].split(",")
         assert row[6] == "nan" and row[8] == "nan"  # closed-form columns
         assert row[7] != "nan" and row[9] != "nan"  # element columns
+
+    def test_missing_out(self, capsys):
+        assert cli.main(["compare", "--strategy", "one"]) == 2
+        assert capsys.readouterr().err == "compare: missing required option: out\n"
+
+    def test_x_outside_unit_interval(self, capsys, tmp_path):
+        assert cli.main(["compare", "--x", "0:2:3", "--out", str(tmp_path / "c.csv")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == "--x values must lie in [0, 1]\n"
 
     def test_bad_formula(self, capsys, tmp_path):
         assert cli.main([

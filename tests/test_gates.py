@@ -138,10 +138,10 @@ class TestBlockedScan:
         f = factors()
         left, right = kron(f.a, f.b), kron(f.c, f.d)
         grid = np.linspace(0.0, 2.0 * np.pi, scan_points, endpoint=False)
-        batched = gates._exact_residuals(grid, left, right)
+        batched = gates._factorization(grid, left, right)[1]
         scalar = np.array([equivalence_residuals(p, f)[0] for p in grid])
         assert batched.tobytes() == scalar.tobytes()
-        one_point = [gates._exact_residuals(np.array([p]), left, right)[0] for p in grid]
+        one_point = [gates._factorization(np.array([p]), left, right)[1][0] for p in grid]
         assert np.array(one_point).tobytes() == scalar.tobytes()
 
     # A scalar phase, a one-element stack, a full block and the short last
@@ -164,7 +164,7 @@ class TestBlockedScan:
             np.abs(kron(f.a, f.b) @ build_s(p) @ kron(f.c, f.d) - dcnot()).max()
             for p in np.atleast_1d(phis).tolist()
         ])
-        residuals = gates._exact_residuals(phis, left, right)
+        residuals = gates._factorization(phis, left, right)[1]
         assert np.shape(residuals) == np.shape(phis)
         assert np.atleast_1d(residuals).tobytes() == oracle.tobytes()
 

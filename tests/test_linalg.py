@@ -84,3 +84,8 @@ class TestMaxAbsDiff:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             max_abs_diff(identity(2), identity(3))
+        # b broadcasts against a, but the result must keep a's shape.
+        stack = build_s(np.linspace(0.0, 1.0, 32))
+        assert max_abs_diff(stack @ stack, identity(4)) <= 1e-12
+        with pytest.raises(ValueError, match="shape mismatch"):
+            max_abs_diff(identity(4), stack)

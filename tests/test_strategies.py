@@ -807,7 +807,7 @@ class TestDiscrepancyReport:
         # unitary and the kernel's trace check passes.
         x_gate = np.array([[0, 1], [1, 0]], dtype=complex)
         pert = np.cos(0.01) * identity(4) + 1j * np.sin(0.01) * kron(x_gate, identity(2))
-        build_s = strategies.build_s
+        build_s = strategies._s
         thetas = np.linspace(0.3, 5.9, 12)
 
         def worst_deviation():
@@ -815,5 +815,5 @@ class TestDiscrepancyReport:
             return float(column(values, "deviation_closed").max())
 
         assert worst_deviation() <= 1e-10
-        monkeypatch.setattr(strategies, "build_s", lambda phi: pert @ build_s(phi) @ pert.conj().T)
+        monkeypatch.setattr(strategies, "_s", lambda phi: pert @ build_s(phi) @ pert.conj().T)
         assert worst_deviation() > 1e-3
