@@ -1,23 +1,33 @@
-"""Command-line front end.
+from __future__ import annotations
 
-Subcommands:
+__doc__ = """ybc: braid-gate algebra checks and coherence grids of R(theta, phi).
 
     ybc verify  [--tolerance T] [--only CHECK]
     ybc sweep   --strategy one|two --x A:B:N --theta A:B:N --phi LIST
-                --n LIST --out FILE
-    ybc figure  {2a,2b,4a,4b} --out FILE
-    ybc compare [sweep flags] [--formula closed|elements|all] --out FILE
+                --n LIST --out FILE [--config FILE]
+    ybc figure  2a|2b|4a|4b --out FILE [--config FILE]
+    ybc compare [--strategy one|two|all] [sweep's grid flags]
+                [--formula closed|elements|all] --out FILE [--config FILE]
+    ybc -h | --help
 
-Angles are given on the command line in units of pi (``--theta 0.5`` means
-pi/2) so the special points are exactly representable; CSV output stores
-radians.  Exit codes: 0 success, 1 verification failure, 2 usage or I/O
-error.  The YBC_TOLERANCE environment variable overrides the default
-verify tolerances; an explicit --tolerance overrides both.
+    --tolerance T   override every verify tolerance and YBC_TOLERANCE
+    --only CHECK    run only the verify checks whose key contains CHECK
+    --strategy S    one or two (sweep); one, two or all (compare, default all)
+    --x A:B:N       inclusive x range, values in [0, 1]
+    --theta A:B:N   inclusive theta range, in units of pi
+    --phi LIST      comma-separated phi values, in units of pi
+    --n LIST        comma-separated channel-use counts
+    --formula F     closed, elements or all (compare, default all)
+    --out FILE      output CSV path
+    --config FILE   key=value lines that set the command's other options
+
+A flag's value is the next argument, even one that starts with "-"
+(--theta -1:1:3), or follows "=" (--theta=-1:1:3).  The last of a repeated
+flag wins, flags win over --config, and no flag may be abbreviated.  Angles
+in units of pi keep the special points exact (--theta 0.5 is pi/2); CSVs
+store radians.  Exit codes: 0 success, 1 failed check, 2 usage or I/O error.
 """
 
-from __future__ import annotations
-
-import argparse
 import functools
 import math
 import os
@@ -166,41 +176,40 @@ VERIFY_CHECKS: list[tuple[str, Callable[[], tuple[float, str]], float]] = [
 ]
 
 
-def _tolerance_override(args) -> float | None:
+def _tolerance_override(opts) -> float | None:
     """The --tolerance flag, else YBC_TOLERANCE, else None.
 
     ValueError unless the value given is a positive finite real.
     """
-    if args.tolerance is not None:
-        value = args.tolerance
-        error = f"--tolerance must be a positive real, got {value!r}"
-    elif (value := os.environ.get("YBC_TOLERANCE")) is not None:
-        error = f"invalid YBC_TOLERANCE value: {value!r}"
-    else:
+    text = opts["tolerance"]
+    if text is None and (text := os.environ.get("YBC_TOLERANCE")) is None:
         return None
     try:
-        value = float(value)
+        value = float(text)
     except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(error)
+        value = None
+    if value is None or not (math.isfinite(value) and value > 0):
+        if opts["tolerance"] is None:
+            raise ValueError(f"invalid YBC_TOLERANCE value: {text!r}")
+        shown = text if value is None else value
+        raise ValueError(f"--tolerance must be a positive real, got {shown!r}")
     return value
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(opts) -> int:
     try:
-        override = _tolerance_override(args)
+        override = _tolerance_override(opts)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
     selected = [
         (key, fn, tol)
         for key, fn, tol in VERIFY_CHECKS
-        if args.only is None or args.only in key
+        if opts["only"] is None or opts["only"] in key
     ]
     if not selected:
         keys = ", ".join(key for key, _, _ in VERIFY_CHECKS)
-        print(f"no check matches {args.only!r}; available: {keys}", file=sys.stderr)
+        print(f"no check matches {opts['only']!r}; available: {keys}", file=sys.stderr)
         return 2
     failures = 0
     for key, fn, default_tol in selected:
@@ -287,7 +296,7 @@ def _parse_int_list(text: str, name: str) -> list[int]:
     return values
 
 
-def _grid_axes(args, copies: int, defaults) -> list:
+def _grid_axes(opts, copies: int, defaults) -> list:
     """The grid's (xs, thetas, phis, ns) from the four grid flags.
 
     A flag that is not given takes its axis from ``defaults``.  ValueError
@@ -295,14 +304,14 @@ def _grid_axes(args, copies: int, defaults) -> list:
     rows a point) or an x outside [0, 1].
     """
     xs, thetas, phis, ns = defaults
-    if args.x is not None:
-        xs = _parse_range(args.x, "x")
-    if args.theta is not None:
-        thetas = _parse_range(args.theta, "theta", scale=math.pi)
-    if args.phi is not None:
-        phis = _parse_list(args.phi, "phi", scale=math.pi)
-    if args.n is not None:
-        ns = _parse_int_list(args.n, "n")
+    if opts["x"] is not None:
+        xs = _parse_range(opts["x"], "x")
+    if opts["theta"] is not None:
+        thetas = _parse_range(opts["theta"], "theta", scale=math.pi)
+    if opts["phi"] is not None:
+        phis = _parse_list(opts["phi"], "phi", scale=math.pi)
+    if opts["n"] is not None:
+        ns = _parse_int_list(opts["n"], "n")
     axes = _grid(copies, xs, thetas, phis, ns)
     if not all(0.0 <= x <= 1.0 for x in axes[0]):
         raise ValueError("--x values must lie in [0, 1]")
@@ -408,46 +417,48 @@ def _write_grid(command: str, out: str, header: str, kinds, axes, columns, summa
     return _write_csv(command, out, header, chunks)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(opts) -> int:
+    strategy, out = opts["strategy"], opts["out"]
     try:
-        if args.strategy not in ("one", "two"):
-            raise ValueError(f"--strategy must be one or two, got {args.strategy!r}")
+        if strategy not in ("one", "two"):
+            raise ValueError(f"--strategy must be one or two, got {strategy!r}")
         # Every grid flag is required, so no default axis is read.
-        xs, thetas, phis, ns = _grid_axes(args, 1, strategies.default_axes())
+        xs, thetas, phis, ns = _grid_axes(opts, 1, strategies.default_axes())
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     axes, columns = (xs, thetas, phis, ns), strategies.sweep_columns
-    if not _write_grid("sweep", args.out, SWEEP_HEADER, (args.strategy,), axes, columns):
+    if not _write_grid("sweep", out, SWEEP_HEADER, (strategy,), axes, columns):
         return 2
-    print(f"wrote {len(xs) * len(thetas) * len(phis) * len(ns)} rows to {args.out}")
+    print(f"wrote {len(xs) * len(thetas) * len(phis) * len(ns)} rows to {out}")
     return 0
 
 
-def cmd_figure(args) -> int:
-    if args.id not in FIGURES:
+def cmd_figure(opts) -> int:
+    fig, out = opts["id"], opts["out"]
+    if fig not in FIGURES:
         valid = ", ".join(sorted(FIGURES))
-        print(f"unknown figure id {args.id!r}; valid ids: {valid}", file=sys.stderr)
+        print(f"unknown figure id {fig!r}; valid ids: {valid}", file=sys.stderr)
         return 2
-    kind, n = FIGURES[args.id]
+    kind, n = FIGURES[fig]
     xs = np.linspace(0.0, 1.0, 101)
     thetas = np.linspace(0.0, 2.0 * np.pi, 256)
     axes, columns = (xs, thetas, [math.pi / 4.0], [n]), strategies.sweep_columns
-    if not _write_grid("figure", args.out, SWEEP_HEADER, (kind,), axes, columns):
+    if not _write_grid("figure", out, SWEEP_HEADER, (kind,), axes, columns):
         return 2
-    print(f"wrote figure {args.id} grid ({len(xs) * len(thetas)} rows) to {args.out}")
+    print(f"wrote figure {fig} grid ({len(xs) * len(thetas)} rows) to {out}")
     return 0
 
 
-def cmd_compare(args) -> int:
-    formula = args.formula
+def cmd_compare(opts) -> int:
+    strategy, formula, out = opts["strategy"], opts["formula"], opts["out"]
     try:
         if formula not in strategies.DROPPED_COLUMNS:
             raise ValueError(f"--formula must be closed, elements or all, got {formula!r}")
-        if args.strategy not in ("one", "two", "all"):
-            raise ValueError(f"--strategy must be one, two or all, got {args.strategy!r}")
-        kinds = ("one", "two") if args.strategy == "all" else (args.strategy,)
-        xs, thetas, phis, ns = _grid_axes(args, len(kinds), strategies.default_axes())
+        if strategy not in ("one", "two", "all"):
+            raise ValueError(f"--strategy must be one, two or all, got {strategy!r}")
+        kinds = ("one", "two") if strategy == "all" else (strategy,)
+        xs, thetas, phis, ns = _grid_axes(opts, len(kinds), strategies.default_axes())
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -455,16 +466,63 @@ def cmd_compare(args) -> int:
     summary = strategies.DeviationSummary(ns)
     columns = functools.partial(strategies.compare_columns, formula=formula)
     axes = (xs, thetas, phis, ns)
-    if not _write_grid("compare", args.out, COMPARE_HEADER, kinds, axes, columns, summary):
+    if not _write_grid("compare", out, COMPARE_HEADER, kinds, axes, columns, summary):
         return 2
     print(summary.format_summary())
-    print(f"wrote {len(kinds) * len(xs) * len(thetas) * len(phis) * len(ns)} rows to {args.out}")
+    print(f"wrote {len(kinds) * len(xs) * len(thetas) * len(phis) * len(ns)} rows to {out}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
+
+
+# The flags of each command (--name VALUE or --name=VALUE); figure also takes an id.
+OPTIONS = {
+    "verify": ("tolerance", "only"),
+    "sweep": ("strategy", "x", "theta", "phi", "n", "out", "config"),
+    "figure": ("out", "config"),
+    "compare": ("strategy", "x", "theta", "phi", "n", "formula", "out", "config"),
+}
+
+# The options that each command needs, from the flags or --config.
+REQUIRED = {
+    "sweep": ("strategy", "x", "theta", "phi", "n", "out"),
+    "figure": ("out",),
+    "compare": ("out",),
+}
+
+
+def _parse(argv: Sequence[str]) -> tuple[str, dict[str, str | None]] | None:
+    """(command, {option: value or None}); None for -h or --help, ValueError on misuse."""
+    if argv and argv[0] in ("-h", "--help"):
+        return None
+    if not argv or argv[0] not in OPTIONS:
+        got = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise ValueError(f"{got}; commands: {', '.join(OPTIONS)}")
+    command, tokens = argv[0], iter(argv[1:])
+    opts = dict.fromkeys(OPTIONS[command])
+    ids = []
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if not token.startswith("--"):
+            ids.append(token)
+            continue
+        name, eq, value = token[2:].partition("=")
+        if name not in opts:
+            raise ValueError(f"{command} has no option --{name}")
+        if not eq and (value := next(tokens, None)) is None:
+            raise ValueError(f"option --{name} expects a value")
+        opts[name] = value
+    if command == "figure":
+        if len(ids) != 1:
+            raise ValueError(f"figure takes one figure id, got {len(ids)}")
+        opts["id"] = ids[0]
+    elif ids:
+        raise ValueError(f"{command} takes no argument {ids[0]!r}")
+    return command, opts
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -481,105 +539,46 @@ def _read_config(path: str) -> dict[str, str]:
     return config
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _apply_config(command: str, opts: dict[str, str | None]) -> None:
     """Fill unset options from the --config file; flags take precedence.
 
     ValueError for a key that is not an option of the command.
     """
-    if getattr(args, "config", None) is None:
+    if opts.get("config") is None:
         return
-    config = _read_config(args.config)
-    for key, value in config.items():
-        attr = key.replace("-", "_")
-        # Parsed fields that are not options: subcommand, handler, --config, figure's id.
-        if not hasattr(args, attr) or attr in ("command", "fn", "config", "id"):
+    for key, value in _read_config(opts["config"]).items():
+        if key not in OPTIONS[command] or key == "config":
             raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ybc",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser(
-        "verify", help="run the algebraic verification suite (exit 1 on failure)"
-    )
-    p_verify.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="override every check tolerance (default: per-check values; "
-        "YBC_TOLERANCE also applies)",
-    )
-    p_verify.add_argument(
-        "--only", default=None, help="run only checks whose key contains this text"
-    )
-    p_verify.set_defaults(fn=cmd_verify)
-
-    common = {
-        "x": "inclusive x range A:B:N (values in [0, 1])",
-        "theta": "inclusive theta range A:B:N in units of pi",
-        "phi": "comma-separated phi values in units of pi",
-        "n": "comma-separated channel-use counts",
-    }
-
-    p_sweep = sub.add_parser("sweep", help="evaluate a parameter grid to CSV")
-    p_figure = sub.add_parser(
-        "figure", help="emit a preset 101x256 grid (ids: 2a, 2b, 4a, 4b)"
-    )
-    p_figure.add_argument("id", help="figure id: 2a, 2b, 4a or 4b")
-    p_compare = sub.add_parser(
-        "compare", help="cross-validate reference formulas against the simulation"
-    )
-    for p, kinds in ((p_sweep, "one or two"), (p_compare, "one, two or all")):
-        p.add_argument("--strategy", default=None, help=kinds)
-        for key, help_text in common.items():
-            p.add_argument(f"--{key}", default=None, help=help_text)
-    p_compare.add_argument(
-        "--formula",
-        default=None,
-        help="closed, elements or all (default all)",
-    )
-    for p, fn in ((p_sweep, cmd_sweep), (p_figure, cmd_figure), (p_compare, cmd_compare)):
-        p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--config", default=None, help="key=value config file")
-        p.set_defaults(fn=fn)
-    return parser
-
-
-# The options that each command needs, from the flags or --config.
-REQUIRED = {
-    "sweep": ("strategy", "x", "theta", "phi", "n", "out"),
-    "figure": ("out",),
-    "compare": ("out",),
-}
+        if opts[key] is None:
+            opts[key] = value
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        print(f"ybc: error: {exc}", file=sys.stderr)
+        return 2
+    if parsed is None:
+        print(__doc__, end="")  # assigned, not a docstring, so that python -OO keeps it
+        return 0
+    command, opts = parsed
+    try:
+        _apply_config(command, opts)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "compare":
-        for key in ("strategy", "formula"):
-            if getattr(args, key) is None:
-                setattr(args, key, "all")
-    required = REQUIRED.get(args.command, ())
-    missing = [key for key in required if getattr(args, key) is None]
+    if command == "compare":  # both default to all
+        opts.update((key, "all") for key in ("strategy", "formula") if opts[key] is None)
+    required = REQUIRED.get(command, ())
+    missing = [key for key in required if opts[key] is None]
     if missing:
         plural = "s" if len(required) > 1 else ""
-        print(f"{args.command}: missing required option{plural}: {', '.join(missing)}",
+        print(f"{command}: missing required option{plural}: {', '.join(missing)}",
               file=sys.stderr)
         return 2
-    return args.fn(args)
+    # cmd_<command>, looked up on each call so that a handler replaced on the module runs.
+    return globals()[f"cmd_{command}"](opts)
 
 
 def entry_point() -> None:

@@ -1,6 +1,9 @@
 import collections
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -661,19 +664,108 @@ class TestRowCap:
             cli._grid(3, xs, [0.0], [1])
 
 
-class TestUsage:
-    def test_unknown_subcommand_exits_two(self):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["frobnicate"])
-        assert excinfo.value.code == 2
+COMMANDS = "commands: verify, sweep, figure, compare"
 
-    def test_no_subcommand_exits_two(self):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main([])
-        assert excinfo.value.code == 2
+
+class TestUsage:
+    def test_unknown_subcommand_exits_two(self, capsys):
+        assert cli.main(["frobnicate"]) == 2
+        assert capsys.readouterr().err == f"ybc: error: unknown command 'frobnicate'; {COMMANDS}\n"
+
+    def test_no_subcommand_exits_two(self, capsys):
+        assert cli.main([]) == 2
+        assert capsys.readouterr().err == f"ybc: error: no command given; {COMMANDS}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--tol", "1e-3"], "verify has no option --tol"),
+            (["sweep", "--bogus=1"], "sweep has no option --bogus"),
+            (["figure", "2a", "--strategy", "one"], "figure has no option --strategy"),
+            (["verify", "--only"], "option --only expects a value"),
+            (["compare", "--formula"], "option --formula expects a value"),
+            (
+                ["sweep", "--strategy", "one", "--x", "0:1:2", "--theta", "0:1:2", "--phi", "0",
+                 "--n", "1", "extra"],
+                "sweep takes no argument 'extra'",
+            ),
+            (["verify", "-3"], "verify takes no argument '-3'"),
+            (["figure"], "figure takes one figure id, got 0"),
+            (["figure", "2a", "2b"], "figure takes one figure id, got 2"),
+        ],
+    )
+    def test_usage_error_exits_two_and_writes_nothing(self, argv, message, tmp_path, capsys):
+        # --out comes first, so that a flag left without a value ends argv.
+        out = tmp_path / "x.csv"
+        argv = argv[:1] + ([] if argv[0] == "verify" else ["--out", str(out)]) + argv[1:]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"ybc: error: {message}\n" and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_tolerance_value(self, capsys):
-        assert cli.main(["verify", "--tolerance", "-3"]) == 2
+        # The flag comes in as text and is checked where YBC_TOLERANCE is.
+        for value, shown in (("-3", "-3.0"), ("abc", "'abc'")):
+            assert cli.main(["verify", "--tolerance", value]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"--tolerance must be a positive real, got {shown}\n"
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["sweep", "-h"], ["figure", "--help"]])
+    def test_help_prints_the_module_docstring(self, argv, capsys):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == (cli.__doc__, "")
+
+    def test_help_lists_every_option(self):
+        for command, names in cli.OPTIONS.items():
+            assert f"\n    ybc {command} " in cli.__doc__
+            for name in names:
+                assert f"\n    --{name} " in cli.__doc__
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_values_with_a_leading_dash_take_either_spelling(self, command, tmp_path):
+        # A negative angle is the flag's value, spaced or after "=".
+        grid = {"strategy": "one", "x": "0:1:3", "theta": "-1:1:3", "phi": "-0.25,0.5", "n": "1,2"}
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        argv = [arg for key, value in grid.items() for arg in (f"--{key}", value)]
+        assert cli.main([command, *argv, "--out", str(spaced)]) == 0
+        argv = [f"--{key}={value}" for key, value in grid.items()]
+        assert cli.main([command, *argv, f"--out={joined}"]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        rows = [line.split(",") for line in spaced.read_text().splitlines()[1:]]
+        assert {row[2] for row in rows} == {cli._fmt(t * math.pi) for t in (-1.0, 0.0, 1.0)}
+        assert {row[3] for row in rows} == {cli._fmt(p * math.pi) for p in (-0.25, 0.5)}
+
+    def test_last_of_a_repeated_flag_wins(self, capsys):
+        assert cli.main(["verify", "--only", "dcnot", "--only=s-unitary"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("[PASS] s-unitary ")
+
+    def test_parsing_imports_no_module(self):
+        # The front end parses its flags without argparse and its gettext
+        # and locale imports, which a verify run would otherwise pay for.
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import ybc.cli\n"
+            "loaded = set(sys.modules)\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & (loaded - before)))\n"
+            "assert ybc.cli.main(['verify', '--only', 's-unitary']) == 0\n"
+            "print(sorted(set(sys.modules) - loaded))\n"
+        )
+        stdout = _python("-c", code).splitlines()
+        assert stdout[0] == stdout[-1] == "[]"
+
+    def test_help_outlives_docstring_stripping(self):
+        assert _python("-OO", "-m", "ybc.cli", "-h") == cli.__doc__
+
+
+def _python(*args: str) -> str:
+    """The standard output of a fresh interpreter that imports this checkout's ybc."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, check=True
+    ).stdout
 
 
 class TestOutputDigests:

@@ -34,6 +34,9 @@ COMMANDS = [
     ("verify", ("verify",)),
     ("sweep-two-large", ("sweep", "--strategy", "two") + LARGE_GRID),
     ("sweep-one-large", ("sweep", "--strategy", "one") + LARGE_GRID),
+    # Negative angles, each written after "=" as one argument.
+    ("sweep-one-negative", ("sweep", "--strategy", "one", "--x", "0:1:11",
+                            "--theta=-1:1:65", "--phi=-0.25,0.5", "--n", "1,2")),
     *((f"figure-{fig}", ("figure", fig)) for fig in ("2a", "2b", "4a", "4b")),
     *((f"compare-{formula}", ("compare", "--formula", formula))
       for formula in ("closed", "elements", "all")),
