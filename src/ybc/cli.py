@@ -21,6 +21,11 @@ __doc__ = """ybc: braid-gate algebra checks and coherence grids of R(theta, phi)
     --out FILE      output CSV path
     --config FILE   key=value lines that set the command's other options
 
+compare's grid defaults to --x 0:1:11 --theta 0:1.96875:64 --phi 0,0.25
+--n 1,2,3,4.  figure ID is sweep --strategy S --x 0:1:101 --theta 0:2:256
+--phi 0.25 --n N, with (S, N) = (one, 1), (one, 2), (two, 1), (two, 2) for
+2a, 2b, 4a, 4b.
+
 A flag's value is the next argument, even one that starts with "-"
 (--theta -1:1:3), or follows "=" (--theta=-1:1:3).  The last of a repeated
 flag wins, flags win over --config, and no flag may be abbreviated.  Angles
@@ -44,12 +49,8 @@ COMPARE_HEADER = (
     "strategy,x,theta,phi,N,c_l1_sim,c_l1_closed,c_l1_appendix,dev_closed,dev_appendix"
 )
 
-FIGURES = {
-    "2a": ("one", 1),
-    "2b": ("one", 2),
-    "4a": ("two", 1),
-    "4b": ("two", 2),
-}
+# figure ID is sweep --strategy S --x 0:1:101 --theta 0:2:256 --phi 0.25 --n N.
+FIGURES = {"2a": ("one", "1"), "2b": ("one", "2"), "4a": ("two", "1"), "4b": ("two", "2")}
 
 
 def _fmt(v: float) -> str:
@@ -242,7 +243,7 @@ def _parse_range(text: str, name: str, scale: float = 1.0) -> tuple[float, float
     """Parse an inclusive A:B:N range into the arguments of ``np.linspace``.
 
     A and B are scaled (angles: units of pi).  The axis itself is built by
-    ``_grid`` once the row count of the whole grid is known to be allowed.
+    ``_grid_axes`` once the row count of the whole grid is known to be allowed.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -261,26 +262,11 @@ def _parse_range(text: str, name: str, scale: float = 1.0) -> tuple[float, float
     return lo, hi, count
 
 
-def _grid(copies: int, *axes) -> list:
-    """Check a grid's row count against ``MAX_ROWS``, then build its axes.
-
-    An axis is a sequence of values, or a parsed (A, B, N) range that is
-    counted here before ``np.linspace`` allocates it.  Each grid point
-    gives ``copies`` rows.
-    """
-    rows = copies * math.prod(axis[2] if isinstance(axis, tuple) else len(axis) for axis in axes)
-    if rows > MAX_ROWS:
-        raise ValueError(f"the grid has {rows} rows, more than the limit of {MAX_ROWS}")
-    return [np.linspace(*axis) if isinstance(axis, tuple) else axis for axis in axes]
-
-
 def _parse_list(text: str, name: str, scale: float = 1.0) -> list[float]:
     try:
-        values = [float(v) * scale for v in text.split(",") if v.strip() != ""]
+        values = [float(v) * scale for v in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"--{name}: {exc}") from exc
-    if not values:
-        raise ValueError(f"--{name}: list must not be empty")
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"--{name}: values must be finite")
     return values
@@ -288,34 +274,32 @@ def _parse_list(text: str, name: str, scale: float = 1.0) -> list[float]:
 
 def _parse_int_list(text: str, name: str) -> list[int]:
     try:
-        values = [int(v) for v in text.split(",") if v.strip() != ""]
+        values = [int(v) for v in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"--{name}: {exc}") from exc
-    if not values or any(v < 1 for v in values):
+    if any(v < 1 for v in values):
         raise ValueError(f"--{name}: expects positive integers, got {text!r}")
     return values
 
 
-def _grid_axes(opts, copies: int, defaults) -> list:
-    """The grid's (xs, thetas, phis, ns) from the four grid flags.
+def _grid_axes(opts, copies: int) -> list:
+    """The grid's (xs, thetas, phis, ns) from the text of the four grid options.
 
-    A flag that is not given takes its axis from ``defaults``.  ValueError
-    for a malformed flag, a grid of more than ``MAX_ROWS`` rows (``copies``
-    rows a point) or an x outside [0, 1].
+    ValueError for a malformed option, a grid of more than ``MAX_ROWS`` rows
+    (``copies`` rows a point; counted before any axis is allocated) or an x
+    outside [0, 1].
     """
-    xs, thetas, phis, ns = defaults
-    if opts["x"] is not None:
-        xs = _parse_range(opts["x"], "x")
-    if opts["theta"] is not None:
-        thetas = _parse_range(opts["theta"], "theta", scale=math.pi)
-    if opts["phi"] is not None:
-        phis = _parse_list(opts["phi"], "phi", scale=math.pi)
-    if opts["n"] is not None:
-        ns = _parse_int_list(opts["n"], "n")
-    axes = _grid(copies, xs, thetas, phis, ns)
-    if not all(0.0 <= x <= 1.0 for x in axes[0]):
+    xs = _parse_range(opts["x"], "x")
+    thetas = _parse_range(opts["theta"], "theta", scale=math.pi)
+    phis = _parse_list(opts["phi"], "phi", scale=math.pi)
+    ns = _parse_int_list(opts["n"], "n")
+    rows = copies * xs[2] * thetas[2] * len(phis) * len(ns)
+    if rows > MAX_ROWS:
+        raise ValueError(f"the grid has {rows} rows, more than the limit of {MAX_ROWS}")
+    xs, thetas = np.linspace(*xs), np.linspace(*thetas)
+    if not all(0.0 <= x <= 1.0 for x in xs):
         raise ValueError("--x values must lie in [0, 1]")
-    return axes
+    return [xs, thetas, phis, ns]
 
 
 class _RowError(Exception):
@@ -422,8 +406,7 @@ def cmd_sweep(opts) -> int:
     try:
         if strategy not in ("one", "two"):
             raise ValueError(f"--strategy must be one or two, got {strategy!r}")
-        # Every grid flag is required, so no default axis is read.
-        xs, thetas, phis, ns = _grid_axes(opts, 1, strategies.default_axes())
+        xs, thetas, phis, ns = _grid_axes(opts, 1)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -441,12 +424,10 @@ def cmd_figure(opts) -> int:
         print(f"unknown figure id {fig!r}; valid ids: {valid}", file=sys.stderr)
         return 2
     kind, n = FIGURES[fig]
-    xs = np.linspace(0.0, 1.0, 101)
-    thetas = np.linspace(0.0, 2.0 * np.pi, 256)
-    axes, columns = (xs, thetas, [math.pi / 4.0], [n]), strategies.sweep_columns
-    if not _write_grid("figure", out, SWEEP_HEADER, (kind,), axes, columns):
+    axes = _grid_axes({"x": "0:1:101", "theta": "0:2:256", "phi": "0.25", "n": n}, 1)
+    if not _write_grid("figure", out, SWEEP_HEADER, (kind,), axes, strategies.sweep_columns):
         return 2
-    print(f"wrote figure {fig} grid ({len(xs) * len(thetas)} rows) to {out}")
+    print(f"wrote figure {fig} grid ({len(axes[0]) * len(axes[1])} rows) to {out}")
     return 0
 
 
@@ -458,7 +439,7 @@ def cmd_compare(opts) -> int:
         if strategy not in ("one", "two", "all"):
             raise ValueError(f"--strategy must be one, two or all, got {strategy!r}")
         kinds = ("one", "two") if strategy == "all" else (strategy,)
-        xs, thetas, phis, ns = _grid_axes(opts, len(kinds), strategies.default_axes())
+        xs, thetas, phis, ns = _grid_axes(opts, len(kinds))
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -478,19 +459,20 @@ def cmd_compare(opts) -> int:
 # ---------------------------------------------------------------------------
 
 
-# The flags of each command (--name VALUE or --name=VALUE); figure also takes an id.
-OPTIONS = {
-    "verify": ("tolerance", "only"),
-    "sweep": ("strategy", "x", "theta", "phi", "n", "out", "config"),
-    "figure": ("out", "config"),
-    "compare": ("strategy", "x", "theta", "phi", "n", "formula", "out", "config"),
-}
+# The default of an option that a flag or --config must set: an object, not a
+# string, which a flag could spell.
+REQUIRED = object()
 
-# The options that each command needs, from the flags or --config.
-REQUIRED = {
-    "sweep": ("strategy", "x", "theta", "phi", "n", "out"),
-    "figure": ("out",),
-    "compare": ("out",),
+# Each command's flags (--name VALUE or --name=VALUE) and their defaults, as
+# flag text or None for unset; figure also takes an id.  compare's theta
+# default is 64 angles pi/32 apart, short of 2 pi.
+OPTIONS = {
+    "verify": {"tolerance": None, "only": None},
+    "sweep": {"strategy": REQUIRED, "x": REQUIRED, "theta": REQUIRED, "phi": REQUIRED,
+              "n": REQUIRED, "out": REQUIRED, "config": None},
+    "figure": {"out": REQUIRED, "config": None},
+    "compare": {"strategy": "all", "x": "0:1:11", "theta": "0:1.96875:64", "phi": "0,0.25",
+                "n": "1,2,3,4", "formula": "all", "out": REQUIRED, "config": None},
 }
 
 
@@ -568,15 +550,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if command == "compare":  # both default to all
-        opts.update((key, "all") for key in ("strategy", "formula") if opts[key] is None)
-    required = REQUIRED.get(command, ())
+    defaults = OPTIONS[command]
+    required = [key for key, default in defaults.items() if default is REQUIRED]
     missing = [key for key in required if opts[key] is None]
     if missing:
         plural = "s" if len(required) > 1 else ""
         print(f"{command}: missing required option{plural}: {', '.join(missing)}",
               file=sys.stderr)
         return 2
+    opts.update((key, default) for key, default in defaults.items() if opts[key] is None)
     # cmd_<command>, looked up on each call so that a handler replaced on the module runs.
     return globals()[f"cmd_{command}"](opts)
 

@@ -490,19 +490,6 @@ def _elementwise_l1(kind, x, theta, phi: float, n: int) -> tuple[np.ndarray, np.
 # ---------------------------------------------------------------------------
 
 
-def default_axes():
-    """The default grid of ``ybc compare``: 11 x values, 64 angles, two phases, N 1..4.
-
-    Returns (xs, thetas, phis, ns).
-    """
-    return (
-        np.linspace(0.0, 1.0, 11),
-        np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False),
-        [0.0, math.pi / 4.0],
-        [1, 2, 3, 4],
-    )
-
-
 # The columns of ``compare_columns`` that each ``ybc compare --formula``
 # blanks to NaN, by position: the element or the closed-form columns.
 DROPPED_COLUMNS = {"all": (), "closed": (2, 4), "elements": (1, 3)}

@@ -34,7 +34,6 @@ from ybc.strategies import (
     ONE_QUBIT,
     TWO_QUBIT,
     compare_columns,
-    default_axes,
 )
 
 from reference import batched_grid, kernel_spectrum, mpmath_reference
@@ -271,7 +270,7 @@ def test_criterion_11_phi_independence():
 
 def test_criterion_12_closed_form_cross_validation():
     kinds = (ONE_QUBIT, TWO_QUBIT)
-    axes = default_axes()
+    axes = cli._grid_axes(cli.OPTIONS["compare"], 2)
     summary = strategies.DeviationSummary(axes[3])
     points = 0
     for kind in kinds:

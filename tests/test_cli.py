@@ -341,6 +341,25 @@ class TestSweep:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "2 N theta must be finite" in err[0]
 
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("phi", "0,,0.5", "--phi: could not convert string to float: ''"),
+            ("phi", "0,", "--phi: could not convert string to float: ''"),
+            ("phi", ",", "--phi: could not convert string to float: ''"),
+            ("n", "1,,2", "--n: invalid literal for int() with base 10: ''"),
+            ("n", "1,", "--n: invalid literal for int() with base 10: ''"),
+        ],
+    )
+    def test_empty_list_entry(self, command, flag, value, message, capsys, tmp_path):
+        # An empty entry is an error, not an entry that is skipped.
+        grid = {"strategy": "one", "x": "0:1:2", "theta": "0:1:3", "phi": "0", "n": "1"}
+        argv = [arg for key, text in {**grid, flag: value}.items() for arg in (f"--{key}", text)]
+        assert cli.main([command, *argv, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr() == ("", message + "\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_x_outside_unit_interval(self, capsys, tmp_path):
         code = cli.main([
             "sweep", "--strategy", "one", "--x", "0:2:3", "--theta", "0:1:2",
@@ -456,6 +475,22 @@ class TestFigure:
         assert abs(float(first[3]) - math.pi / 4) <= 1e-12
 
 
+    @pytest.mark.parametrize(
+        "fig, strategy, n",
+        [("2a", "one", "1"), ("2b", "one", "2"), ("4a", "two", "1"), ("4b", "two", "2")],
+    )
+    def test_figure_is_its_sweep_preset(self, fig, strategy, n, tmp_path, capsys):
+        figure, sweep = tmp_path / "figure.csv", tmp_path / "sweep.csv"
+        assert cli.main(["figure", fig, "--out", str(figure)]) == 0
+        assert cli.main([
+            "sweep", "--strategy", strategy, "--x", "0:1:101", "--theta", "0:2:256",
+            "--phi", "0.25", "--n", n, "--out", str(sweep),
+        ]) == 0
+        assert figure.read_bytes() == sweep.read_bytes()
+        assert capsys.readouterr().out == (
+            f"wrote figure {fig} grid (25856 rows) to {figure}\nwrote 25856 rows to {sweep}\n"
+        )
+
     def test_failure_mid_stream_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_csv_rows", failing_after_first_chunk(cli._csv_rows))
         assert cli.main(["figure", "4a", "--out", str(tmp_path / "f.csv")]) == 2
@@ -515,6 +550,41 @@ class TestCompare:
         row = out.read_text().splitlines()[1].split(",")
         assert row[6] == "nan" and row[8] == "nan"  # closed-form columns
         assert row[7] != "nan" and row[9] != "nan"  # element columns
+
+    def test_default_grid_is_the_spelled_grid(self, tmp_path, capsys):
+        default, spelled = tmp_path / "default.csv", tmp_path / "spelled.csv"
+        assert cli.main(["compare", "--out", str(default)]) == 0
+        summary = capsys.readouterr().out
+        assert cli.main([
+            "compare", "--strategy", "all", "--x", "0:1:11", "--theta", "0:1.96875:64",
+            "--phi", "0,0.25", "--n", "1,2,3,4", "--formula", "all", "--out", str(spelled),
+        ]) == 0
+        assert default.read_bytes() == spelled.read_bytes()
+        rows = 2 * 11 * 64 * 2 * 4
+        assert summary.endswith(f"wrote {rows} rows to {default}\n")
+        assert capsys.readouterr().out == summary.replace(str(default), str(spelled))
+
+    def test_config_beats_the_default_and_a_flag_beats_the_config(self, tmp_path):
+        # Each grid option: the config's value replaces compare's default,
+        # and a flag replaces the config's value.
+        config_grid = {"strategy": "one", "x": "0:1:3", "theta": "0.5:1:2", "phi": "0",
+                       "n": "2", "formula": "closed"}
+        flag_grid = {"strategy": "two", "x": "0.5:1:2", "theta": "0:1:3", "phi": "0.25,0.5",
+                     "n": "1,3", "formula": "elements"}
+        config = tmp_path / "compare.cfg"
+        config.write_text("".join(f"{key}={value}\n" for key, value in config_grid.items()))
+
+        def run(name, grid, *extra):
+            out = tmp_path / f"{name}.csv"
+            argv = [arg for key, value in grid.items() for arg in (f"--{key}", value)]
+            assert cli.main(["compare", *argv, *extra, "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        assert run("config", {}, "--config", str(config)) == run("config_spelled", config_grid)
+        assert run("flags", flag_grid, "--config", str(config)) == run("flags_only", flag_grid)
+        for key, value in flag_grid.items():
+            mixed = {**config_grid, key: value}
+            assert run(key, {key: value}, "--config", str(config)) == run(f"{key}_spelled", mixed)
 
     def test_missing_out(self, capsys):
         assert cli.main(["compare", "--strategy", "one"]) == 2
@@ -656,12 +726,15 @@ class TestRowCap:
         assert len(err) == 1 and str(cli.MAX_ROWS) in err[0]
 
     def test_count_includes_every_axis_and_kind(self):
-        xs = (0.0, 1.0, cli.MAX_ROWS // 2)
-        assert len(cli._grid(1, xs, [0.0], [1])[0]) == cli.MAX_ROWS // 2
+        grid = {"x": f"0:1:{cli.MAX_ROWS // 2}", "theta": "0:0:1", "phi": "0", "n": "1"}
+        assert len(cli._grid_axes(grid, 1)[0]) == cli.MAX_ROWS // 2
         with pytest.raises(ValueError, match="rows"):
-            cli._grid(2, xs, [0.0], [1, 2])
+            cli._grid_axes({**grid, "n": "1,2"}, 2)
         with pytest.raises(ValueError, match="rows"):
-            cli._grid(3, xs, [0.0], [1])
+            cli._grid_axes(grid, 3)
+        for axis, text in (("theta", "0:1:3"), ("phi", "0,0.5,1")):
+            with pytest.raises(ValueError, match="rows"):
+                cli._grid_axes({**grid, axis: text}, 1)
 
 
 COMMANDS = "commands: verify, sweep, figure, compare"

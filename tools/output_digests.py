@@ -40,6 +40,9 @@ COMMANDS = [
     *((f"figure-{fig}", ("figure", fig)) for fig in ("2a", "2b", "4a", "4b")),
     *((f"compare-{formula}", ("compare", "--formula", formula))
       for formula in ("closed", "elements", "all")),
+    # compare's default grid and formula spelled as flags: the same bytes as compare-all.
+    ("compare-default-spelled", ("compare", "--formula", "all", "--x", "0:1:11",
+                                 "--theta", "0:1.96875:64", "--phi", "0,0.25", "--n", "1,2,3,4")),
     # 206,848 rows: each kind's four (phi, N) planes take several x blocks.
     ("compare-blocks", ("compare", "--formula", "all") + COMPARE_BLOCKS_GRID),
     # The same grid with the element columns blanked to NaN in every block.
