@@ -12,7 +12,7 @@ from .braid_ybe import (
     yang_baxterize_eight_vertex,
     yang_baxterize_rational,
 )
-from .gates import dcnot, local_factors, verify_dcnot_equivalence
+from .gates import dcnot, local_factors, local_invariants
 from .linalg import kron, max_abs_diff
 from .strategies import (
     ONE_QUBIT,

@@ -138,12 +138,14 @@ def _check_eight_vertex_unitary() -> tuple[float, str]:
 
 
 def _check_dcnot() -> tuple[float, str]:
-    report = gates.verify_dcnot_equivalence()
+    g1, g2 = gates.local_invariants(braid_ybe.build_s(_phi_grid()))
+    invariants = float(max(np.abs(g1).max(), np.abs(g2 + 1.0).max()))
+    factors = gates.equivalence_residuals(0.0)[0]
     info = (
-        f"min at phi={report.phi:.9f}, exact={report.residual:.3e}, "
-        f"phase-aligned={report.residual_up_to_phase:.3e} at alpha={report.phase:.3e}"
+        f"invariants (G1, G2) = (0, -1) over 32 phases to {invariants:.3e}, "
+        f"explicit factors at phi=0 to {factors:.3e}"
     )
-    return report.best_residual(), info
+    return max(invariants, factors), info
 
 
 def _check_hamiltonian() -> tuple[float, str]:
@@ -297,7 +299,7 @@ def _grid_axes(opts, copies: int) -> list:
     if rows > MAX_ROWS:
         raise ValueError(f"the grid has {rows} rows, more than the limit of {MAX_ROWS}")
     xs, thetas = np.linspace(*xs), np.linspace(*thetas)
-    if not all(0.0 <= x <= 1.0 for x in xs):
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError("--x values must lie in [0, 1]")
     return [xs, thetas, phis, ns]
 

@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, Literal
+from typing import Iterator, Literal, NamedTuple
 
 import numpy as np
 
@@ -513,8 +512,7 @@ def compare_columns(kind, terms, x, theta, phi: float, n: int, formula="all") ->
     return columns + [lowest_diagonal]
 
 
-@dataclass(frozen=True)
-class FormulaStats:
+class FormulaStats(NamedTuple):
     kind: StrategyKind
     formula: str
     parity: str

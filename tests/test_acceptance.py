@@ -28,7 +28,7 @@ from ybc.braid_ybe import (
     check_ybe_multiplicative,
     yang_baxterize_eight_vertex,
 )
-from ybc.gates import verify_dcnot_equivalence
+from ybc.gates import equivalence_residuals, local_invariants
 from ybc.linalg import identity, max_abs_diff
 from ybc.strategies import (
     ONE_QUBIT,
@@ -121,13 +121,17 @@ def test_criterion_04_multiplicative_ybe():
 
 
 def test_criterion_05_dcnot_equivalence():
-    report = verify_dcnot_equivalence()
-    ok = report.best_residual() <= 1e-10
+    # Local equivalence at every phase of the grid, by Makhlin's invariants,
+    # and the explicit factors at phi = 0.
+    g1, g2 = local_invariants(build_s(PHI_GRID))
+    invariants = max(np.abs(g1).max(), np.abs(g2 + 1.0).max())
+    factors = equivalence_residuals(0.0)[0]
+    ok = invariants <= 1e-10 and factors <= 1e-10
     criterion(
         5,
         ok,
-        f"factorization residual {report.best_residual():.2e} at "
-        f"phi={report.phi:.9f}, global phase {report.phase:.3e} (tol 1e-10)",
+        f"(G1, G2) = (0, -1) of DCNOT to {invariants:.2e} over {PHI_GRID.size} "
+        f"phases; factorization residual {factors:.2e} at phi=0 (tol 1e-10)",
     )
 
 

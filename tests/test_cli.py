@@ -84,6 +84,12 @@ def _per_point_eight_vertex_unitary():
     return worst
 
 
+def _per_point_dcnot():
+    g = np.array([gates.local_invariants(build_s(p)) for p in cli._phi_grid()])
+    invariants = max(np.abs(g[:, 0]).max(), np.abs(g[:, 1] + 1.0).max())
+    return max(invariants, gates.equivalence_residuals(0.0)[0])
+
+
 # The worst residual of the per-point public calls that each stacked verify
 # check replaces, one point at a time.
 PER_POINT_WORST = {
@@ -106,6 +112,7 @@ PER_POINT_WORST = {
     ),
     "ybe-multiplicative": _per_point_ybe_multiplicative,
     "eight-vertex-unitary": _per_point_eight_vertex_unitary,
+    "dcnot": _per_point_dcnot,
     "hamiltonian": lambda: max(
         max_abs_diff(
             build_hamiltonian(theta, phi, gamma=gamma, hbar=1.0, step=1e-4),
@@ -180,10 +187,17 @@ class TestVerify:
         assert captured.err == f"--tolerance must be a positive real, got {float(value)!r}\n"
         assert captured.out == ""
 
-    def test_dcnot_check_reports_minimizing_phi(self, capsys):
+    def test_dcnot_check_reports_both_residuals(self, capsys):
         assert cli.main(["verify", "--only", "dcnot"]) == 0
-        out = capsys.readouterr().out
-        assert "min at phi=" in out and "phase-aligned" in out
+        line = capsys.readouterr().out.splitlines()[0]
+        g1, g2 = gates.local_invariants(build_s(cli._phi_grid()))
+        invariants = max(np.abs(g1).max(), np.abs(g2 + 1.0).max())
+        factors = gates.equivalence_residuals(0.0)[0]
+        assert f" residual={max(invariants, factors):.3e} " in line
+        assert line.endswith(
+            f"invariants (G1, G2) = (0, -1) over 32 phases to {invariants:.3e}, "
+            f"explicit factors at phi=0 to {factors:.3e}"
+        )
 
 
     def test_r_unitarity_is_the_scalar_gates_worst_residual(self):
@@ -367,6 +381,17 @@ class TestSweep:
         ])
         assert code == 2 and list(tmp_path.iterdir()) == []
         assert capsys.readouterr().err == "--x values must lie in [0, 1]\n"
+
+    def test_x_check_rejects_each_value_outside_the_unit_interval(self, monkeypatch):
+        grid = {"x": f"0:1:{cli.MAX_ROWS}", "theta": "0:0:1", "phi": "0", "n": "1"}
+        assert len(cli._grid_axes(grid, 1)[0]) == cli.MAX_ROWS
+        for x in ("-5e-324:1:3", f"0:1.0000000000000002:{cli.MAX_ROWS}"):
+            with pytest.raises(ValueError, match=r"^--x values must lie in \[0, 1\]$"):
+                cli._grid_axes({**grid, "x": x}, 1)
+        # No flag text builds a NaN x, so the axis is made to hold one.
+        monkeypatch.setattr(np, "linspace", lambda *args: np.array([0.5, np.nan]))
+        with pytest.raises(ValueError, match=r"^--x values must lie in \[0, 1\]$"):
+            cli._grid_axes(grid, 1)
 
     def test_unwritable_output(self, capsys, tmp_path):
         code = cli.main([
@@ -816,13 +841,15 @@ class TestUsage:
 
     def test_parsing_imports_no_module(self):
         # The front end parses its flags without argparse and its gettext
-        # and locale imports, which a verify run would otherwise pay for.
+        # and locale imports, and the package defines its classes without
+        # dataclasses: imports that a verify run would otherwise pay for.
         code = (
             "import sys\n"
             "before = set(sys.modules)\n"
             "import ybc.cli\n"
             "loaded = set(sys.modules)\n"
-            "print(sorted({'argparse', 'gettext', 'locale'} & (loaded - before)))\n"
+            "unwanted = {'argparse', 'dataclasses', 'gettext', 'locale'}\n"
+            "print(sorted(unwanted & (loaded - before)))\n"
             "assert ybc.cli.main(['verify', '--only', 's-unitary']) == 0\n"
             "print(sorted(set(sys.modules) - loaded))\n"
         )

@@ -1,19 +1,20 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from ybc import gates
+from ybc import cli, gates
 from ybc.braid_ybe import build_s
 from ybc.gates import (
-    EquivalenceReport,
     LocalFactors,
     dcnot,
     equivalence_residuals,
     local_factors,
-    verify_dcnot_equivalence,
+    local_invariants,
 )
 from ybc.linalg import identity, kron, max_abs_diff
+
+CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+CONTROLLED_PHASE = np.diag([1.0, 1.0, 1.0, np.exp(0.7j)])
 
 
 class TestDcnot:
@@ -63,13 +64,6 @@ class TestLocalFactors:
 
 
 class TestEquivalence:
-    def test_scan_finds_exact_factorization(self):
-        report = verify_dcnot_equivalence()
-        assert report.best_residual() <= 1e-10
-        # The factorization is exact at phi = 0 (mod 2 pi).
-        wrapped = min(report.phi % (2 * np.pi), 2 * np.pi - report.phi % (2 * np.pi))
-        assert wrapped <= 1e-3
-
     def test_explicit_phi_zero(self):
         exact, aligned, _ = equivalence_residuals(0.0)
         assert min(exact, aligned) <= 1e-10
@@ -113,91 +107,69 @@ def perturbed_factors():
     return LocalFactors(f.a @ np.diag([1.0, np.exp(0.1j)]), f.b, f.c, f.d)
 
 
-def scalar_scan(scan_points):
-    """The scan one phase at a time through ``equivalence_residuals``."""
-    factors = local_factors()
-    grid = np.linspace(0.0, 2.0 * np.pi, scan_points, endpoint=False)
-    residuals = [equivalence_residuals(p, factors)[0] for p in grid]
-    best = int(np.argmin(residuals))
-    span = 2.0 * np.pi / scan_points
-
-    def exact_at(p):
-        return equivalence_residuals(p, factors)[0]
-
-    phi_best = gates._refine(exact_at, grid[best] - span, grid[best] + span)
-    if residuals[best] <= exact_at(phi_best):
-        phi_best = float(grid[best])
-    exact, aligned, alpha = equivalence_residuals(phi_best, factors)
-    return EquivalenceReport(float(phi_best), exact, alpha, aligned)
-
-
-class TestBlockedScan:
-    @pytest.mark.parametrize("scan_points", [4096, 1000])
+class TestEquivalenceResiduals:
     @pytest.mark.parametrize("factors", [local_factors, perturbed_factors])
-    def test_batched_residuals_are_bitwise_the_scalar_ones(self, factors, scan_points):
+    def test_exact_residual_is_bitwise_the_4x4_oracle(self, factors):
         f = factors()
-        left, right = kron(f.a, f.b), kron(f.c, f.d)
-        grid = np.linspace(0.0, 2.0 * np.pi, scan_points, endpoint=False)
-        batched = gates._factorization(grid, left, right)[1]
-        scalar = np.array([equivalence_residuals(p, f)[0] for p in grid])
-        assert batched.tobytes() == scalar.tobytes()
-        one_point = [gates._factorization(np.array([p]), left, right)[1][0] for p in grid]
-        assert np.array(one_point).tobytes() == scalar.tobytes()
-
-    # A scalar phase, a one-element stack, a full block and the short last
-    # block of the 1000-point grid, whose blocks start at 0, 256, 512, 768.
-    @pytest.mark.parametrize(
-        "phis",
-        [
-            0.7,
-            np.array([0.7]),
-            np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)[:256],
-            np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False)[768:],
-        ],
-        ids=["scalar", "one-element", "full-block", "short-last-block"],
-    )
-    @pytest.mark.parametrize("factors", [local_factors, perturbed_factors])
-    def test_flattened_products_are_bitwise_the_4x4_products(self, factors, phis):
-        f = factors()
-        left, right = kron(f.a, f.b), kron(f.c, f.d)
-        oracle = np.array([
-            np.abs(kron(f.a, f.b) @ build_s(p) @ kron(f.c, f.d) - dcnot()).max()
-            for p in np.atleast_1d(phis).tolist()
-        ])
-        residuals = gates._factorization(phis, left, right)[1]
-        assert np.shape(residuals) == np.shape(phis)
-        assert np.atleast_1d(residuals).tobytes() == oracle.tobytes()
-
-    @pytest.mark.parametrize("scan_points", [4096, 1000, 1, 2, np.int64(1000)])
-    def test_report_is_the_scalar_scans(self, scan_points):
-        # 1000 phases leave a last block of 232, short of SCAN_BLOCK.
-        assert verify_dcnot_equivalence(scan_points=scan_points) == scalar_scan(
-            scan_points
-        )
-
-    @pytest.mark.parametrize("scan_points", [0, -1, True, False, 2.0, 2.5, "16", None])
-    def test_rejects_bad_scan_points(self, scan_points):
-        with pytest.raises(ValueError, match="scan_points"):
-            verify_dcnot_equivalence(scan_points=scan_points)
+        oracle = np.abs(kron(f.a, f.b) @ build_s(0.7) @ kron(f.c, f.d) - dcnot()).max()
+        assert equivalence_residuals(0.7, f)[0] == oracle
 
     @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_phi(self, phi):
         with pytest.raises(ValueError, match="finite"):
             equivalence_residuals(phi)
 
-    def test_peak_memory_grows_by_under_64_bytes_a_phase(self):
-        # The blocked scan holds the grid and its residuals, 16 bytes a
-        # phase; stacking S(phi) for the whole grid at once holds about 660.
-        def peak(scan_points):
-            tracemalloc.start()
-            try:
-                verify_dcnot_equivalence(scan_points=scan_points)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
 
-        verify_dcnot_equivalence(scan_points=16)
-        assert peak(65536) - peak(4096) < 64 * (65536 - 4096)
+def random_unitaries(count, seed, dim=4):
+    """``count`` unitaries, the Q factors of complex Gaussian matrices."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    return np.linalg.qr(z)[0]
+
+
+class TestLocalInvariants:
+    @pytest.mark.parametrize(
+        "gate, expected",
+        [(identity(4), (1, 3)), (CNOT, (0, 1)), (SWAP, (-1, -3)), (dcnot(), (0, -1))],
+        ids=["identity", "cnot", "swap", "dcnot"],
+    )
+    def test_known_invariants(self, gate, expected):
+        g1, g2 = local_invariants(gate)
+        assert abs(g1 - expected[0]) <= 1e-14 and abs(g2 - expected[1]) <= 1e-14
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3, np.pi / 4, 1.1, np.pi, 5.0])
+    def test_s_is_in_the_dcnot_class(self, phi):
+        g1, g2 = local_invariants(build_s(phi))
+        assert abs(g1) <= 1e-14 and abs(g2 + 1) <= 1e-14
+
+    def test_stack_is_one_call_per_matrix(self):
+        stack = np.concatenate([
+            np.stack([identity(4), CNOT, SWAP, dcnot(), CONTROLLED_PHASE]),
+            build_s(cli._phi_grid()),
+            random_unitaries(20, seed=3),
+        ])
+        g1, g2 = local_invariants(stack)
+        assert g1.shape == g2.shape == (len(stack),)
+        one_by_one = np.array([local_invariants(u) for u in stack])
+        assert g1.tobytes() == one_by_one[:, 0].tobytes()
+        assert g2.tobytes() == one_by_one[:, 1].tobytes()
+
+    def test_local_factors_leave_them_unchanged(self):
+        a, b, c, d = random_unitaries(4, seed=5, dim=2)
+        for u in (*random_unitaries(4, seed=6), CONTROLLED_PHASE, build_s(0.3)):
+            moved = kron(a, b) @ u @ kron(c, d)
+            for before, after in zip(local_invariants(u), local_invariants(moved)):
+                assert abs(after - before) <= 1e-13
+
+
+class TestDcnotCheck:
+    @pytest.mark.parametrize("gate", [CONTROLLED_PHASE, CNOT], ids=["cphase", "cnot"])
+    def test_fails_with_another_gate_in_place_of_s(self, gate, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli.braid_ybe, "build_s", lambda phi: np.broadcast_to(gate, np.shape(phi) + (4, 4))
+        )
+        assert cli.main(["verify", "--only", "dcnot"]) == 1
+        assert capsys.readouterr().out.startswith("[FAIL] dcnot ")
 
 
 def test_equivalence_holds_via_s_inverse_relation():
