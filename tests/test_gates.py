@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,9 @@ from ybc.linalg import identity, kron, max_abs_diff
 CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 CONTROLLED_PHASE = np.diag([1.0, 1.0, 1.0, np.exp(0.7j)])
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 class TestDcnot:
@@ -127,6 +132,23 @@ def random_unitaries(count, seed, dim=4):
     return np.linalg.qr(z)[0]
 
 
+def canonical_gate(c1, c2, c3):
+    """exp(i/2 (c1 XX + c2 YY + c3 ZZ)), a product of commuting Pauli rotations."""
+    u = identity(4)
+    for c, p in zip((c1, c2, c3), (PAULI_X, PAULI_Y, PAULI_Z)):
+        u = u @ (math.cos(c / 2) * identity(4) + 1j * math.sin(c / 2) * kron(p, p))
+    return u
+
+
+def canonical_invariants(c1, c2, c3):
+    """Zhang, Vala, Sastry & Whaley's closed form of (G1, G2) for ``canonical_gate``."""
+    cos2 = math.cos(c1) ** 2 * math.cos(c2) ** 2 * math.cos(c3) ** 2
+    sin2 = math.sin(c1) ** 2 * math.sin(c2) ** 2 * math.sin(c3) ** 2
+    g1 = cos2 - sin2 + 0.25j * math.sin(2 * c1) * math.sin(2 * c2) * math.sin(2 * c3)
+    g2 = 4 * cos2 - 4 * sin2 - math.cos(2 * c1) * math.cos(2 * c2) * math.cos(2 * c3)
+    return g1, g2
+
+
 class TestLocalInvariants:
     @pytest.mark.parametrize(
         "gate, expected",
@@ -154,6 +176,42 @@ class TestLocalInvariants:
         assert g1.tobytes() == one_by_one[:, 0].tobytes()
         assert g2.tobytes() == one_by_one[:, 1].tobytes()
 
+    @pytest.mark.parametrize(
+        "c",
+        [
+            (math.pi / 4, 0.0, 0.0),
+            (math.pi / 4, math.pi / 4, math.pi / 4),
+            (math.pi / 2, math.pi / 4, 0.0),
+            (0.3, 0.2, 0.1),
+            (1.1, 0.7, 0.4),
+            (2.0, 1.3, 0.9),
+        ],
+        ids=["sqrt-cnot", "sqrt-swap", "b-gate-like", "small", "generic", "past-pi-half"],
+    )
+    def test_canonical_gate_matches_the_closed_form(self, c):
+        for got, expected in zip(local_invariants(canonical_gate(*c)), canonical_invariants(*c)):
+            assert abs(got - expected) <= 1e-14
+
+    def test_stack_keeps_its_leading_shape(self):
+        stack = random_unitaries(6, seed=7).reshape(2, 3, 4, 4)
+        g1, g2 = local_invariants(stack)
+        assert g1.shape == g2.shape == (2, 3)
+        flat = local_invariants(stack.reshape(6, 4, 4))
+        assert g1.ravel().tobytes() == flat[0].tobytes()
+        assert g2.ravel().tobytes() == flat[1].tobytes()
+
+    def test_global_phase_leaves_them_unchanged(self):
+        for u in (*random_unitaries(3, seed=8), dcnot(), build_s(1.1)):
+            for alpha in (0.4, -2.0, math.pi / 2):
+                moved = local_invariants(np.exp(1j * alpha) * u)
+                for before, after in zip(local_invariants(u), moved):
+                    assert abs(after - before) <= 1e-13
+
+    def test_inverse_has_the_conjugate_invariants(self):
+        for u in (*random_unitaries(4, seed=9), CONTROLLED_PHASE, canonical_gate(1.1, 0.7, 0.4)):
+            for g, g_inv in zip(local_invariants(u), local_invariants(u.conj().T)):
+                assert abs(g_inv - np.conj(g)) <= 1e-13
+
     def test_local_factors_leave_them_unchanged(self):
         a, b, c, d = random_unitaries(4, seed=5, dim=2)
         for u in (*random_unitaries(4, seed=6), CONTROLLED_PHASE, build_s(0.3)):
@@ -163,13 +221,26 @@ class TestLocalInvariants:
 
 
 class TestDcnotCheck:
-    @pytest.mark.parametrize("gate", [CONTROLLED_PHASE, CNOT], ids=["cphase", "cnot"])
+    @pytest.mark.parametrize(
+        "gate",
+        [CONTROLLED_PHASE, CNOT, identity(4), SWAP],
+        ids=["cphase", "cnot", "identity", "swap"],
+    )
     def test_fails_with_another_gate_in_place_of_s(self, gate, capsys, monkeypatch):
         monkeypatch.setattr(
             cli.braid_ybe, "build_s", lambda phi: np.broadcast_to(gate, np.shape(phi) + (4, 4))
         )
         assert cli.main(["verify", "--only", "dcnot"]) == 1
         assert capsys.readouterr().out.startswith("[FAIL] dcnot ")
+
+    def test_passes_with_a_locally_moved_dcnot_in_place_of_s(self, capsys, monkeypatch):
+        a, b, c, d = random_unitaries(4, seed=10, dim=2)
+        gate = kron(a, b) @ dcnot() @ kron(c, d)
+        monkeypatch.setattr(
+            cli.braid_ybe, "build_s", lambda phi: np.broadcast_to(gate, np.shape(phi) + (4, 4))
+        )
+        assert cli.main(["verify", "--only", "dcnot"]) == 0
+        assert capsys.readouterr().out.startswith("[PASS] dcnot ")
 
 
 def test_equivalence_holds_via_s_inverse_relation():
