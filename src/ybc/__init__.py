@@ -17,10 +17,8 @@ from .linalg import kron, max_abs_diff
 from .strategies import (
     ONE_QUBIT,
     TWO_QUBIT,
-    closed_form_l1_one_qubit,
-    closed_form_l1_two_qubit,
-    elementwise_reduced_one_qubit,
-    elementwise_reduced_two_qubit,
+    closed_form_coherence,
+    elementwise_reduced,
 )
 
 __version__ = "0.1.0"

@@ -17,8 +17,9 @@ equal to (I + i mu S)/sqrt(1 + mu^2) under cos(theta) = mu/sqrt(1 + mu^2).
 R solves the Yang-Baxter equation with additive spectral parameters.
 
 A second family comes from the eight-vertex ansatz: the braid matrix
-b_(+/-)(q) below has eigenvalues 1 -/+ i, and b + 2x b^{-1} solves the
-Yang-Baxter equation with multiplicative spectral parameters.
+b_(+/-)(q) below has eigenvalues 1 -/+ i, and b + 2x b^{-1}, which is
+(1 - x) b + 2x I, solves the Yang-Baxter equation with multiplicative
+spectral parameters.
 """
 
 from __future__ import annotations
@@ -93,8 +94,7 @@ def build_eight_vertex_b(
     when |q| = 1 (so q = e^{-i phi} for real phi).  It is the x = 0 point of
     ``yang_baxterize_eight_vertex`` and broadcasts over ``q`` as it does.
     """
-    b = yang_baxterize_eight_vertex(sign, q, 0.0)
-    return b / np.sqrt(2.0) if normalized else b
+    return yang_baxterize_eight_vertex(sign, q, 0.0, normalized)
 
 
 def yang_baxterize_eight_vertex(
@@ -112,11 +112,13 @@ def yang_baxterize_eight_vertex(
          [0,   -s(1-x),  1+x,     0     ],
          [-(1-x)/q, 0,   0,       1+x   ]]
 
-    equal to b + 2x b^{-1} (2 being the product of b's two eigenvalues), so
-    x = 0 recovers b and x = 1 gives 2I.  The normalized variant is
-    cos(t) B + sin(t) B^{-1} with B the 1/sqrt(2)-scaled b,
-    cos(t) = 1/sqrt(1+x^2) and sin(t) = x/sqrt(1+x^2); it is unitary for
-    every real x when |q| = 1.  B and its inverse are formed once per call.
+    equal to b + 2x b^{-1}, so x = 0 recovers b and x = 1 gives 2I: b's
+    eigenvalues 1 +/- i give b^2 - 2b + 2I = 0, so b^{-1} = I - b/2 and
+    b + 2x b^{-1} = (1-x) b + 2x I.  No inverse is taken.  The normalized
+    variant is cos(t) B + sin(t) B^{-1} with B the 1/sqrt(2)-scaled b,
+    cos(t) = 1/sqrt(1+x^2) and sin(t) = x/sqrt(1+x^2).  As B^{-1} =
+    sqrt(2) b^{-1}, it is the same entries divided by sqrt(2) sqrt(1+x^2),
+    and it is unitary for every real x when |q| = 1.
 
     ``q`` and ``x`` broadcast: arrays give the stack of shape
     ``np.broadcast_shapes(q.shape, x.shape) + (4, 4)``, each matrix bitwise
@@ -134,20 +136,17 @@ def yang_baxterize_eight_vertex(
         raise ValueError(f"q must be finite and nonzero, with 1/q finite, got {q!r}")
     x = _finite(x, "spectral parameter x")
     with np.errstate(over="ignore", invalid="ignore"):
+        plus, minus = 1 + x, 1 - x
+        r = np.zeros(np.broadcast_shapes(q.shape, x.shape) + (4, 4), dtype=complex)
+        r[..., 0, 0] = r[..., 1, 1] = r[..., 2, 2] = r[..., 3, 3] = plus
+        r[..., 0, 3] = q * minus
+        r[..., 1, 2] = s * minus
+        r[..., 2, 1] = -s * minus
+        # Python's complex division, so that the entry is bitwise -(1-x)/q
+        # of Python scalars: numpy's can round the last bit differently.
+        r[..., 3, 0] = np.divide(-minus, q, dtype=object)
         if normalized:
-            b = build_eight_vertex_b(s, q, normalized=True)
-            hyp = _finite(np.sqrt(1.0 + x * x), "sqrt(1 + x^2)")[..., None, None]
-            r = (b + x[..., None, None] * np.linalg.inv(b)) / hyp
-        else:
-            plus, minus = 1 + x, 1 - x
-            r = np.zeros(np.broadcast_shapes(q.shape, x.shape) + (4, 4), dtype=complex)
-            r[..., 0, 0] = r[..., 1, 1] = r[..., 2, 2] = r[..., 3, 3] = plus
-            r[..., 0, 3] = q * minus
-            r[..., 1, 2] = s * minus
-            r[..., 2, 1] = -s * minus
-            # Python's complex division, so that the entry is bitwise -(1-x)/q
-            # of Python scalars: numpy's can round the last bit differently.
-            r[..., 3, 0] = np.divide(-minus, q, dtype=object)
+            r /= np.sqrt(2.0) * _finite(np.sqrt(1.0 + x * x), "sqrt(1 + x^2)")[..., None, None]
     if not np.isfinite(r).all():
         raise ValueError(f"the built entries must be finite, got q={q!r} and x={x!r}")
     return r

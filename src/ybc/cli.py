@@ -129,11 +129,11 @@ def _check_ybe_multiplicative() -> tuple[float, str]:
 def _check_eight_vertex_unitary() -> tuple[float, str]:
     q = np.exp(-1j * _phi_grid(8))[:, None]
     x = np.array([-3.0, -0.5, 0.0, 0.7, 2.0])
-    res = 0.0
-    for sign in (+1, -1):
-        b = braid_ybe.build_eight_vertex_b(sign, q, normalized=True)
-        r = braid_ybe.yang_baxterize_eight_vertex(sign, q, x, normalized=True)
-        res = max(res, _unitarity_residual(b), _unitarity_residual(r))
+    # b is the x = 0 entry of each stack.
+    res = max(
+        _unitarity_residual(braid_ybe.yang_baxterize_eight_vertex(sign, q, x, normalized=True))
+        for sign in (+1, -1)
+    )
     return res, "normalized eight-vertex b and R(x) unitarity"
 
 

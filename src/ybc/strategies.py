@@ -21,13 +21,15 @@ ancilla Gram matrix, which the reduced state of a pure global state
 shares (Schmidt decomposition).  The tests pin the kernel against a
 40-digit mpmath evaluation of R^N on the input.
 
-The module also evaluates two reference closed-form coherence
-expressions and two reference element-wise assemblies of the reduced
-state, so that ``ybc compare`` (``compare_columns`` and
-``DeviationSummary``) can quantify where each reference formula agrees
-with the simulation.  The evaluators are kept exactly as the formulas are
-stated, on purpose: where a reference expression disagrees with the
-simulation, the summary documents it rather than patching the formula.
+The module also evaluates the reference formulas of each kind: a
+closed-form coherence (``closed_form_coherence``) and an element-wise
+assembly of the reduced state (``elementwise_reduced``).  Each has one
+body that broadcasts over x and theta, which ``ybc compare``
+(``compare_columns`` and ``DeviationSummary``) evaluates on whole planes
+to quantify where each formula agrees with the simulation.  The
+evaluators are kept exactly as the formulas are stated, on purpose: where
+a reference expression disagrees with the simulation, the summary
+documents it rather than patching the formula.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ def _check_points(kind, x: np.ndarray, theta: np.ndarray, phi: float, n) -> None
     """Validate a whole batch of points once: kind, N, x in [0, 1], finite angles.
 
     2 N theta, the largest product that any formula forms, must be finite
-    too: beyond it the sines turn into NaN.
+    too: beyond it the sines turn into NaN.  N must be at most 2**53, or the
+    parity taken from the int and the angles from its rounded float disagree.
     """
     if kind not in (ONE_QUBIT, TWO_QUBIT):
         raise ValueError(f"unknown strategy kind {kind!r}")
@@ -80,6 +83,8 @@ def _check_points(kind, x: np.ndarray, theta: np.ndarray, phi: float, n) -> None
     largest = float(np.max(np.abs(theta), initial=0.0))
     if n > sys.float_info.max or not math.isfinite(2.0 * float(n) * largest):
         raise ValueError(f"2 N theta must be finite, got N={n} and |theta| up to {largest!r}")
+    if n > 2**53:
+        raise ValueError(f"N must be at most 2**53, got {n}")
 
 
 def _split(a):
@@ -98,8 +103,6 @@ def _power_coefficients(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     e: rounding N theta to p alone would cost |e| <= ulp(p)/2, about 5e-7
     at N = 10^9.
     """
-    if n > 2**53:  # beyond it N itself is not exact in a float64
-        raise ValueError(f"the simulation kernel needs N <= 2**53, got {n}")
     # Split theta's mantissa, so that no partial product overflows.
     mantissa, exponent = np.frexp(theta)
     theta_hi, theta_lo = (np.ldexp(part, exponent) for part in _split(mantissa))
@@ -275,19 +278,20 @@ def sweep_columns(kind, terms, x, theta, phi: float, n: int) -> tuple[np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Reference closed-form coherence expressions, evaluated exactly as stated.
+# Reference closed forms and element-wise assemblies, evaluated as stated.
 # ---------------------------------------------------------------------------
 
 
 # Each reference formula is written once, over broadcastable x and theta
-# arrays at fixed phi and N.  The scalar evaluators validate their point and
-# pass it as 1-element arrays, so that every value goes through the same
-# numpy loops as on a plane and the two agree by construction.
+# arrays at fixed phi and N: compare evaluates it on whole planes.  The two
+# public evaluators validate their points and give x and theta a leading
+# axis, so that even one point goes through numpy's array loops, as on a
+# plane, and its value is bitwise its plane entry.
 
 
-def _point(kind, x, theta, phi: float, n) -> tuple[np.ndarray, np.ndarray]:
-    """Validate one point and return its x and theta as 1-element arrays."""
-    x, theta = np.array([x], dtype=float), np.array([theta], dtype=float)
+def _validated(kind, x, theta, phi: float, n) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the points and return x and theta with a leading axis."""
+    x, theta = (np.asarray(v, dtype=float)[None] for v in (x, theta))
     _check_points(kind, x, theta, phi, n)
     return x, theta
 
@@ -301,10 +305,7 @@ def _alpha(x, sin_2nt):
 
 
 def _closed_form_l1(kind, x, theta, phi: float, n: int) -> np.ndarray:
-    """Closed-form coherence over broadcastable x and theta arrays at fixed phi, N.
-
-    The inputs are not validated here; every caller validates them once.
-    """
+    """``closed_form_coherence`` over broadcastable x and theta, without validation."""
     odd = n % 2 == 1
     sin_nt, cos_nt = np.sin(n * theta), np.cos(n * theta)
     sin_2nt, cos_2nt = np.sin(2.0 * n * theta), np.cos(2.0 * n * theta)
@@ -324,51 +325,67 @@ def _closed_form_l1(kind, x, theta, phi: float, n: int) -> np.ndarray:
     return 0.5 * (2.0 * b + math.sqrt(2.0) * eps * (2.0 * b + root + tail))
 
 
-def closed_form_l1_one_qubit(x: float, theta: float, phi: float, n: int) -> float:
-    """One-qubit closed-form coherence, with odd and even N branches.
+def closed_form_coherence(kind, x, theta, phi: float, n: int) -> np.ndarray:
+    """The reference closed-form l1 coherence of a strategy, with odd and even N branches.
 
-    C = (1/2) sqrt|Delta + 4 delta eps^2 cos^4(N theta)|  for odd N
-    (sin^4 for even N), with Delta = alpha^2/8 + alpha beta eps
+    With eps = sqrt(2 x (1 - x)), the one-qubit form is
+
+        C = (1/2) sqrt|Delta + 4 delta eps^2 cos^4(N theta)|
+
+    for odd N (sin^4 for even N), with Delta = alpha^2/8 + alpha beta eps
     + 2 eps^2 gamma and
 
         alpha = 4 (1 - 2x) sin(2 N theta)
         beta  = sin(phi) cos^2(N theta) + cos(phi) (2 - 3 cos^2(N theta))
         gamma = -4 sin^2(N theta) cos(2 N theta)
-        delta = 1 - sin(2 phi),   eps = sqrt(2 x (1 - x)).
+        delta = 1 - sin(2 phi).
+
+    The two-qubit form, independent of phi, is
+
+        C = (1/2) [2b + sqrt(2) eps (2b + sqrt|a + 5 sin^4(N theta)| + cos^2(N theta))]
+
+    for odd N, with sin and cos swapped for even N, where
+    a = (-1)^(N+1) cos(2 N theta) and b = |sin(2 N theta)|/sqrt(2).
+
+    x and theta broadcast against each other (a scalar pair gives one
+    value); phi and N are one value each.  ValueError for an unknown kind,
+    an x outside [0, 1], a non-finite angle or 2 N theta, or an N that is
+    not an int in [1, 2**53].
     """
-    x, theta = _point(ONE_QUBIT, x, theta, phi, n)
-    return float(_closed_form_l1(ONE_QUBIT, x, theta, phi, n)[0])
+    x, theta = _validated(kind, x, theta, phi, n)
+    return _closed_form_l1(kind, x, theta, phi, n)[0]
 
 
-def closed_form_l1_two_qubit(x: float, theta: float, n: int) -> float:
-    """Two-qubit closed-form coherence; independent of phi.
+def _elements(kind, x, theta, phi: float, n: int):
+    """(diagonal, upper): the entries of an element assembly, the upper ones row by row.
 
-    C = (1/2) [2b + sqrt(2) eps (2b + sqrt|a + 5 sin^4(N theta)| +
-    cos^2(N theta))] for odd N, with sin and cos swapped for even N,
-    where a = (-1)^(N+1) cos(2 N theta) and b = |sin(2 N theta)|/sqrt(2).
-    """
-    x, theta = _point(TWO_QUBIT, x, theta, 0.0, n)
-    return float(_closed_form_l1(TWO_QUBIT, x, theta, 0.0, n)[0])
-
-
-# ---------------------------------------------------------------------------
-# Reference element-wise assemblies of the reduced state.
-# ---------------------------------------------------------------------------
-
-
-def _one_qubit_elements(x, theta, phi: float, n: int):
-    """sigma_11 and sigma_12 of the one-qubit assembly.
-
-    base is cos(N theta) for odd N and sin(N theta) for even N.  Inside
-    ``POLE_WINDOW`` of a zero of base the elements are the analytic limit,
-    the identity channel's.  A pole whose companion sin(2 N theta) does not
-    vanish would be a genuine divergence and raises, but that raise is only
-    a guard against rounding: sin(2 N theta) = 2 sin(N theta) cos(N theta),
-    so |sin(2 N theta)| <= 2 |base| < 2 ``POLE_WINDOW`` wherever the pole
-    mask holds, and only a last-bit difference between the two evaluated
-    sines could break that bound.
+    One qubit: base is cos(N theta) for odd N and sin(N theta) for even N.
+    Inside ``POLE_WINDOW`` of a zero of base the elements are the analytic
+    limit, the identity channel's.  A pole whose companion sin(2 N theta)
+    does not vanish would be a genuine divergence and raises, but that
+    raise is only a guard against rounding: sin(2 N theta) = 2 sin(N theta)
+    cos(N theta), so |sin(2 N theta)| <= 2 |base| < 2 ``POLE_WINDOW``
+    wherever the pole mask holds, and only a last-bit difference between
+    the two evaluated sines could break that bound.
     """
     odd = n % 2 == 1
+    eps = _eps(x)
+    if kind == TWO_QUBIT:
+        s2, c2 = np.sin(n * theta) ** 2, np.cos(n * theta) ** 2
+        chain = (-1.0) ** n / (2.0 * math.sqrt(2.0)) * np.exp(1j * phi) * np.sin(2.0 * n * theta)
+        bracket = (2.0 + 1j) * s2 - 1j if odd else (2.0 - 1j) * c2 + 1j
+        root = np.sqrt(x * (1.0 - x))
+        s11 = 0.5 * (1.0 - x) * (c2 if odd else s2)
+        s22 = 0.5 * (1.0 - x) * ((1.0 + s2) if odd else (1.0 + c2))
+        s33 = 0.5 * x * ((1.0 + s2) if odd else (1.0 + c2))
+        s44 = 1.0 - s11 - s22 - s33
+        s12 = (1.0 - x) * chain
+        s13 = root * chain
+        s14 = eps / math.sqrt(2.0) * np.exp(2j * phi) * (c2 if odd else s2)
+        s23 = eps / math.sqrt(2.0) * bracket
+        s24 = -root * chain
+        s34 = -x * chain
+        return (s11, s22, s33, s44), (s12, s13, s14, s23, s24, s34)
     base = np.cos(n * theta) if odd else np.sin(n * theta)
     sin2nt = np.sin(2.0 * n * theta)
     pole = np.abs(base) < POLE_WINDOW
@@ -381,7 +398,6 @@ def _one_qubit_elements(x, theta, phi: float, n: int):
     trig2 = base**2
     inv_sq = 1.0 / np.where(pole, 1.0, trig2)  # the pole entries are replaced below
     alpha = _alpha(x, sin2nt)
-    eps = _eps(x)
     s11 = 0.5 * (1.0 + alpha * inv_sq / 8.0 - eps * math.cos(phi) * sin2nt)
     bracket = eps * (2.0 - (2.0 - 1j + np.exp(2j * phi)) * trig2)
     alpha_term = math.sqrt(2.0) * alpha * np.exp(1j * phi) / 4.0
@@ -395,27 +411,7 @@ def _one_qubit_elements(x, theta, phi: float, n: int):
         raise ValueError(
             f"non-finite element at x={x!r}, theta={theta!r}, phi={phi!r}, N={n}"
         )
-    return s11, s12
-
-
-def _two_qubit_elements(x, theta, phi: float, n: int):
-    """The diagonal and the six upper off-diagonal entries of the 4x4 assembly."""
-    odd = n % 2 == 1
-    s2, c2 = np.sin(n * theta) ** 2, np.cos(n * theta) ** 2
-    chain = (-1.0) ** n / (2.0 * math.sqrt(2.0)) * np.exp(1j * phi) * np.sin(2.0 * n * theta)
-    bracket = (2.0 + 1j) * s2 - 1j if odd else (2.0 - 1j) * c2 + 1j
-    eps, root = _eps(x), np.sqrt(x * (1.0 - x))
-    s11 = 0.5 * (1.0 - x) * (c2 if odd else s2)
-    s22 = 0.5 * (1.0 - x) * ((1.0 + s2) if odd else (1.0 + c2))
-    s33 = 0.5 * x * ((1.0 + s2) if odd else (1.0 + c2))
-    s44 = 1.0 - s11 - s22 - s33
-    s12 = (1.0 - x) * chain
-    s13 = root * chain
-    s14 = eps / math.sqrt(2.0) * np.exp(2j * phi) * (c2 if odd else s2)
-    s23 = eps / math.sqrt(2.0) * bracket
-    s24 = -root * chain
-    s34 = -x * chain
-    return (s11, s22, s33, s44), (s12, s13, s14, s23, s24, s34)
+    return (s11, 1.0 - s11), (s12,)
 
 
 def _off_diagonal_l1(upper) -> np.ndarray:
@@ -423,50 +419,37 @@ def _off_diagonal_l1(upper) -> np.ndarray:
     return 2.0 * sum(np.abs(z) for z in upper)
 
 
-def elementwise_reduced_one_qubit(
-    x: float, theta: float, phi: float, n: int
-) -> tuple[np.ndarray, float]:
-    """Assemble the 2x2 reduced-state element formulas and their l1 value.
+def elementwise_reduced(kind, x, theta, phi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble the reference element formulas of the reduced state, and their l1 value.
 
-    The sigma_11 formula carries a sec^2(N theta) (odd N) or csc^2(N theta)
-    (even N) factor whose companion alpha vanishes at the pole.  Inside
-    ``POLE_WINDOW`` of a pole the evaluator returns the analytic limit,
-    which is the identity-channel reduced state (at every pole the N-fold
-    gate is +/- the identity).  A pole with a non-vanishing companion would
-    be a genuine divergence and raises instead of returning NaN or Inf.
+    One qubit, 2x2: the sigma_11 formula carries a sec^2(N theta) (odd N)
+    or csc^2(N theta) (even N) factor whose companion alpha vanishes at the
+    pole.  Inside ``POLE_WINDOW`` of a pole the evaluator returns the
+    analytic limit, the identity-channel reduced state (at every pole the
+    N-fold gate is +/- the identity); a pole with a non-vanishing companion
+    would be a genuine divergence and raises instead of returning NaN or
+    Inf.  sigma_22 = 1 - sigma_11.
 
-    Returns (sigma, 2 |sigma_12|); sigma is a plain array because the
-    formulas are not guaranteed to assemble into a positive state.
+    Two qubits, 4x4: the diagonals follow the piecewise forms, with
+    sigma_44 fixed by trace completion.  The off-diagonal family
+    proportional to sigma_12 is resolved element by element, so that the
+    (1-x)/x ratio chains stay finite at x = 0 and x = 1.
+
+    x and theta broadcast as in ``closed_form_coherence``, which also lists
+    the ValueErrors.  Returns (sigma, 2 * the sum of the upper off-diagonal
+    moduli), sigma on the last two axes.  sigma is a plain complex array,
+    not a validated density matrix: the formulas are not guaranteed to
+    assemble into a positive state.
     """
-    s11, s12 = _one_qubit_elements(*_point(ONE_QUBIT, x, theta, phi, n), phi, n)
-    sigma = np.array([[s11[0], s12[0]], [np.conj(s12[0]), 1.0 - s11[0]]], dtype=complex)
-    return sigma, float(_off_diagonal_l1([s12])[0])
-
-
-def elementwise_reduced_two_qubit(
-    x: float, theta: float, phi: float, n: int
-) -> tuple[np.ndarray, float]:
-    """Assemble the 4x4 reduced-state element formulas and their l1 value.
-
-    Diagonals follow the piecewise forms with sigma_44 fixed by trace
-    completion.  The off-diagonal family proportional to sigma_12 is
-    resolved element by element so the (1-x)/x ratio chains stay finite at
-    x = 0 and x = 1.  Returns (sigma, 2 * sum of the six upper off-diagonal
-    moduli); sigma is a plain array, not a validated density matrix.
-    """
-    diagonal, upper = _two_qubit_elements(*_point(TWO_QUBIT, x, theta, phi, n), phi, n)
-    s11, s22, s33, s44 = (d[0] for d in diagonal)
-    s12, s13, s14, s23, s24, s34 = (z[0] for z in upper)
-    sigma = np.array(
-        [
-            [s11, s12, s13, s14],
-            [np.conj(s12), s22, s23, s24],
-            [np.conj(s13), np.conj(s23), s33, s34],
-            [np.conj(s14), np.conj(s24), np.conj(s34), s44],
-        ],
-        dtype=complex,
-    )
-    return sigma, float(_off_diagonal_l1(upper)[0])
+    x, theta = _validated(kind, x, theta, phi, n)
+    diagonal, upper = _elements(kind, x, theta, phi, n)
+    entries, ds = np.broadcast_arrays(*diagonal, *upper), len(diagonal)
+    span, (rows, cols) = np.arange(ds), np.triu_indices(ds, 1)
+    sigma = np.zeros(entries[0].shape + (ds, ds), dtype=complex)
+    sigma[..., span, span] = np.stack(entries[:ds], axis=-1)
+    sigma[..., rows, cols] = np.stack(entries[ds:], axis=-1)
+    sigma[..., cols, rows] = sigma[..., rows, cols].conj()
+    return sigma[0], _off_diagonal_l1(upper)[0]
 
 
 def _elementwise_l1(kind, x, theta, phi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -477,11 +460,9 @@ def _elementwise_l1(kind, x, theta, phi: float, n: int) -> tuple[np.ndarray, np.
     density-matrix set near its poles).  The inputs are not validated here;
     the caller validates them once.
     """
-    if kind == ONE_QUBIT:
-        l1 = _off_diagonal_l1([_one_qubit_elements(x, theta, phi, n)[1]])
-        return l1, np.zeros_like(l1)
-    diagonal, upper = _two_qubit_elements(x, theta, phi, n)
-    return _off_diagonal_l1(upper), reduce(np.minimum, diagonal)
+    diagonal, upper = _elements(kind, x, theta, phi, n)
+    l1 = _off_diagonal_l1(upper)
+    return l1, (reduce(np.minimum, diagonal) if kind == TWO_QUBIT else np.zeros_like(l1))
 
 
 # ---------------------------------------------------------------------------

@@ -310,14 +310,11 @@ class TestEightVertex:
 
     @staticmethod
     def written_out(sign, q, x, normalized):
-        """The family entry by entry in Python scalars, one point at a time."""
-        if normalized:
-            b = np.array(
-                [[1, 0, 0, q], [0, 1, sign, 0], [0, -sign, 1, 0], [-1.0 / q, 0, 0, 1]],
-                dtype=complex,
-            ) / np.sqrt(2.0)
-            return (b + x * np.linalg.inv(b)) / math.sqrt(1.0 + x * x)
-        return np.array(
+        """The family entry by entry in Python scalars, one point at a time.
+
+        The normalized family is the same entries over sqrt(2) sqrt(1 + x^2).
+        """
+        r = np.array(
             [
                 [1 + x, 0, 0, q * (1 - x)],
                 [0, 1 + x, sign * (1 - x), 0],
@@ -326,12 +323,35 @@ class TestEightVertex:
             ],
             dtype=complex,
         )
+        return r / (np.sqrt(2.0) * math.sqrt(1.0 + x * x)) if normalized else r
+
+    # q on the unit circle, where the normalized family is unitary, and off it.
+    QS = np.concatenate(
+        [np.exp(-1j * np.array([0.0, np.pi / 4, np.pi / 3, 2.0, -2.9])), [0.5 + 2j, -3.0 + 0.1j]]
+    )
+    XS = np.array([-3.0, -0.5, 0.0, 1 / 16, 0.7, 1.0, 4.0, 16.0])
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_inverse_is_identity_minus_half_b(self, sign):
+        # b's eigenvalues 1 +/- i give b^2 - 2b + 2I = 0 for any nonzero q.
+        for q in self.QS.tolist():
+            b = build_eight_vertex_b(sign, q)
+            assert max_abs_diff(b @ (identity(4) - b / 2.0), identity(4)) <= 1e-15
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_normalized_is_the_inverse_form(self, sign):
+        # The stated form (B + x B^{-1}) / sqrt(1 + x^2), B = b / sqrt(2),
+        # with B^{-1} taken numerically.
+        for q in self.QS.tolist():
+            b = build_eight_vertex_b(sign, q, normalized=True)
+            for x in self.XS.tolist():
+                expected = (b + x * np.linalg.inv(b)) / math.sqrt(1.0 + x * x)
+                r = yang_baxterize_eight_vertex(sign, q, x, normalized=True)
+                assert max_abs_diff(r, expected) <= 1e-15
 
     @pytest.mark.parametrize("normalized", [False, True])
     def test_stack_is_bitwise_the_one_point_calls(self, normalized):
-        phases = np.exp(-1j * np.array([0.0, np.pi / 4, np.pi / 3, 2.0, -2.9]))
-        qs = np.concatenate([phases, [0.5 + 2j, -3.0 + 0.1j]])[:, None]
-        xs = np.array([-3.0, -0.5, 0.0, 1 / 16, 0.7, 1.0, 4.0, 16.0])
+        qs, xs = self.QS[:, None], self.XS
         for sign in (+1, -1):
             stack = yang_baxterize_eight_vertex(sign, qs, xs, normalized)
             assert stack.shape == (qs.size, xs.size, 4, 4)

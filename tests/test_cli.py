@@ -23,17 +23,13 @@ from ybc.braid_ybe import (
     yang_baxterize_eight_vertex,
 )
 from ybc.linalg import identity, max_abs_diff
-from ybc.strategies import (
-    ONE_QUBIT,
-    closed_form_l1_one_qubit,
-    closed_form_l1_two_qubit,
-)
+from ybc.strategies import ONE_QUBIT, closed_form_coherence
 
 from reference import batched_grid, mpmath_reference
 
 
 def reference_sweep_csv(kind, xs, thetas, phis, ns) -> str:
-    """A sweep CSV rendered point by point: scalar closed form, _fmt per field."""
+    """A sweep CSV rendered point by point: one-point closed form, _fmt per field."""
     planes = {(phi, n): batched_grid(kind, xs, thetas, phi, n) for phi in phis for n in ns}
     rows = [cli.SWEEP_HEADER]
     for ix, x in enumerate(xs):
@@ -41,11 +37,7 @@ def reference_sweep_csv(kind, xs, thetas, phis, ns) -> str:
             for phi in phis:
                 for n in ns:
                     c_l1, c_r = (float(a[ix, it]) for a in planes[(phi, n)])
-                    closed = (
-                        closed_form_l1_one_qubit(float(x), float(theta), phi, n)
-                        if kind == ONE_QUBIT
-                        else closed_form_l1_two_qubit(float(x), float(theta), n)
-                    )
+                    closed = float(closed_form_coherence(kind, float(x), float(theta), phi, n))
                     angles = ",".join(cli._fmt(v) for v in (float(x), float(theta), phi))
                     values = (c_l1, c_r, closed, abs(c_l1 - closed))
                     rows.append(
@@ -215,7 +207,8 @@ class TestVerify:
 
     def test_calls_inv_and_kron_a_bounded_number_of_times(self, capsys, monkeypatch):
         # Each check evaluates its grid as one stack; one call per point
-        # took 530 inv and 2,612 kron calls.
+        # took 530 inv and 2,612 kron calls.  The eight-vertex family takes
+        # no inverse at all: b^{-1} = I - b/2.
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -229,7 +222,7 @@ class TestVerify:
         for module in (braid_ybe, gates):
             monkeypatch.setattr(module, "kron", counted("kron", module.kron))
         assert cli.main(["verify"]) == 0
-        assert calls["inv"] <= 12 and calls["kron"] <= 150, calls
+        assert calls["inv"] == 0 and calls["kron"] <= 150, calls
 
 
 class TestSweep:
@@ -868,17 +861,44 @@ def _python(*args: str) -> str:
     ).stdout
 
 
+def digest_commands():
+    """{label: argv without --out} of each command in ``tools/output_digests.py``.
+
+    Imports the script for its command list only; running it takes seconds.
+    """
+    path = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return dict(tool.COMMANDS)
+
+
 class TestOutputDigests:
     def test_covers_every_figure_and_formula(self):
-        # Imports the script for its command list only; running it takes seconds.
-        path = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
-        spec = importlib.util.spec_from_file_location("output_digests", path)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
-        commands = [argv for _, argv in tool.COMMANDS]
+        commands = list(digest_commands().values())
         figures = {argv[1] for argv in commands if argv[0] == "figure"}
         formulas = {argv[argv.index("--formula") + 1] for argv in commands if argv[0] == "compare"}
         assert figures == set(cli.FIGURES)
         assert formulas == set(strategies.DROPPED_COLUMNS)
         assert {argv[2] for argv in commands if argv[0] == "sweep"} == {"one", "two"}
         assert ("verify",) in commands
+
+    @pytest.mark.parametrize("label", digest_commands())
+    def test_command_parses_to_a_valid_grid(self, label, monkeypatch):
+        # Each command as the tool runs it passes cli._parse, and its grid
+        # passes cli._grid_axes, so the list cannot drift from cli.OPTIONS.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(strategies, "grid_blocks", forbidden)
+        argv = digest_commands()[label]
+        command, opts = cli._parse(argv if argv[0] == "verify" else [*argv, "--out", "d.csv"])
+        opts.update((k, v) for k, v in cli.OPTIONS[command].items() if opts[k] is None)
+        assert cli.REQUIRED not in opts.values()
+        if command == "figure":
+            assert opts["id"] in cli.FIGURES
+        elif command != "verify":
+            assert opts["strategy"] in ("one", "two", "all")
+            assert opts.get("formula", "all") in strategies.DROPPED_COLUMNS
+            xs, thetas, phis, ns = cli._grid_axes(opts, 2 if opts["strategy"] == "all" else 1)
+            assert min(len(xs), len(thetas), len(phis), len(ns)) >= 1

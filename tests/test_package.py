@@ -24,11 +24,9 @@ PACKAGE_NAMES = [
     "check_far_commutation",
     "check_ybe_additive",
     "check_ybe_multiplicative",
-    "closed_form_l1_one_qubit",
-    "closed_form_l1_two_qubit",
+    "closed_form_coherence",
     "dcnot",
-    "elementwise_reduced_one_qubit",
-    "elementwise_reduced_two_qubit",
+    "elementwise_reduced",
     "kron",
     "local_factors",
     "local_invariants",

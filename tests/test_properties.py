@@ -9,8 +9,8 @@ R(theta, phi)^N on the input (``reference.py``).
 
 Two further properties: N uses of R(theta, phi) act as one use at the
 angle pi/2 - N (pi/2 - theta), since R = exp(i (pi/2 - theta) S) with
-S^2 = I; and each scalar reference evaluator returns exactly the entry of
-a plane that contains its point.
+S^2 = I; and each reference evaluator, called at one point, returns
+exactly the entry of a plane that contains that point.
 
 Last, the CSV row emitter, which formats each distinct double of a chunk
 once, prints the same bytes as ``_fmt`` on every field.
@@ -25,14 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybc import cli, strategies
-from ybc.strategies import (
-    ONE_QUBIT,
-    TWO_QUBIT,
-    closed_form_l1_one_qubit,
-    closed_form_l1_two_qubit,
-    elementwise_reduced_one_qubit,
-    elementwise_reduced_two_qubit,
-)
+from ybc.strategies import ONE_QUBIT, TWO_QUBIT, closed_form_coherence, elementwise_reduced
 
 from reference import batched_grid, kernel_spectrum, mpmath_reference
 
@@ -99,12 +92,8 @@ def test_scalar_forms_equal_their_plane_entry(kind, xs, thetas, phi, n, i, j):
     plane_x, plane_theta = np.array(xs)[:, None], np.array(thetas)[None, :]
     closed = strategies._closed_form_l1(kind, plane_x, plane_theta, phi, n)
     elements, _ = strategies._elementwise_l1(kind, plane_x, plane_theta, phi, n)
-    if kind == ONE_QUBIT:
-        assert closed_form_l1_one_qubit(x, theta, phi, n) == closed[i, j]
-        assert elementwise_reduced_one_qubit(x, theta, phi, n)[1] == elements[i, j]
-    else:
-        assert closed_form_l1_two_qubit(x, theta, n) == closed[i, j]
-        assert elementwise_reduced_two_qubit(x, theta, phi, n)[1] == elements[i, j]
+    assert closed_form_coherence(kind, x, theta, phi, n) == closed[i, j]
+    assert elementwise_reduced(kind, x, theta, phi, n)[1] == elements[i, j]
 
 
 # Doubles whose %.12g text is easy to get wrong: signed zeros, NaN, the

@@ -12,11 +12,9 @@ from ybc.strategies import (
     ONE_QUBIT,
     TWO_QUBIT,
     DeviationSummary,
-    closed_form_l1_one_qubit,
-    closed_form_l1_two_qubit,
+    closed_form_coherence,
     compare_columns,
-    elementwise_reduced_one_qubit,
-    elementwise_reduced_two_qubit,
+    elementwise_reduced,
 )
 
 from reference import batched_grid, kernel_reduced_state, kernel_spectrum, mpmath_reference
@@ -181,7 +179,7 @@ class TestClosedFormOneQubit:
     def test_identity_slice_odd_uses(self):
         for x in (0.0, 0.2, 0.5, 0.8, 1.0):
             for n in (1, 3, 5):
-                value = closed_form_l1_one_qubit(x, np.pi / 2, 0.7, n)
+                value = closed_form_coherence(ONE_QUBIT, x, np.pi / 2, 0.7, n)
                 assert abs(value - 2.0 * np.sqrt(x * (1 - x))) <= 1e-10
 
     def test_x_zero_reduces_to_alpha_term(self):
@@ -191,7 +189,7 @@ class TestClosedFormOneQubit:
             for n in (1, 2, 3):
                 alpha = 4.0 * np.sin(2 * n * theta)
                 expected = abs(alpha) / (4.0 * np.sqrt(2))
-                value = closed_form_l1_one_qubit(0.0, theta, 0.5, n)
+                value = closed_form_coherence(ONE_QUBIT, 0.0, theta, 0.5, n)
                 assert abs(value - expected) <= 1e-12
                 assert abs(value - mpmath_reference(ONE_QUBIT, 0.0, theta, 0.5, n)[0]) <= 1e-12
 
@@ -199,14 +197,14 @@ class TestClosedFormOneQubit:
         # Away from the identity slice the reference expression and the
         # simulation differ; both values are pinned so any change to either
         # path is visible.  (x, theta, phi, N) = (0.3, 0.8, pi/4, 1).
-        closed = closed_form_l1_one_qubit(0.3, 0.8, np.pi / 4, 1)
+        closed = closed_form_coherence(ONE_QUBIT, 0.3, 0.8, np.pi / 4, 1)
         sim = mpmath_reference(ONE_QUBIT, 0.3, 0.8, np.pi / 4, 1)[0]
         assert abs(closed - 0.530215648622174) <= 1e-12
         assert abs(sim - 0.700677947064328) <= 1e-12
 
     def test_rejects_x_out_of_range(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            closed_form_l1_one_qubit(1.5, 0.3, 0.0, 1)
+            closed_form_coherence(ONE_QUBIT, 1.5, 0.3, 0.0, 1)
 
 
 class TestClosedFormTwoQubit:
@@ -214,12 +212,13 @@ class TestClosedFormTwoQubit:
         for theta in (0.2, 0.8, 1.7):
             for n in (1, 2, 4):
                 expected = abs(np.sin(2 * n * theta)) / np.sqrt(2)
-                assert abs(closed_form_l1_two_qubit(0.0, theta, n) - expected) <= 1e-12
+                value = closed_form_coherence(TWO_QUBIT, 0.0, theta, 0.0, n)
+                assert abs(value - expected) <= 1e-12
 
     def test_identity_slice(self):
         for x in (0.0, 0.3, 0.5, 0.9):
             for n in (1, 2, 3, 4):
-                value = closed_form_l1_two_qubit(x, np.pi / 2, n)
+                value = closed_form_coherence(TWO_QUBIT, x, np.pi / 2, 0.0, n)
                 assert abs(value - 2.0 * np.sqrt(x * (1 - x))) <= 1e-10
 
     def test_matches_simulation_everywhere(self):
@@ -233,14 +232,14 @@ class TestClosedFormTwoQubit:
             phi = float(rng.uniform(0, 2 * np.pi))
             n = int(rng.integers(1, 9))
             sim = mpmath_reference(TWO_QUBIT, x, theta, phi, n)[0]
-            closed = closed_form_l1_two_qubit(x, theta, n)
+            closed = closed_form_coherence(TWO_QUBIT, x, theta, phi, n)
             worst = max(worst, abs(sim - closed))
         assert worst <= 1e-10
 
     def test_maximum_exceeds_two(self):
         # The sweep maximum reaches ~2.22 at x = 1/2, theta = pi/4, N = 1;
         # recorded here as an observable of the closed form and the reference.
-        value = closed_form_l1_two_qubit(0.5, np.pi / 4, 1)
+        value = closed_form_coherence(TWO_QUBIT, 0.5, np.pi / 4, 0.0, 1)
         assert abs(value - mpmath_reference(TWO_QUBIT, 0.5, np.pi / 4, 0.3, 1)[0]) <= 1e-10
         assert 2.2 < value < 2.3
 
@@ -249,14 +248,14 @@ class TestElementwiseOneQubit:
     def test_pole_path_returns_identity_channel_state(self):
         for x in (0.0, 0.3, 0.5, 1.0):
             for n in (1, 2, 3, 4):
-                sigma, c = elementwise_reduced_one_qubit(x, np.pi / 2, 0.4, n)
+                sigma, c = elementwise_reduced(ONE_QUBIT, x, np.pi / 2, 0.4, n)
                 root = np.sqrt(x * (1 - x))
                 expected = np.array([[1 - x, root], [root, x]], dtype=complex)
                 assert max_abs_diff(sigma, expected) <= 1e-12
                 assert abs(c - 2.0 * root) <= 1e-12
 
     def test_near_pole_routes_through_limit(self):
-        sigma, _ = elementwise_reduced_one_qubit(0.3, np.pi / 2 + 1e-9, 0.4, 1)
+        sigma, _ = elementwise_reduced(ONE_QUBIT, 0.3, np.pi / 2 + 1e-9, 0.4, 1)
         root = np.sqrt(0.3 * 0.7)
         expected = np.array([[0.7, root], [root, 0.3]], dtype=complex)
         assert max_abs_diff(sigma, expected) <= 1e-8
@@ -271,7 +270,7 @@ class TestElementwiseOneQubit:
         hits = 0
         for start in range(0, 4 * n, chunk):
             theta = np.arange(start, min(start + chunk, 4 * n))[None, :] * math.pi / (2 * n)
-            s11, s12 = strategies._one_qubit_elements(x, theta, 0.4, n)
+            (s11, _), (s12,) = strategies._elements(ONE_QUBIT, x, theta, 0.4, n)
             base = np.cos(n * theta) if n % 2 else np.sin(n * theta)
             pole = np.broadcast_to(np.abs(base) < strategies.POLE_WINDOW, s11.shape)
             x_at = np.broadcast_to(x, s11.shape)
@@ -287,14 +286,14 @@ class TestElementwiseOneQubit:
             theta = float(rng.uniform(0, 2 * np.pi))
             phi = float(rng.uniform(0, 2 * np.pi))
             n = int(rng.integers(1, 5))
-            sigma, c = elementwise_reduced_one_qubit(x, theta, phi, n)
+            sigma, c = elementwise_reduced(ONE_QUBIT, x, theta, phi, n)
             assert abs(np.trace(sigma) - 1.0) <= 1e-12
             assert max_abs_diff(sigma, sigma.conj().T) == 0.0
             assert c >= 0.0
             assert np.all(np.isfinite(sigma.view(float)))
 
     def test_sigma22_complements_sigma11(self):
-        sigma, _ = elementwise_reduced_one_qubit(0.4, 1.1, 0.6, 3)
+        sigma, _ = elementwise_reduced(ONE_QUBIT, 0.4, 1.1, 0.6, 3)
         assert abs((sigma[0, 0] + sigma[1, 1]).real - 1.0) <= 1e-15
 
 
@@ -302,7 +301,8 @@ class TestElementwiseTwoQubit:
     def test_trace_one_by_construction(self):
         rng = np.random.default_rng(53)
         for _ in range(40):
-            sigma, _ = elementwise_reduced_two_qubit(
+            sigma, _ = elementwise_reduced(
+                TWO_QUBIT,
                 float(rng.uniform()),
                 float(rng.uniform(0, 2 * np.pi)),
                 float(rng.uniform(0, 2 * np.pi)),
@@ -313,14 +313,14 @@ class TestElementwiseTwoQubit:
 
     def test_off_diagonal_ratio_chain(self):
         for x in (0.2, 0.5, 0.9):
-            sigma, _ = elementwise_reduced_two_qubit(x, 0.8, 0.3, 1)
+            sigma, _ = elementwise_reduced(TWO_QUBIT, x, 0.8, 0.3, 1)
             ratio = np.sqrt((1 - x) / x)
             assert abs(sigma[0, 1] + ratio * sigma[1, 3]) <= 1e-12
             assert abs(sigma[0, 1] - ratio * sigma[0, 2]) <= 1e-12
 
     def test_boundary_x_values_are_finite(self):
         for x in (0.0, 1.0):
-            sigma, c = elementwise_reduced_two_qubit(x, 1.2, 0.5, 2)
+            sigma, c = elementwise_reduced(TWO_QUBIT, x, 1.2, 0.5, 2)
             assert np.all(np.isfinite(sigma.view(float)))
             assert np.isfinite(c)
 
@@ -331,7 +331,7 @@ class TestElementwiseTwoQubit:
             theta = float(rng.uniform(0, 2 * np.pi))
             phi = float(rng.uniform(0, 2 * np.pi))
             n = int(rng.integers(1, 5))
-            sigma, _ = elementwise_reduced_two_qubit(x, theta, phi, n)
+            sigma, _ = elementwise_reduced(TWO_QUBIT, x, theta, phi, n)
             sim = mpmath_reference(TWO_QUBIT, x, theta, phi, n)[3]
             assert max_abs_diff(np.diag(sigma), np.diag(sim)) <= 1e-10
 
@@ -339,7 +339,7 @@ class TestElementwiseTwoQubit:
         # sigma_14 and sigma_23 carry twice the reference's moduli; pinned so
         # the evaluator is known to follow the reference form.
         for x, theta, n in ((0.3, 0.9, 1), (0.6, 2.1, 2)):
-            sigma, _ = elementwise_reduced_two_qubit(x, theta, 0.4, n)
+            sigma, _ = elementwise_reduced(TWO_QUBIT, x, theta, 0.4, n)
             sim = mpmath_reference(TWO_QUBIT, x, theta, 0.4, n)[3]
             assert abs(abs(sigma[0, 3]) - 2.0 * abs(sim[0, 3])) <= 1e-10
             assert abs(abs(sigma[1, 2]) - 2.0 * abs(sim[1, 2])) <= 1e-10
@@ -547,8 +547,8 @@ class TestClosedFormPlane:
             assert one.shape == two.shape == (len(self.XS), len(thetas))
             for i, x in enumerate(self.XS.tolist()):
                 for j, theta in enumerate(thetas.tolist()):
-                    assert one[i, j] == closed_form_l1_one_qubit(x, theta, phi, n)
-                    assert two[i, j] == closed_form_l1_two_qubit(x, theta, n)
+                    assert one[i, j] == closed_form_coherence(ONE_QUBIT, x, theta, phi, n)
+                    assert two[i, j] == closed_form_coherence(TWO_QUBIT, x, theta, phi, n)
 
     @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
     def test_validates_whole_plane(self, kind):
@@ -569,9 +569,9 @@ class TestClosedFormPlane:
 
     def test_scalar_forms_reject_non_integral_uses(self):
         with pytest.raises(ValueError, match="n_uses"):
-            closed_form_l1_one_qubit(0.5, 0.3, 0.0, 1.7)
+            closed_form_coherence(ONE_QUBIT, 0.5, 0.3, 0.0, 1.7)
         with pytest.raises(ValueError, match="n_uses"):
-            closed_form_l1_two_qubit(0.5, 0.3, True)
+            closed_form_coherence(TWO_QUBIT, 0.5, 0.3, 0.0, True)
 
 
 def pole_thetas(n):
@@ -630,14 +630,9 @@ def assert_compare_matches_pointwise(kind, values, xs, thetas, phis, ns):
             planes[ip, j] = batched_grid(kind, xs, thetas, phi, n)[0]
         point = dict(zip(COMPARE_COLUMNS, values[ix, it, ip, j].tolist()))
         assert point["c_l1_sim"] == planes[ip, j][ix, it]
-        if kind == ONE_QUBIT:
-            closed = closed_form_l1_one_qubit(x, theta, phi, n)
-            sigma, appendix = elementwise_reduced_one_qubit(x, theta, phi, n)
-            lowest = 0.0
-        else:
-            closed = closed_form_l1_two_qubit(x, theta, n)
-            sigma, appendix = elementwise_reduced_two_qubit(x, theta, phi, n)
-            lowest = float(np.diag(sigma).real.min())
+        closed = closed_form_coherence(kind, x, theta, phi, n)
+        sigma, appendix = elementwise_reduced(kind, x, theta, phi, n)
+        lowest = 0.0 if kind == ONE_QUBIT else float(np.diag(sigma).real.min())
         assert point["c_l1_closed"] == closed
         assert point["c_l1_appendix"] == appendix
         assert point["deviation_closed"] == abs(point["c_l1_sim"] - point["c_l1_closed"])
@@ -664,6 +659,49 @@ def stats_tuples(summary):
         (s.kind, s.formula, s.parity, s.count, s.max_deviation, s.mean_deviation)
         for s in summary.stats()
     ]
+
+
+class TestPublicFormulas:
+    """``closed_form_coherence`` and ``elementwise_reduced`` against compare's columns."""
+
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10**6 + 1])
+    def test_plane_is_bitwise_the_compare_columns(self, kind, n):
+        xs = np.array([0.0, 0.3, 0.5, 1.0 / 3.0, 1.0])
+        poles = pole_thetas(n) if n < 10 else [k * math.pi / (2 * n) for k in (-1, 0, 1, 1000)]
+        thetas = np.concatenate([np.linspace(-2.5, 2.0 * np.pi, 29), poles])
+        phis = (0.0, math.pi / 4.0, -1.9)
+        values = compare_values(kind, xs, thetas, phis, (n,))
+        for ip, phi in enumerate(phis):
+            closed = closed_form_coherence(kind, xs[:, None], thetas[None, :], phi, n)
+            sigma, appendix = elementwise_reduced(kind, xs[:, None], thetas[None, :], phi, n)
+            assert sigma.shape == appendix.shape + ((2, 2) if kind == ONE_QUBIT else (4, 4))
+            assert np.array_equal(closed, column(values, "c_l1_closed")[:, :, ip, 0])
+            assert np.array_equal(appendix, column(values, "c_l1_appendix")[:, :, ip, 0])
+
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    def test_broadcast_is_bitwise_the_point_calls(self, kind):
+        xs, thetas = np.array([[0.0], [0.3], [0.8]]), np.array([[0.2, 0.7, np.pi / 2, 2.5, -3.0]])
+        closed = closed_form_coherence(kind, xs, thetas, -0.4, 3)
+        sigma, l1 = elementwise_reduced(kind, xs, thetas, -0.4, 3)
+        assert closed.shape == l1.shape == (3, 5)
+        for i, j in np.ndindex(3, 5):
+            x, theta = float(xs[i, 0]), float(thetas[0, j])
+            point = closed_form_coherence(kind, x, theta, -0.4, 3)
+            point_sigma, point_l1 = elementwise_reduced(kind, x, theta, -0.4, 3)
+            assert np.shape(point) == np.shape(point_l1) == ()
+            assert point_sigma.shape == sigma.shape[-2:]
+            assert point == closed[i, j] and point_l1 == l1[i, j]
+            assert point_sigma.tobytes() == sigma[i, j].tobytes()
+
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    @pytest.mark.parametrize("formula", [closed_form_coherence, elementwise_reduced])
+    def test_reject_n_beyond_2_to_the_53(self, kind, formula):
+        # Past 2**53 an int N is not a float64: its parity and the angles of
+        # its rounded float would describe two different N.
+        formula(kind, 0.5, 0.1, 0.0, 2**53)
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            formula(kind, 0.5, 0.1, 0.0, 2**53 + 1)
 
 
 class TestDiscrepancyReport:
@@ -697,13 +735,16 @@ class TestDiscrepancyReport:
     def test_negative_diagonal_flag(self, monkeypatch):
         # The flag reports the smallest diagonal entry of any 4x4 assembly;
         # shift the shared assembly body so that some entries go negative.
-        body = strategies._two_qubit_elements
+        body = strategies._elements
 
-        def shifted(x, *rest):
-            (s11, s22, s33, s44), upper = body(x, *rest)
-            return (s11, s22, s33, s44 - 1e-9 * (1.0 + x)), upper
+        def shifted(kind, x, *rest):
+            diagonal, upper = body(kind, x, *rest)
+            if kind == TWO_QUBIT:
+                s11, s22, s33, s44 = diagonal
+                diagonal = (s11, s22, s33, s44 - 1e-9 * (1.0 + x))
+            return diagonal, upper
 
-        monkeypatch.setattr(strategies, "_two_qubit_elements", shifted)
+        monkeypatch.setattr(strategies, "_elements", shifted)
         xs, thetas, phis, ns = (0.0, 0.6, 1.0), (0.0, 0.4), (0.3,), (1, 2)
         worst = min(
             assert_compare_matches_pointwise(
