@@ -11,8 +11,7 @@ Sastry & Whaley, PRA 67, 042313 (2003)).  ``local_invariants`` gives them
 for one gate or a stack; DCNOT's are (0, -1), as are those of S(phi) at
 every phi.  ``local_factors`` gives explicit A, B, C, D for phi = 0, and
 ``equivalence_residuals`` the residual of (A (x) B) S(phi) (C (x) D)
-against DCNOT, exactly and up to a global phase.  None of them decides
-pass or fail.
+against DCNOT.  None of them decides pass or fail.
 """
 
 from __future__ import annotations
@@ -22,26 +21,12 @@ import math
 import numpy as np
 
 from .braid_ybe import _s
-from .linalg import _finite, identity, kron, max_abs_diff
-
-# How far from unitary a factor of ``LocalFactors`` may be.
-_UNITARY_TOL = 1e-10
+from .linalg import _finite, kron, max_abs_diff
 
 # The magic (Bell) basis as columns; U_B = Q^dagger U Q is U in it.
 _MAGIC = np.array(
     [[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]], dtype=complex
 ) / math.sqrt(2.0)
-
-
-class LocalFactors:
-    """Single-qubit factors of the DCNOT factorization, each unitary."""
-
-    def __init__(self, a, b, c, d):
-        for name, m in zip("abcd", (a, b, c, d)):
-            m = np.asarray(m, dtype=complex)
-            if max_abs_diff(m @ m.conj().T, identity(2)) > _UNITARY_TOL:
-                raise ValueError(f"factor {name.upper()} is not unitary")
-            setattr(self, name, m)
 
 
 def dcnot() -> np.ndarray:
@@ -57,13 +42,8 @@ def dcnot() -> np.ndarray:
     )
 
 
-# The residuals' target, built once and read-only; ``dcnot()`` returns a copy.
-_DCNOT = dcnot()
-_DCNOT.flags.writeable = False
-
-
-def local_factors() -> LocalFactors:
-    """The four single-qubit unitaries of the DCNOT factorization."""
+def local_factors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The single-qubit unitaries (A, B, C, D) of the DCNOT factorization."""
     s2 = math.sqrt(2.0)
     a = np.array(
         [[1, np.exp(-1j * np.pi / 4)], [1j, np.exp(-3j * np.pi / 4)]], dtype=complex
@@ -75,7 +55,7 @@ def local_factors() -> LocalFactors:
         [[-np.exp(1j * np.pi / 4), np.exp(1j * np.pi / 4)], [1, 1]], dtype=complex
     ) / s2
     d = np.array([[-1, 0], [0, -np.exp(3j * np.pi / 4)]], dtype=complex)
-    return LocalFactors(a, b, c, d)
+    return a, b, c, d
 
 
 def local_invariants(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,20 +79,11 @@ def local_invariants(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (tr2 / (16.0 * det))[0], g2[0]
 
 
-def equivalence_residuals(
-    phi: float, factors: LocalFactors | None = None
-) -> tuple[float, float, float]:
-    """Residuals of M = (A (x) B) S(phi) (C (x) D) against DCNOT.
+def equivalence_residuals(phi: float) -> float:
+    """max |(A (x) B) S(phi) (C (x) D) - DCNOT| with ``local_factors``' A, B, C, D.
 
-    Returns (exact residual, residual after optimal global phase, phase).
-    The phase is the trace-alignment angle that maximizes the overlap
-    Re Tr[e^{i alpha} M^dagger DCNOT].  Raises ValueError for a non-finite
-    ``phi``.
+    Raises ValueError for a non-finite ``phi``.
     """
     _finite(phi, "phi")
-    f = factors if factors is not None else local_factors()
-    m = kron(f.a, f.b) @ _s(phi) @ kron(f.c, f.d)
-    overlap = complex(np.trace(m.conj().T @ _DCNOT))
-    alpha = float(np.angle(overlap)) if overlap != 0 else 0.0
-    aligned = max_abs_diff(np.exp(1j * alpha) * m, _DCNOT)
-    return max_abs_diff(m, _DCNOT), aligned, alpha
+    a, b, c, d = local_factors()
+    return max_abs_diff(kron(a, b) @ _s(phi) @ kron(c, d), dcnot())

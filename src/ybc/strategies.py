@@ -35,7 +35,6 @@ documents it rather than patching the formula.
 from __future__ import annotations
 
 import math
-import sys
 from functools import reduce
 from typing import Iterator, Literal, NamedTuple
 
@@ -69,9 +68,9 @@ _INPUT_SUPPORT = {ONE_QUBIT: [0, 2], TWO_QUBIT: [2, 4]}
 def _check_points(kind, x: np.ndarray, theta: np.ndarray, phi: float, n) -> None:
     """Validate a whole batch of points once: kind, N, x in [0, 1], finite angles.
 
-    2 N theta, the largest product that any formula forms, must be finite
-    too: beyond it the sines turn into NaN.  N must be at most 2**53, or the
-    parity taken from the int and the angles from its rounded float disagree.
+    N must be at most 2**53, or the parity taken from the int and the angles
+    from its rounded float disagree.  2 N theta, the largest product that
+    any formula forms, must be finite too: beyond it the sines turn into NaN.
     """
     if kind not in (ONE_QUBIT, TWO_QUBIT):
         raise ValueError(f"unknown strategy kind {kind!r}")
@@ -80,11 +79,11 @@ def _check_points(kind, x: np.ndarray, theta: np.ndarray, phi: float, n) -> None
         raise ValueError("x values must lie in [0, 1]")
     _finite(theta, "theta")
     _finite(phi, "phi")
-    largest = float(np.max(np.abs(theta), initial=0.0))
-    if n > sys.float_info.max or not math.isfinite(2.0 * float(n) * largest):
-        raise ValueError(f"2 N theta must be finite, got N={n} and |theta| up to {largest!r}")
     if n > 2**53:
         raise ValueError(f"N must be at most 2**53, got {n}")
+    largest = float(np.max(np.abs(theta), initial=0.0))
+    if not math.isfinite(2.0 * n * largest):
+        raise ValueError(f"2 N theta must be finite, got N={n} and |theta| up to {largest!r}")
 
 
 def _split(a):

@@ -125,7 +125,7 @@ def test_criterion_05_dcnot_equivalence():
     # and the explicit factors at phi = 0.
     g1, g2 = local_invariants(build_s(PHI_GRID))
     invariants = max(np.abs(g1).max(), np.abs(g2 + 1.0).max())
-    factors = equivalence_residuals(0.0)[0]
+    factors = equivalence_residuals(0.0)
     ok = invariants <= 1e-10 and factors <= 1e-10
     criterion(
         5,

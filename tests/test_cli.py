@@ -79,7 +79,7 @@ def _per_point_eight_vertex_unitary():
 def _per_point_dcnot():
     g = np.array([gates.local_invariants(build_s(p)) for p in cli._phi_grid()])
     invariants = max(np.abs(g[:, 0]).max(), np.abs(g[:, 1] + 1.0).max())
-    return max(invariants, gates.equivalence_residuals(0.0)[0])
+    return max(invariants, gates.equivalence_residuals(0.0))
 
 
 # The worst residual of the per-point public calls that each stacked verify
@@ -184,7 +184,7 @@ class TestVerify:
         line = capsys.readouterr().out.splitlines()[0]
         g1, g2 = gates.local_invariants(build_s(cli._phi_grid()))
         invariants = max(np.abs(g1).max(), np.abs(g2 + 1.0).max())
-        factors = gates.equivalence_residuals(0.0)[0]
+        factors = gates.equivalence_residuals(0.0)
         assert f" residual={max(invariants, factors):.3e} " in line
         assert line.endswith(
             f"invariants (G1, G2) = (0, -1) over 32 phases to {invariants:.3e}, "
@@ -631,7 +631,7 @@ class TestCompare:
 
 
     def test_negative_zero_phi_keeps_its_sign(self, tmp_path):
-        # phi = 0 and phi = -0 share one evaluation group; each row still
+        # phi = 0 and phi = -0 are two planes of the walk, and each row
         # prints its own phi.
         out = tmp_path / "cmp.csv"
         assert cli.main([

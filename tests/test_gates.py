@@ -5,13 +5,7 @@ import pytest
 
 from ybc import cli, gates
 from ybc.braid_ybe import build_s
-from ybc.gates import (
-    LocalFactors,
-    dcnot,
-    equivalence_residuals,
-    local_factors,
-    local_invariants,
-)
+from ybc.gates import dcnot, equivalence_residuals, local_factors, local_invariants
 from ybc.linalg import identity, kron, max_abs_diff
 
 CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
@@ -42,82 +36,65 @@ class TestDcnot:
         assert np.allclose(d.sum(axis=1), 1.0)
         assert np.allclose(d[d > 0], 1.0)
 
-    def test_returns_a_fresh_array_over_a_read_only_target(self):
+    def test_returns_a_fresh_array(self):
         d = dcnot()
         d[0, 0] = 5.0
         assert dcnot()[0, 0] == 1.0
-        assert not gates._DCNOT.flags.writeable
-        assert gates._DCNOT.tobytes() == dcnot().tobytes()
 
 
 class TestLocalFactors:
     def test_all_factors_unitary(self):
-        f = local_factors()
-        for m in (f.a, f.b, f.c, f.d):
+        for m in local_factors():
             assert max_abs_diff(m @ m.conj().T, identity(2)) <= 1e-12
 
     def test_d_is_diagonal_with_unit_moduli(self):
-        f = local_factors()
-        off = f.d - np.diag(np.diag(f.d))
+        d = local_factors()[3]
+        off = d - np.diag(np.diag(d))
         assert np.abs(off).max() == 0.0
-        assert np.allclose(np.abs(np.diag(f.d)), 1.0)
-
-    def test_constructor_rejects_non_unitary(self):
-        f = local_factors()
-        with pytest.raises(ValueError, match="not unitary"):
-            LocalFactors(2.0 * f.a, f.b, f.c, f.d)
-
-
-class TestEquivalence:
-    def test_explicit_phi_zero(self):
-        exact, aligned, _ = equivalence_residuals(0.0)
-        assert min(exact, aligned) <= 1e-10
-        assert exact <= 1e-12
-
-    def test_phi_pi_matches_up_to_global_phase(self):
-        exact, aligned, alpha = equivalence_residuals(np.pi)
-        assert exact > 1.0            # not equal entrywise
-        assert aligned <= 1e-12       # equal after phase alignment
-        assert abs(abs(alpha) - np.pi) <= 1e-9
-
-    def test_perturbed_factor_fails(self):
-        f = local_factors()
-        perturbed = LocalFactors(f.a @ np.diag([1.0, np.exp(0.1j)]), f.b, f.c, f.d)
-        exact, aligned, _ = equivalence_residuals(0.0, perturbed)
-        # Scan minimum with this perturbation stays above 0.02 (computed
-        # by scanning phi densely); at phi=0 the exact residual is ~0.05.
-        assert exact > 0.02
-        assert aligned > 0.02
-        report_scan = [
-            equivalence_residuals(p, perturbed)[1]
-            for p in np.linspace(0, 2 * np.pi, 256, endpoint=False)
-        ]
-        assert min(report_scan) > 0.02
-
-    def test_identity_instead_of_s_fails(self):
-        f = local_factors()
-        m = kron(f.a, f.b) @ identity(4) @ kron(f.c, f.d)
-        assert max_abs_diff(m, dcnot()) > 0.5
-
-    def test_report_records_minimum_when_tolerance_unreachable(self):
-        exact, aligned, _ = equivalence_residuals(1.0)
-        assert min(exact, aligned) > 1e-10
-        assert exact > 1e-2
-        assert np.isfinite(aligned)
+        assert np.allclose(np.abs(np.diag(d)), 1.0)
 
 
 def perturbed_factors():
     """The factors of ``test_perturbed_factor_fails``, A times diag(1, e^{0.1 i})."""
-    f = local_factors()
-    return LocalFactors(f.a @ np.diag([1.0, np.exp(0.1j)]), f.b, f.c, f.d)
+    a, b, c, d = local_factors()
+    return a @ np.diag([1.0, np.exp(0.1j)]), b, c, d
+
+
+class TestEquivalence:
+    def test_explicit_phi_zero(self):
+        assert equivalence_residuals(0.0) <= 1e-12
+
+    def test_phi_pi_matches_up_to_global_phase(self):
+        a, b, c, d = local_factors()
+        m = kron(a, b) @ build_s(np.pi) @ kron(c, d)
+        assert equivalence_residuals(np.pi) > 1.0  # not equal entrywise
+        assert max_abs_diff(m, -dcnot()) <= 1e-12  # equal up to the phase e^{i pi}
+
+    def test_perturbed_factor_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(gates, "local_factors", perturbed_factors)
+        # At phi = 0 the residual is about 0.05.
+        assert equivalence_residuals(0.0) > 0.02
+        assert cli.main(["verify", "--only", "dcnot"]) == 1
+        assert capsys.readouterr().out.startswith("[FAIL] dcnot ")
+
+    def test_identity_instead_of_s_fails(self):
+        a, b, c, d = local_factors()
+        m = kron(a, b) @ identity(4) @ kron(c, d)
+        assert max_abs_diff(m, dcnot()) > 0.5
+
+    def test_report_records_minimum_when_tolerance_unreachable(self):
+        residual = equivalence_residuals(1.0)
+        assert np.isfinite(residual)
+        assert residual > 1e-2
 
 
 class TestEquivalenceResiduals:
     @pytest.mark.parametrize("factors", [local_factors, perturbed_factors])
-    def test_exact_residual_is_bitwise_the_4x4_oracle(self, factors):
-        f = factors()
-        oracle = np.abs(kron(f.a, f.b) @ build_s(0.7) @ kron(f.c, f.d) - dcnot()).max()
-        assert equivalence_residuals(0.7, f)[0] == oracle
+    def test_exact_residual_is_bitwise_the_4x4_oracle(self, factors, monkeypatch):
+        monkeypatch.setattr(gates, "local_factors", factors)
+        a, b, c, d = factors()
+        oracle = np.abs(kron(a, b) @ build_s(0.7) @ kron(c, d) - dcnot()).max()
+        assert equivalence_residuals(0.7) == oracle
 
     @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_phi(self, phi):
@@ -245,6 +222,6 @@ class TestDcnotCheck:
 
 def test_equivalence_holds_via_s_inverse_relation():
     # S(0) = (A (x) B)^dagger DCNOT (C (x) D)^dagger, the inverted statement.
-    f = local_factors()
-    lhs = kron(f.a, f.b).conj().T @ dcnot() @ kron(f.c, f.d).conj().T
+    a, b, c, d = local_factors()
+    lhs = kron(a, b).conj().T @ dcnot() @ kron(c, d).conj().T
     assert max_abs_diff(lhs, build_s(0.0)) <= 1e-12

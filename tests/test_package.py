@@ -50,7 +50,6 @@ MODULE_NAMES = {
         "yang_baxterize_rational",
     ],
     gates: [
-        "LocalFactors",
         "dcnot",
         "equivalence_residuals",
         "local_factors",
@@ -91,3 +90,9 @@ def test_checks_carry_no_verdict():
         gates.local_invariants,
     ):
         assert "tol" not in inspect.signature(check).parameters
+
+
+def test_gates_functions_take_only_their_pinned_parameters():
+    # No factors argument: verify's one explicit factorization is the only one.
+    assert list(inspect.signature(gates.equivalence_residuals).parameters) == ["phi"]
+    assert list(inspect.signature(gates.local_factors).parameters) == []

@@ -296,6 +296,26 @@ class TestElementwiseOneQubit:
         sigma, _ = elementwise_reduced(ONE_QUBIT, 0.4, 1.1, 0.6, 3)
         assert abs((sigma[0, 0] + sigma[1, 1]).real - 1.0) <= 1e-15
 
+    def test_non_finite_element_raises(self):
+        # The public functions reject a NaN x before the body sees it.
+        with pytest.raises(ValueError, match=r"non-finite element at x=nan, theta=0\.3, "):
+            strategies._elements(ONE_QUBIT, np.array([np.nan]), np.array([0.3]), 0.4, 1)
+
+    def test_divergent_pole_raises(self, monkeypatch):
+        # sin(2 N theta) <= 2 |base| inside the pole window, so only a sine
+        # shifted off cos(N theta) reaches this guard.
+        class ShiftedSine:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def sin(a):
+                return np.sin(a) + 1e-6
+
+        monkeypatch.setattr(strategies, "np", ShiftedSine())
+        with pytest.raises(ValueError, match=r"sec/csc pole at theta=1\.57.*, N=1 .*diverges here"):
+            elementwise_reduced(ONE_QUBIT, 0.3, np.pi / 2, 0.4, 1)
+
 
 class TestElementwiseTwoQubit:
     def test_trace_one_by_construction(self):
@@ -388,7 +408,11 @@ class TestBatchedGrid:
             (TWO_QUBIT, [0.0, 1.0], [0.0, 1.5e307 * math.pi], 0.0, 2, "2 N theta"),
             (ONE_QUBIT, [0.5], [0.0, 1e300 * math.pi], 0.0, 10**9, "2 N theta"),
             (ONE_QUBIT, [0.5], [-1e300], 0.0, 10**9, "2 N theta"),
-            pytest.param(TWO_QUBIT, [0.5], [1e-300], 0.0, 10**400, "2 N theta", id="N-1e400"),
+            # N past 2**53 is named as such, whatever theta is.
+            pytest.param(TWO_QUBIT, [0.5], [1e-300], 0.0, 10**400, r"2\*\*53", id="N-1e400"),
+            pytest.param(
+                ONE_QUBIT, [0.5], [0.0], 0.0, 10**400, r"2\*\*53", id="N-1e400-theta-0"
+            ),
         ],
     )
     def test_validates_inputs(self, kind, xs, thetas, phi, n, message):
