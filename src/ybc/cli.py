@@ -39,6 +39,18 @@ import os
 import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
+# numpy's OpenBLAS starts a worker thread per extra CPU, and each spins for
+# 2**28 cycles before it sleeps: about 130 ms of a second CPU on a 2-vCPU
+# host, which made verify's CPU time 1.5 times its wall time.  ybc's
+# largest matrix product is 16x16, too small to split, so one thread loses
+# nothing.  The variables are caps, and one thread is inside every cap.
+# OpenBLAS reads them only as numpy loads, so once numpy is loaded they
+# are left alone.
+if "numpy" not in sys.modules:
+    os.environ.update(
+        dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    )
+
 import numpy as np
 
 from . import braid_ybe, gates, strategies
@@ -366,7 +378,7 @@ def _csv_rows(kind, xs, thetas, phis, ns, values: Iterable[np.ndarray]) -> Itera
     keys = [f"{_fmt(float(phi))},{int(n)}," for phi in phis for n in ns]
     prefixes = [f"{_fmt(float(t))},{key}" for t in thetas for key in keys]
     cells = None
-    for x, row in zip(xs, values):
+    for x, row in zip(xs, values, strict=True):
         if cells is None:
             width = row.shape[-1]
             cells = np.empty((len(prefixes), 2 * width + 2), dtype=object)

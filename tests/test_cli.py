@@ -414,6 +414,29 @@ class TestSweep:
             assert not out.exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == (["grid.csv"] if existing else [])
 
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_short_kernel_walk_exits_two(self, command, tmp_path, capsys, monkeypatch):
+        # A walk that yields one x row too few must not write a short CSV.
+        walk = strategies.grid_blocks
+
+        def one_row_short(*args):
+            blocks = list(walk(*args))
+            yield from blocks[:-1]
+            yield blocks[-1][:-1]
+
+        monkeypatch.setattr(strategies, "grid_blocks", one_row_short)
+        out = tmp_path / "grid.csv"
+        out.write_text("previous contents\n")
+        code = cli.main([
+            command, "--strategy", "two", "--x", "0:1:3", "--theta", "0:1:5",
+            "--phi", "0", "--n", "1", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: ") and err.count("\n") == 1
+        assert out.read_text() == "previous contents\n"
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_success_replaces_existing_file(self, tmp_path):
         out = tmp_path / "grid.csv"
         out.write_text("previous contents\n")
@@ -851,6 +874,64 @@ class TestUsage:
 
     def test_help_outlives_docstring_stripping(self):
         assert _python("-OO", "-m", "ybc.cli", "-h") == cli.__doc__
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestThreadPolicy:
+    """``ybc.cli`` runs numpy's BLAS on one thread, set before numpy loads.
+
+    Each test starts a fresh interpreter with every thread variable at 4.
+    """
+
+    @pytest.fixture(autouse=True)
+    def four_threads(self, monkeypatch):
+        for var in THREAD_VARS:
+            monkeypatch.setenv(var, "4")
+
+    @staticmethod
+    def _run(imports: str) -> list[str]:
+        """What a fresh interpreter reports after ``imports``: the thread
+        variables, its thread count (None without /proc) and whether numpy
+        is loaded, one line each."""
+        code = (
+            "import os, sys\n"
+            f"{imports}\n"
+            f"print([os.environ[var] for var in {THREAD_VARS!r}])\n"
+            "task = '/proc/self/task'\n"
+            "print(len(os.listdir(task)) if os.path.isdir(task) else None)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        return _python("-c", code).splitlines()
+
+    def test_package_import_loads_no_numpy(self):
+        variables, _, numpy_loaded = self._run("import ybc")
+        assert (variables, numpy_loaded) == ("['4', '4', '4']", "False")
+
+    def test_cli_import_runs_one_thread(self):
+        variables, threads, numpy_loaded = self._run("import ybc.cli")
+        assert (variables, numpy_loaded) == ("['1', '1', '1']", "True")
+        if threads != "None":
+            assert threads == "1"
+
+    def test_cli_import_after_numpy_leaves_the_variables(self):
+        variables, _, _ = self._run("import numpy\nimport ybc.cli")
+        assert variables == "['4', '4', '4']"
+
+    def test_package_names_are_their_modules_objects(self):
+        # Each name is resolved through the package before its module loads.
+        code = (
+            "import inspect, sys\n"
+            "import ybc\n"
+            "values = {name: getattr(ybc, name) for name in ybc.__all__}\n"
+            "import ybc.strategies\n"
+            "def home(v):\n"
+            "    return sys.modules[v.__module__] if inspect.isfunction(v) else ybc.strategies\n"
+            "wrong = sorted(n for n, v in values.items() if getattr(home(v), n) is not v)\n"
+            "print(len(values), wrong)\n"
+        )
+        assert _python("-c", code) == "19 []\n"
 
 
 def _python(*args: str) -> str:

@@ -60,12 +60,14 @@ MODULE_NAMES = {
 
 
 def test_package_exports_the_pinned_names():
-    names = sorted(
+    # The package resolves its names on first use, so vars(ybc) may not
+    # hold them yet; __all__ and dir() name them from the start.
+    listed = sorted(
         name
-        for name, value in vars(ybc).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(ybc)
+        if not name.startswith("_") and not isinstance(getattr(ybc, name), types.ModuleType)
     )
-    assert names == PACKAGE_NAMES
+    assert sorted(ybc.__all__) == listed == PACKAGE_NAMES
 
 
 @pytest.mark.parametrize("module", MODULE_NAMES, ids=lambda m: m.__name__)
