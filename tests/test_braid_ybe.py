@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ybc.braid_ybe import (
+    _embed_two_site,
     build_eight_vertex_b,
     build_hamiltonian,
     build_r,
@@ -86,9 +87,10 @@ class TestBraidRelation:
 
     def test_wrong_shape_rejected(self):
         for check in (check_braid_relation, check_far_commutation):
-            with pytest.raises(ValueError) as caught:
-                check(identity(2))
-            assert str(caught.value) == "expected a 4x4 two-site operator, got (2, 2)"
+            for shape in ((2, 2), (4, 2), (3, 4, 4, 3), (4,)):
+                with pytest.raises(ValueError) as caught:
+                    check(np.ones(shape))
+                assert str(caught.value) == f"expected a 4x4 two-site operator, got {shape}"
 
     def test_far_commutation_on_four_strands(self):
         for phi in PHI_GRID[::4]:
@@ -100,6 +102,26 @@ class TestBraidRelation:
         stack = np.concatenate([build_s(PHI_GRID), [cphase, identity(4)]])
         worst = max(check(b) for b in stack)
         assert check(stack.reshape(2, 17, 4, 4)) == worst
+
+
+class TestEmbedTwoSite:
+    # No residual sees a gate placed at the wrong site: the braid relation
+    # and both YBEs still hold with the sites mirrored, and far commutation
+    # holds for any two disjoint or identical sites.  So the placement is
+    # pinned here against the Kronecker products with the identities.
+    @pytest.mark.parametrize("stack", [(), (2, 3)])
+    @pytest.mark.parametrize(
+        "n_sites, site", [(n, site) for n in (2, 3, 4) for site in range(n - 1)]
+    )
+    def test_equals_the_kron_with_identities(self, n_sites, site, stack):
+        rng = np.random.default_rng(7)
+        b = rng.normal(size=stack + (4, 4)) + 1j * rng.normal(size=stack + (4, 4))
+        embedded = _embed_two_site(b, site, n_sites)
+        oracle = kron(kron(identity(2**site), b), identity(2 ** (n_sites - site - 2)))
+        assert embedded.shape == stack + (2**n_sites, 2**n_sites)
+        assert np.array_equal(embedded, oracle)
+        # Only the sign of an exact zero may differ, which |.| removes.
+        assert np.abs(embedded).tobytes() == np.abs(oracle).tobytes()
 
 
 class TestRationalYangBaxterization:
@@ -494,6 +516,11 @@ class TestEvolutionHamiltonian:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError, match="step"):
             build_hamiltonian(0.8, 0.3, step=0.0)
+
+    def test_default_step_is_1e_minus_4(self):
+        # verify passes its step explicitly, so only this pins the default.
+        default = build_hamiltonian(0.8, 0.3)
+        assert default.tobytes() == build_hamiltonian(0.8, 0.3, step=1e-4).tobytes()
 
     def test_stack_is_bitwise_the_scalar_calls(self):
         gamma, theta, phi = np.meshgrid(

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ybc import braid_ybe, cli, gates, strategies
+from ybc import braid_ybe, cli, gates, linalg, strategies
 from ybc.braid_ybe import (
     build_eight_vertex_b,
     build_hamiltonian,
@@ -208,21 +208,25 @@ class TestVerify:
     def test_calls_inv_and_kron_a_bounded_number_of_times(self, capsys, monkeypatch):
         # Each check evaluates its grid as one stack; one call per point
         # took 530 inv and 2,612 kron calls.  The eight-vertex family takes
-        # no inverse at all: b^{-1} = I - b/2.
+        # no inverse at all: b^{-1} = I - b/2.  The braid and YBE checks
+        # place their gates on the block diagonal, so the only products
+        # left are the two local factors of gates.equivalence_residuals.
         calls = collections.Counter()
 
         def counted(name, fn):
             def wrapped(*args, **kwargs):
-                calls[name] += 1
+                calls[name, sys._getframe(1).f_code.co_name] += 1
                 return fn(*args, **kwargs)
 
             return wrapped
 
         monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
-        for module in (braid_ybe, gates):
-            monkeypatch.setattr(module, "kron", counted("kron", module.kron))
+        monkeypatch.setattr(np, "kron", counted("kron", np.kron))
+        for module in (braid_ybe, cli, gates, linalg, strategies):
+            if hasattr(module, "kron"):
+                monkeypatch.setattr(module, "kron", counted("kron", module.kron))
         assert cli.main(["verify"]) == 0
-        assert calls["inv"] == 0 and calls["kron"] <= 150, calls
+        assert calls == {("kron", "equivalence_residuals"): 2}, calls
 
 
 class TestSweep:
@@ -765,6 +769,18 @@ class TestRowCap:
         assert reached == [] and not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and str(cli.MAX_ROWS) in err[0]
+
+    def test_one_row_over_the_cap_exits_two_before_any_axis(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(np, "linspace", lambda *a, **k: built.append(a))
+        out = tmp_path / "big.csv"
+        argv = ["sweep", "--strategy", "one", "--x", f"0:1:{cli.MAX_ROWS + 1}",
+                "--theta", "0:0:1", "--phi", "0", "--n", "1", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert built == [] and not out.exists()
+        assert capsys.readouterr() == (
+            "", f"the grid has {cli.MAX_ROWS + 1} rows, more than the limit of {cli.MAX_ROWS}\n"
+        )
 
     def test_count_includes_every_axis_and_kind(self):
         grid = {"x": f"0:1:{cli.MAX_ROWS // 2}", "theta": "0:0:1", "phi": "0", "n": "1"}

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ybc import braid_ybe, linalg, strategies
+from ybc import braid_ybe, cli, linalg, strategies
 from ybc.linalg import identity, kron, max_abs_diff
 from ybc.strategies import (
     ONE_QUBIT,
@@ -531,6 +531,14 @@ class TestBatchedGrid:
         two_blocks = compare_peak(2 * strategies._BLOCK_POINTS // thetas.size)
         assert compare_peak(4000) <= 1.1 * two_blocks
 
+    def test_c_r_is_non_negative_on_the_sweep_one_large_grid(self):
+        # Before the kernel's final clamp, 22 one-qubit c_r values on this
+        # grid round below 0, down to -2.2e-16; the clamp keeps them at 0.
+        grid = {"x": "0:1:101", "theta": "0:2:256", "phi": "0,0.25,0.5", "n": "1,2,3,4"}
+        axes = cli._grid_axes(grid, 1)
+        for block in strategies.grid_blocks(ONE_QUBIT, *axes, strategies.sweep_columns):
+            assert block[..., 1].min() >= 0.0
+
     @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
     def test_reaches_no_gate_power_or_eigensolver(self, kind, monkeypatch):
         # The kernel works from cos(N a), sin(N a) and two columns of S: no
@@ -780,6 +788,16 @@ class TestDiscrepancyReport:
         summary = compare_summary(BOTH, xs, thetas, phis, ns)
         assert summary.flags == expected_flags(worst)
         assert f"flag: {expected_flags(worst)[0]}" in summary.format_summary()
+
+    @pytest.mark.parametrize("lowest, flagged", [(-5e-10, True), (-1e-10, False), (-5e-11, False)])
+    def test_flag_threshold_is_minus_1e_minus_10(self, lowest, flagged):
+        summary = DeviationSummary((1,))
+        block = np.full((1, 1, 1, len(COMPARE_COLUMNS)), np.nan)
+        block[..., -1] = lowest
+        summary.add(TWO_QUBIT, block)
+        assert summary.worst_negative == lowest
+        assert summary.flags == expected_flags(lowest)
+        assert bool(summary.flags) is flagged
 
     def test_identity_slice_agreement(self):
         # At theta = pi/2 every evaluator that reduces to the identity
