@@ -275,24 +275,12 @@ def _parse_range(text: str, name: str, scale: float = 1.0) -> tuple[float, float
     return lo, hi, count
 
 
-def _parse_list(text: str, name: str, scale: float = 1.0) -> list[float]:
+def _parse_list(text: str, name: str, convert: Callable[[str], object]) -> list:
+    """The comma-separated entries of ``text``, each passed through ``convert``."""
     try:
-        values = [float(v) * scale for v in text.split(",")]
+        return [convert(v) for v in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"--{name}: {exc}") from exc
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"--{name}: values must be finite")
-    return values
-
-
-def _parse_int_list(text: str, name: str) -> list[int]:
-    try:
-        values = [int(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"--{name}: {exc}") from exc
-    if any(v < 1 for v in values):
-        raise ValueError(f"--{name}: expects positive integers, got {text!r}")
-    return values
 
 
 def _grid_axes(opts, copies: int) -> list:
@@ -304,8 +292,12 @@ def _grid_axes(opts, copies: int) -> list:
     """
     xs = _parse_range(opts["x"], "x")
     thetas = _parse_range(opts["theta"], "theta", scale=math.pi)
-    phis = _parse_list(opts["phi"], "phi", scale=math.pi)
-    ns = _parse_int_list(opts["n"], "n")
+    phis = [phi * math.pi for phi in _parse_list(opts["phi"], "phi", float)]
+    if not all(math.isfinite(phi) for phi in phis):
+        raise ValueError("--phi: values must be finite")
+    ns = _parse_list(opts["n"], "n", int)
+    if any(n < 1 for n in ns):
+        raise ValueError(f"--n: expects positive integers, got {opts['n']!r}")
     rows = copies * xs[2] * thetas[2] * len(phis) * len(ns)
     if rows > MAX_ROWS:
         raise ValueError(f"the grid has {rows} rows, more than the limit of {MAX_ROWS}")
@@ -335,9 +327,14 @@ def _write_csv(command: str, path: str, header: str, chunks: Iterable[str]) -> b
     written removes the temp file and leaves ``path`` as it was.  A
     ValueError from computing the rows (a failed kernel check) is reported
     on stderr as ``COMMAND: message``, any other error as ``cannot write``
-    with its type; the caller then exits 2.
+    with its type; the caller then exits 2.  A path that names no file
+    (empty, ending in a separator, or a directory) is refused before any
+    row is computed, since no temp file could be renamed over it.
     """
-    directory, name = os.path.split(os.path.abspath(path))
+    directory, name = os.path.split(path)
+    if not name or os.path.isdir(path):
+        print(f"cannot write {path!r}: not a file path", file=sys.stderr)
+        return False
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         try:

@@ -65,8 +65,8 @@ MATCH_TOL = 1e-10
 _INPUT_SUPPORT = {ONE_QUBIT: [0, 2], TWO_QUBIT: [2, 4]}
 
 
-def _check_points(kind, x: np.ndarray, theta: np.ndarray, phi: float, n) -> None:
-    """Validate a whole batch of points once: kind, N, x in [0, 1], finite angles.
+def _check_points(kind, x: np.ndarray, theta: np.ndarray, phis, ns) -> None:
+    """Validate a whole grid once: kind, x in [0, 1], finite angles, each phi and N.
 
     N must be at most 2**53, or the parity taken from the int and the angles
     from its rounded float disagree.  2 N theta, the largest product that
@@ -74,16 +74,18 @@ def _check_points(kind, x: np.ndarray, theta: np.ndarray, phi: float, n) -> None
     """
     if kind not in (ONE_QUBIT, TWO_QUBIT):
         raise ValueError(f"unknown strategy kind {kind!r}")
-    _positive_int(n, "n_uses")
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("x values must lie in [0, 1]")
     _finite(theta, "theta")
-    _finite(phi, "phi")
-    if n > 2**53:
-        raise ValueError(f"N must be at most 2**53, got {n}")
     largest = float(np.max(np.abs(theta), initial=0.0))
-    if not math.isfinite(2.0 * n * largest):
-        raise ValueError(f"2 N theta must be finite, got N={n} and |theta| up to {largest!r}")
+    for phi in phis:
+        _finite(phi, "phi")
+    for n in ns:
+        _positive_int(n, "n_uses")
+        if n > 2**53:
+            raise ValueError(f"N must be at most 2**53, got {n}")
+        if not math.isfinite(2.0 * n * largest):
+            raise ValueError(f"2 N theta must be finite, got N={n} and |theta| up to {largest!r}")
 
 
 def _split(a):
@@ -235,24 +237,24 @@ _BLOCK_POINTS = 2**16
 def grid_blocks(kind, xs, thetas, phis, ns, columns) -> Iterator[np.ndarray]:
     """Walk an (x, theta, phi, N) grid in blocks of x rows that span every plane.
 
-    Every (phi, N) plane is validated, and its per-theta kernel terms are
-    built, once.  Then, for each block of x rows, ``columns(kind, terms, x,
-    theta, phi, n)`` gives the value columns of each plane at the block's x
-    (a column) and every theta (a row), and the block is yielded as one
-    array values[ix, it, plane, column], the planes phi outer.  The blocks
-    are even and hold at most ``_BLOCK_POINTS`` points over all planes (one
-    x row if a row holds more), so the working memory does not grow with
-    the number of x values.  Every value is elementwise in x, so the blocks
-    give the same bytes as one evaluation over the whole grid.  An empty
-    axis raises ValueError.
+    The grid is validated, and the per-theta kernel terms of each (phi, N)
+    plane are built, once.  Then, for each block of x rows, ``columns(kind,
+    terms, x, theta, phi, n)`` gives the value columns of each plane at the
+    block's x (a column) and every theta (a row), and the block is yielded
+    as one array values[ix, it, plane, column], the planes phi outer.  The
+    blocks are even and hold at most ``_BLOCK_POINTS`` points over all
+    planes (one x row if a row holds more), so the working memory does not
+    grow with the number of x values.  Every value is elementwise in x, so
+    the blocks give the same bytes as one evaluation over the whole grid.
+    An empty axis raises ValueError.
     """
     xs = np.asarray(xs, dtype=float)
     theta = np.asarray(thetas, dtype=float)[None, :]
-    planes = [(float(phi), n) for phi in phis for n in ns]
+    phis = [float(phi) for phi in phis]
+    planes = [(phi, n) for phi in phis for n in ns]
     if 0 in (xs.size, theta.size, len(planes)):
         raise ValueError("the grid must not be empty")
-    for phi, n in planes:
-        _check_points(kind, xs, theta, phi, n)
+    _check_points(kind, xs, theta, phis, ns)
     terms = [_theta_terms(kind, theta, phi, n) for phi, n in planes]
     rows = max(1, _BLOCK_POINTS // max(1, theta.size * len(planes)))
     for x in np.array_split(xs[:, None], max(1, math.ceil(xs.size / rows))):
@@ -291,7 +293,7 @@ def sweep_columns(kind, terms, x, theta, phi: float, n: int) -> tuple[np.ndarray
 def _validated(kind, x, theta, phi: float, n) -> tuple[np.ndarray, np.ndarray]:
     """Validate the points and return x and theta with a leading axis."""
     x, theta = (np.asarray(v, dtype=float)[None] for v in (x, theta))
-    _check_points(kind, x, theta, phi, n)
+    _check_points(kind, x, theta, (phi,), (n,))
     return x, theta
 
 
@@ -451,19 +453,6 @@ def elementwise_reduced(kind, x, theta, phi: float, n: int) -> tuple[np.ndarray,
     return sigma[0], _off_diagonal_l1(upper)[0]
 
 
-def _elementwise_l1(kind, x, theta, phi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Element-assembly l1 values over broadcastable x and theta at fixed phi, N.
-
-    Also returns, per point, the smallest diagonal entry of the 4x4
-    assembly (0.0 for the one-qubit kind, whose 2x2 assembly can leave the
-    density-matrix set near its poles).  The inputs are not validated here;
-    the caller validates them once.
-    """
-    diagonal, upper = _elements(kind, x, theta, phi, n)
-    l1 = _off_diagonal_l1(upper)
-    return l1, (reduce(np.minimum, diagonal) if kind == TWO_QUBIT else np.zeros_like(l1))
-
-
 # ---------------------------------------------------------------------------
 # Simulation-vs-formula cross validation.
 # ---------------------------------------------------------------------------
@@ -479,17 +468,19 @@ def compare_columns(kind, terms, x, theta, phi: float, n: int, formula="all") ->
 
     The five that compare prints, in its CSV order: c_l1 of the kernel, the
     closed form, the element assembly, and the deviations of the two from
-    the kernel's c_l1.  Then the lowest diagonal entry of the assembly.
-    Every column is computed, so every check runs (the kernel's c_r, which
-    is not kept, with its negative-eigenvalue check too), and then those
-    that ``formula`` drops are set to NaN.
+    the kernel's c_l1.  Then the lowest diagonal entry of the assembly,
+    0.0 for the one-qubit kind.  Every column is computed, so every check
+    runs (the kernel's c_r, which is not kept, with its negative-eigenvalue
+    check too), and then those that ``formula`` drops are set to NaN.
     """
     c_l1, _, closed, deviation = sweep_columns(kind, terms, x, theta, phi, n)
-    appendix, lowest_diagonal = _elementwise_l1(kind, x, theta, phi, n)
+    diagonal, upper = _elements(kind, x, theta, phi, n)
+    appendix = _off_diagonal_l1(upper)
     columns = [c_l1, closed, appendix, deviation, np.abs(c_l1 - appendix)]
     for k in DROPPED_COLUMNS[formula]:
         columns[k] = np.full_like(c_l1, np.nan)
-    return columns + [lowest_diagonal]
+    lowest = reduce(np.minimum, diagonal) if kind == TWO_QUBIT else np.zeros_like(appendix)
+    return columns + [lowest]
 
 
 class FormulaStats(NamedTuple):

@@ -491,6 +491,89 @@ class TestSweep:
             assert not out.exists()
 
 
+SWEEP_GRID = {"strategy": "one", "x": "0:1:2", "theta": "0:1:3", "phi": "0", "n": "1"}
+
+
+def grid_argv(**changes) -> list[str]:
+    """The flags of ``SWEEP_GRID`` with ``changes`` applied."""
+    return [arg for key, text in {**SWEEP_GRID, **changes}.items() for arg in (f"--{key}", text)]
+
+
+class TestGridInput:
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("sweep", "x", "0:1", "--x expects A:B:N, got '0:1'"),
+            ("sweep", "theta", "a:1:3", "--theta: could not convert string to float: 'a'"),
+            ("sweep", "phi", "nan", "--phi: values must be finite"),
+            ("compare", "phi", "0,inf", "--phi: values must be finite"),
+            ("sweep", "n", "0", "--n: expects positive integers, got '0'"),
+            ("compare", "n", "2,-1", "--n: expects positive integers, got '2,-1'"),
+            ("sweep", "strategy", "three", "--strategy must be one or two, got 'three'"),
+            ("compare", "strategy", "three", "--strategy must be one, two or all, got 'three'"),
+            # The walk meets this N after a good one.
+            ("sweep", "n", "1,9007199254740993",
+             "sweep: N must be at most 2**53, got 9007199254740993"),
+        ],
+        ids=[
+            "x-shape", "theta-bound", "sweep-phi", "compare-phi", "sweep-n", "compare-n",
+            "sweep-strategy", "compare-strategy", "n-past-2-to-the-53",
+        ],
+    )
+    def test_bad_grid_option_exits_two(self, command, flag, value, message, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        assert cli.main([command, *grid_argv(**{flag: value}), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", message + "\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_skips_comments_and_blank_lines(self, capsys, tmp_path):
+        out, config = tmp_path / "x.csv", tmp_path / "sweep.cfg"
+        lines = [f"{key}={text}" for key, text in SWEEP_GRID.items()]
+        config.write_text("# a comment\n\n" + "\n  \n".join(lines) + f"\n   # out\nout={out}\n")
+        assert cli.main(["sweep", "--config", str(config)]) == 0
+        assert capsys.readouterr() == (f"wrote 6 rows to {out}\n", "")
+        assert len(out.read_text().splitlines()) == 1 + 6
+
+    def test_config_line_without_equals_exits_two(self, capsys, tmp_path):
+        out, config = tmp_path / "x.csv", tmp_path / "sweep.cfg"
+        config.write_text(f"# grid\nstrategy=one\n\njunk\nout={out}\n")
+        assert cli.main(["sweep", "--config", str(config)]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: {config}:4: expected key=value, got 'junk'\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["sweep", *grid_argv()], ["compare"], ["figure", "2a"]],
+        ids=["sweep", "compare", "figure"],
+    )
+    @pytest.mark.parametrize(
+        "out, spelling",
+        [
+            ("target", ["--out", "target"]),
+            (".", ["--out", "."]),
+            ("grid.csv/", ["--out", "grid.csv/"]),
+            ("", ["--out="]),
+            ("", ["--config", "out.cfg"]),
+        ],
+        ids=["existing-directory", "dot", "trailing-separator", "empty-flag", "empty-config"],
+    )
+    def test_output_path_naming_no_file_exits_two_before_any_row(
+        self, command, out, spelling, capsys, tmp_path, monkeypatch
+    ):
+        # The path is refused before the kernel runs, and no temp file is
+        # left in the working directory or its parent.
+        work = tmp_path / "work"
+        (work / "target").mkdir(parents=True)
+        (work / "out.cfg").write_text("out=\n")
+        monkeypatch.chdir(work)
+        monkeypatch.setattr(strategies, "grid_blocks", None)
+        before = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+        assert cli.main([*command, *spelling]) == 2
+        assert capsys.readouterr() == ("", f"cannot write {out!r}: not a file path\n")
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == before
+
+
 class TestCsvRows:
     def test_signed_zeros_print_apart(self):
         # Keyed by float equality, 0.0 and -0.0 would share one printed field.

@@ -91,7 +91,8 @@ def test_scalar_forms_equal_their_plane_entry(kind, xs, thetas, phi, n, i, j):
     x, theta = xs[i], thetas[j]
     plane_x, plane_theta = np.array(xs)[:, None], np.array(thetas)[None, :]
     closed = strategies._closed_form_l1(kind, plane_x, plane_theta, phi, n)
-    elements, _ = strategies._elementwise_l1(kind, plane_x, plane_theta, phi, n)
+    _, upper = strategies._elements(kind, plane_x, plane_theta, phi, n)
+    elements = strategies._off_diagonal_l1(upper)
     assert closed_form_coherence(kind, x, theta, phi, n) == closed[i, j]
     assert elementwise_reduced(kind, x, theta, phi, n)[1] == elements[i, j]
 

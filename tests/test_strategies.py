@@ -419,6 +419,33 @@ class TestBatchedGrid:
         with pytest.raises(ValueError, match=message):
             batched_grid(kind, xs, thetas, phi, n)
 
+    def test_validates_the_grid_once(self, monkeypatch):
+        calls = []
+        check = strategies._check_points
+        monkeypatch.setattr(
+            strategies, "_check_points", lambda *args: calls.append(args) or check(*args)
+        )
+        walk = strategies.grid_blocks(
+            TWO_QUBIT, [0.0, 0.5, 1.0], [0.1, 0.2], [0.0, 0.3, 1.1], [1, 2, 3, 4],
+            strategies.sweep_columns,
+        )
+        assert np.concatenate(list(walk)).shape == (3, 2, 12, 4)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "phis, ns, message",
+        [
+            ([0.0, np.nan], [1], "phi must be finite, got nan"),
+            ([0.0], [1, 0], "n_uses must be a positive integer, got 0"),
+            ([0.0], [1, 2**53 + 1], r"N must be at most 2\*\*53, got 9007199254740993"),
+        ],
+    )
+    def test_checks_every_phi_and_n(self, phis, ns, message):
+        # A bad value after a good one is still refused, before any block.
+        walk = strategies.grid_blocks(ONE_QUBIT, [0.5], [0.1], phis, ns, strategies.sweep_columns)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            next(walk)
+
     @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
     def test_trace_check_raises(self, kind, monkeypatch):
         # A channel that is not trace preserving must fail loudly instead

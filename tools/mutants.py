@@ -83,6 +83,28 @@ MUTANTS = [
         "left, right = 2**site, 2 ** (n_sites - site - 2)",
         "right, left = 2**site, 2 ** (n_sites - site - 2)",
     ),
+    # The kernel still refuses a non-finite phi, but as "phi must be
+    # finite": only the CLI's message shows which rule fired.
+    Mutant(
+        "grid-axes-finite-phi-dropped",
+        "src/ybc/cli.py",
+        '    if not all(math.isfinite(phi) for phi in phis):\n'
+        '        raise ValueError("--phi: values must be finite")\n',
+        "",
+    ),
+    Mutant(
+        "grid-axes-positive-n-dropped",
+        "src/ybc/cli.py",
+        "    if any(n < 1 for n in ns):\n"
+        "        raise ValueError(f\"--n: expects positive integers, got {opts['n']!r}\")\n",
+        "",
+    ),
+    Mutant(
+        "check-points-first-n-only",
+        "src/ybc/strategies.py",
+        "    for n in ns:\n        _positive_int(n, \"n_uses\")",
+        "    for n in ns[:1]:\n        _positive_int(n, \"n_uses\")",
+    ),
 ]
 
 
@@ -96,7 +118,8 @@ def run_tier1(directory: Path) -> tuple[bool, str, float]:
     start = time.perf_counter()
     done = subprocess.run(argv, cwd=directory, env=env, capture_output=True, text=True)
     seconds = time.perf_counter() - start
-    failure = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
+    # A parametrized id may hold spaces; pytest ends it with " - " and the reason.
+    failure = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", done.stdout, re.MULTILINE)
     if done.returncode == 0:
         return True, "", seconds
     return False, failure.group(1) if failure else f"pytest exit {done.returncode}", seconds
