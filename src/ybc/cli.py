@@ -246,8 +246,9 @@ def cmd_verify(opts) -> int:
 # compare stream the grid from the kernel to the file in blocks of x rows
 # (``strategies.grid_blocks`` through ``_write_grid``), so their memory does
 # not grow with the rows: at the cap, a one-plane 4000 x 250 grid peaks at
-# 12 MB (sweep) or 13 MB (compare) for the one-qubit strategy, and 23 MB
-# (either) for the two-qubit one, traced by tracemalloc around ``main``.
+# 5.3 MB for the one-qubit strategy and 10.8 MB for the two-qubit one
+# (sweep or compare, at 2**15 points a block), traced by tracemalloc around
+# ``main``.
 # The count is checked on the parsed counts, before any axis is allocated.
 MAX_ROWS = 1_000_000
 
@@ -366,29 +367,44 @@ def _csv_rows(kind, xs, thetas, phis, ns, values: Iterable[np.ndarray]) -> Itera
     depend on phi, and N folds into theta), so each chunk formats each
     distinct double once.  The doubles are told apart by their bit
     pattern, which keeps 0.0 and -0.0 apart where float equality would
-    merge them.  The distinct values go through one ``%`` call and are
-    placed into a table of row cells (head, prefix, then each field and
-    its separator), built once for all chunks and joined once per chunk.
-    Every field is still ``%.12g`` of its own double, the same bytes as
-    ``_fmt``.
+    merge them.  The distinct values go through one ``%`` call, each
+    formatted with its leading comma, and are placed into a table of
+    cells built once for all chunks: per row a head (the newline that ends
+    the previous row, then strategy and x), the prefix (theta, phi, N) and
+    the fields, and after the last row one closing newline.  The first
+    row's head has no newline.  The table is joined once per chunk.  Every
+    field is still ``%.12g`` of its own double, the same bytes as ``_fmt``.
+
+    The walk must yield exactly one array per x, or ValueError.  Each array
+    is dropped before the next is asked for, so that the walk can free a
+    block before it computes the next one.
     """
-    keys = [f"{_fmt(float(phi))},{int(n)}," for phi in phis for n in ns]
+    keys = [f"{_fmt(float(phi))},{int(n)}" for phi in phis for n in ns]
     prefixes = [f"{_fmt(float(t))},{key}" for t in thetas for key in keys]
-    cells = None
-    for x, row in zip(xs, values, strict=True):
-        if cells is None:
+    walk = iter(values)
+    table = None
+    for x in xs:
+        row = next(walk, None)
+        if row is None:
+            raise ValueError(f"the kernel walk yielded fewer than the grid's {len(xs)} x rows")
+        if table is None:
             width = row.shape[-1]
-            cells = np.empty((len(prefixes), 2 * width + 2), dtype=object)
+            table = np.empty(len(prefixes) * (width + 2) + 1, dtype=object)
+            cells = table[:-1].reshape(len(prefixes), width + 2)
             cells[:, 1] = prefixes
-            cells[:, 3:-1:2] = ","
-            cells[:, -1] = "\n"
+            table[-1] = "\n"
         bits, inverse = np.unique(row.view(np.int64).ravel(), return_inverse=True)
-        text = ("%.12g\0" * bits.size) % tuple(bits.view(np.float64).tolist())
+        del row
+        text = (",%.12g\0" * bits.size) % tuple(bits.view(np.float64).tolist())
         # The split leaves an empty last field, which no index reaches.
         fields = np.array(text.split("\0"), dtype=object)
-        cells[:, 0] = f"{kind},{_fmt(float(x))},"
-        cells[:, 2::2] = fields[inverse].reshape(len(prefixes), width)
-        yield "".join(cells.ravel().tolist())
+        head = f"{kind},{_fmt(float(x))},"
+        cells[:, 0] = "\n" + head
+        table[0] = head
+        cells[:, 2:] = fields[inverse].reshape(len(prefixes), width)
+        yield "".join(table.tolist())
+    if next(walk, None) is not None:
+        raise ValueError(f"the kernel walk yielded more than the grid's {len(xs)} x rows")
 
 
 def _write_grid(command: str, out: str, header: str, kinds, axes, columns, summary=None) -> bool:
@@ -406,6 +422,9 @@ def _write_grid(command: str, out: str, header: str, kinds, axes, columns, summa
             if summary is not None:
                 summary.add(kind, block)
             yield from block[..., :width]
+            # Dropped before the walk computes the next block, so that one
+            # block is alive at a time.
+            del block
 
     chunks = (chunk for kind in kinds for chunk in _csv_rows(kind, *axes, rows(kind)))
     return _write_csv(command, out, header, chunks)

@@ -225,13 +225,13 @@ def _weighted_measures(kind, terms, x):
 
 # The most points, summed over the (phi, N) planes of a grid, that
 # ``grid_blocks`` evaluates in one block of x rows.  On the 101 x 256 x 12
-# plane two-qubit sweep grid (2 vCPUs; the walk's median over 30
+# plane two-qubit sweep grid (2 vCPUs; the walk's median over 15
 # interleaved in-process runs, and the peak RSS of the whole sweep in
-# fresh processes), 2**14 took 0.169 s and 34.8 MB, 2**16 0.126 s and
-# 39.0 MB, and 2**17 0.124 s and 45.8 MB, against 0.131 s and 53.2 MB for
-# evaluating each plane whole.  2**16 is the smallest budget that keeps
-# that speed; a 2**16-point block of a sweep's four value columns is 2 MB.
-_BLOCK_POINTS = 2**16
+# fresh processes), 2**14 took 84 ms and 33.1 MB, 2**15 76 ms and 34.0 MB,
+# 2**16 73 ms and 36.2 MB, and 2**17 77 ms and 39.2 MB.  2**15 is the
+# smallest budget that keeps that speed; a 2**15-point block of a sweep's
+# four value columns is 1 MB.
+_BLOCK_POINTS = 2**15
 
 
 def grid_blocks(kind, xs, thetas, phis, ns, columns) -> Iterator[np.ndarray]:
@@ -244,9 +244,11 @@ def grid_blocks(kind, xs, thetas, phis, ns, columns) -> Iterator[np.ndarray]:
     as one array values[ix, it, plane, column], the planes phi outer.  The
     blocks are even and hold at most ``_BLOCK_POINTS`` points over all
     planes (one x row if a row holds more), so the working memory does not
-    grow with the number of x values.  Every value is elementwise in x, so
-    the blocks give the same bytes as one evaluation over the whole grid.
-    An empty axis raises ValueError.
+    grow with the number of x values.  The walk keeps no reference to a
+    block it has yielded, so a caller that drops each block before asking
+    for the next holds one block at a time.  Every value is elementwise in
+    x, so the blocks give the same bytes as one evaluation over the whole
+    grid.  An empty axis raises ValueError.
     """
     xs = np.asarray(xs, dtype=float)
     theta = np.asarray(thetas, dtype=float)[None, :]
@@ -258,13 +260,26 @@ def grid_blocks(kind, xs, thetas, phis, ns, columns) -> Iterator[np.ndarray]:
     terms = [_theta_terms(kind, theta, phi, n) for phi, n in planes]
     rows = max(1, _BLOCK_POINTS // max(1, theta.size * len(planes)))
     for x in np.array_split(xs[:, None], max(1, math.ceil(xs.size / rows))):
-        yield np.stack(
-            [
-                np.stack(columns(kind, plane_terms, x, theta, phi, n), axis=-1)
-                for plane_terms, (phi, n) in zip(terms, planes)
-            ],
-            axis=2,
-        )
+        yield _block(kind, terms, x, theta, planes, columns)
+
+
+def _block(kind, terms, x, theta, planes, columns) -> np.ndarray:
+    """One block of ``grid_blocks``: each plane's columns written into their slots.
+
+    The block is allocated once, at the first plane's column count.  Built
+    in a call of its own, so that no local of the walk holds a block, or a
+    plane's columns, once the block has been yielded.
+    """
+    block = None
+    for plane, (plane_terms, (phi, n)) in enumerate(zip(terms, planes)):
+        values = columns(kind, plane_terms, x, theta, phi, n)
+        if block is None:
+            block = np.empty((x.size, theta.size, len(planes), len(values)))
+        for column, value in enumerate(values):
+            block[:, :, plane, column] = value
+        # Freed before the next plane's columns are computed.
+        del values, value
+    return block
 
 
 def sweep_columns(kind, terms, x, theta, phi: float, n: int) -> tuple[np.ndarray, ...]:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -418,6 +419,20 @@ class TestSweep:
             assert not out.exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == (["grid.csv"] if existing else [])
 
+    @staticmethod
+    def assert_walk_exits_two(walk, command, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(strategies, "grid_blocks", walk)
+        out = tmp_path / "grid.csv"
+        out.write_text("previous contents\n")
+        code = cli.main([
+            command, "--strategy", "two", "--x", "0:1:3", "--theta", "0:1:5",
+            "--phi", "0", "--n", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"{command}: the kernel walk yielded {message}\n"
+        assert out.read_text() == "previous contents\n"
+        assert list(tmp_path.iterdir()) == [out]
+
     @pytest.mark.parametrize("command", ["sweep", "compare"])
     def test_short_kernel_walk_exits_two(self, command, tmp_path, capsys, monkeypatch):
         # A walk that yields one x row too few must not write a short CSV.
@@ -428,18 +443,22 @@ class TestSweep:
             yield from blocks[:-1]
             yield blocks[-1][:-1]
 
-        monkeypatch.setattr(strategies, "grid_blocks", one_row_short)
-        out = tmp_path / "grid.csv"
-        out.write_text("previous contents\n")
-        code = cli.main([
-            command, "--strategy", "two", "--x", "0:1:3", "--theta", "0:1:5",
-            "--phi", "0", "--n", "1", "--out", str(out),
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"{command}: ") and err.count("\n") == 1
-        assert out.read_text() == "previous contents\n"
-        assert list(tmp_path.iterdir()) == [out]
+        message = "fewer than the grid's 3 x rows"
+        self.assert_walk_exits_two(one_row_short, command, message, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_long_kernel_walk_exits_two(self, command, tmp_path, capsys, monkeypatch):
+        # Nor one that yields one x row too many: the rows it did write would
+        # pass for the whole grid.
+        walk = strategies.grid_blocks
+
+        def one_row_long(*args):
+            blocks = list(walk(*args))
+            yield from blocks
+            yield blocks[-1][-1:]
+
+        message = "more than the grid's 3 x rows"
+        self.assert_walk_exits_two(one_row_long, command, message, tmp_path, capsys, monkeypatch)
 
     def test_success_replaces_existing_file(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -580,6 +599,39 @@ class TestCsvRows:
         values = np.array([0.0, -0.0, -0.0, 0.0]).reshape(1, 1, 2, 2)
         (chunk,) = cli._csv_rows("two", [0.5], [0.0], [0.0], [1, 2], values)
         assert chunk == "two,0.5,0,0,1,0,-0\ntwo,0.5,0,0,2,-0,0\n"
+
+
+class TestBlockRelease:
+    @pytest.mark.parametrize(
+        "command", [["sweep", "--strategy", "two"], ["compare"]], ids=["sweep", "compare"]
+    )
+    def test_previous_block_is_dead_when_the_next_is_asked_for(
+        self, command, tmp_path, monkeypatch
+    ):
+        # Each block the walk yields is watched by a weakref.  When the
+        # writer asks for the next block (or for the end of the walk), the
+        # previous one must already be freed: one block alive at a time.
+        walk, alive = strategies.grid_blocks, []
+
+        def watched(*args):
+            blocks, previous = walk(*args), None
+            while True:
+                if previous is not None:
+                    alive.append(previous() is not None)
+                block = next(blocks, None)
+                if block is None:
+                    return
+                previous = weakref.ref(block)
+                yield block
+                del block
+
+        monkeypatch.setattr(strategies, "grid_blocks", watched)
+        # Two x rows of 5 thetas over 4 planes a block: 4 blocks of 7 rows.
+        monkeypatch.setattr(strategies, "_BLOCK_POINTS", 2 * 5 * 4)
+        grid = ["--x", "0:1:7", "--theta", "0:1:5", "--phi", "0,0.25", "--n", "1,2"]
+        assert cli.main([*command, *grid, "--out", str(tmp_path / "grid.csv")]) == 0
+        # compare walks the grid once per strategy.
+        assert alive == [False] * 4 * (2 if command == ["compare"] else 1)
 
 
 class TestFigure:

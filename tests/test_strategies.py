@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 import tracemalloc
@@ -18,6 +19,26 @@ from ybc.strategies import (
 )
 
 from reference import batched_grid, kernel_reduced_state, kernel_spectrum, mpmath_reference
+
+
+def streamed_peak(kind, axes, columns, header, summary=None):
+    """The traced peak of streaming one kind's grid from the kernel through the row writer.
+
+    ``cli._write_grid`` feeds the walk's x rows to ``cli._csv_rows`` as the
+    CLI does; its chunks are consumed and dropped instead of written.
+    """
+
+    def consume(command, path, header, chunks):
+        collections.deque(chunks, maxlen=0)
+        return True
+
+    with mock.patch.object(cli, "_write_csv", consume):
+        tracemalloc.start()
+        try:
+            assert cli._write_grid("test", "grid.csv", header, (kind,), axes, columns, summary)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
 
 def identity_power(theta, n):
@@ -496,7 +517,7 @@ class TestBatchedGrid:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
-    def test_kernel_peak_does_not_grow_with_x_rows(self, kind):
+    def test_kernel_peak_does_not_grow_with_x_rows(self, kind, monkeypatch):
         # Beyond the two result arrays and the block results they are joined
         # from, the traced peak is one block's working memory, whatever the
         # number of x rows.
@@ -514,49 +535,43 @@ class TestBatchedGrid:
         one_block = working_peak(strategies._BLOCK_POINTS // thetas.size)
         assert working_peak(20 * strategies._BLOCK_POINTS // thetas.size) <= 1.1 * one_block
 
-        # The sweep walk over 12 planes, consumed a row at a time as the CSV
-        # writer does: the previous block is still held while the next one
-        # is computed, so two blocks are the baseline.
+        # The sweep walk over 12 planes, streamed through the CSV row writer
+        # as the CLI streams it: one block is alive at a time, so a grid of
+        # 20 blocks peaks as one of 4.  (One of 2, x = 0 and 1, peaks lower:
+        # those rows repeat more values, so their chunks format fewer
+        # distinct doubles.)  tracemalloc slows the row formatting about
+        # tenfold, so these walks run at a block budget of 2**12 points (one
+        # x row a block here) to keep the formatted rows few.
+        monkeypatch.setattr(strategies, "_BLOCK_POINTS", 2**12)
         phis, ns = (0.0, 0.25 * np.pi, 0.5 * np.pi), (1, 2, 3, 4)
 
-        def walk_peak(rows):
-            xs = np.linspace(0.0, 1.0, rows)
-            tracemalloc.start()
-            try:
-                blocks = strategies.grid_blocks(
-                    kind, xs, thetas, phis, ns, strategies.sweep_columns
-                )
-                for row in (row for block in blocks for row in block):
-                    pass
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        def sweep_peak(rows):
+            axes = (np.linspace(0.0, 1.0, rows), thetas, phis, ns)
+            return streamed_peak(kind, axes, strategies.sweep_columns, cli.SWEEP_HEADER)
 
-        rows = strategies._BLOCK_POINTS // (thetas.size * len(phis) * len(ns))
-        assert walk_peak(20 * rows) <= 1.1 * walk_peak(2 * rows)
+        assert sweep_peak(20) <= 1.1 * sweep_peak(4)
 
-        # compare on one 4000 x 250 plane, its summary fed each block and
-        # the rows consumed as the CSV writer does: the peak is that of two
-        # blocks, with nothing subtracted.
+        # compare on one 250-theta plane, its summary fed each block: 8
+        # blocks of x rows peak as 2, with nothing subtracted.
         thetas = np.linspace(0.0, 2.0 * np.pi, 250)
 
         def compare_peak(rows):
-            xs = np.linspace(0.0, 1.0, rows)
+            axes = (np.linspace(0.0, 1.0, rows), thetas, (0.4,), (3,))
             summary = DeviationSummary((3,))
-            tracemalloc.start()
-            try:
-                for block in strategies.grid_blocks(
-                    kind, xs, thetas, (0.4,), (3,), compare_columns
-                ):
-                    summary.add(kind, block)
-                    for row in block[..., :5]:
-                        pass
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return streamed_peak(kind, axes, compare_columns, cli.COMPARE_HEADER, summary)
 
-        two_blocks = compare_peak(2 * strategies._BLOCK_POINTS // thetas.size)
-        assert compare_peak(4000) <= 1.1 * two_blocks
+        rows = strategies._BLOCK_POINTS // thetas.size
+        assert compare_peak(8 * rows) <= 1.1 * compare_peak(2 * rows)
+
+    def test_sweep_grid_streams_in_one_block_of_working_memory(self):
+        # The benchmark's sweep grid, 101 x 256 x 3 phi x 4 N: with the
+        # previous block freed before the next is built, its traced peak is
+        # under 6 MB (4.4 MB with numpy 2.4, against 8.6 MB while the
+        # previous block and the per-plane stacks were still alive).
+        axes = (np.linspace(0.0, 1.0, 101), np.linspace(0.0, 2.0 * np.pi, 256),
+                (0.0, 0.25 * np.pi, 0.5 * np.pi), (1, 2, 3, 4))
+        peak = streamed_peak(TWO_QUBIT, axes, strategies.sweep_columns, cli.SWEEP_HEADER)
+        assert peak < 6_000_000
 
     def test_c_r_is_non_negative_on_the_sweep_one_large_grid(self):
         # Before the kernel's final clamp, 22 one-qubit c_r values on this

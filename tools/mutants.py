@@ -105,6 +105,27 @@ MUTANTS = [
         "    for n in ns:\n        _positive_int(n, \"n_uses\")",
         "    for n in ns[:1]:\n        _positive_int(n, \"n_uses\")",
     ),
+    # Every plane's columns land in the previous plane's slot (the first
+    # plane's in the last): a one-plane grid cannot see it.
+    Mutant(
+        "block-plane-slot-off-by-one",
+        "src/ybc/strategies.py",
+        "block[:, :, plane, column] = value",
+        "block[:, :, plane - 1, column] = value",
+    ),
+    # The bytes stay the same; only the block's lifetime changes.
+    Mutant(
+        "previous-block-kept-by-rows",
+        "src/ybc/cli.py",
+        "            del block\n",
+        "",
+    ),
+    Mutant(
+        "previous-block-kept-by-last-row",
+        "src/ybc/cli.py",
+        "        del row\n",
+        "",
+    ),
 ]
 
 

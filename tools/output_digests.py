@@ -29,11 +29,17 @@ LARGE_GRID = ("--x", "0:1:101", "--theta", "0:2:256", "--phi", "0,0.25,0.5", "--
 # A compare grid larger than one x block of the kernel's walk.
 COMPARE_BLOCKS_GRID = ("--x", "0:1:101", "--theta", "0:2:256", "--phi", "0,0.25", "--n", "1,2")
 
+# One x and one theta over 2,000 phi values: each block holds 2,000 plane
+# slots, so a plane written into the wrong slot shows in the bytes.
+PLANE_HEAVY_PHIS = ",".join(f"{k / 1000:g}" for k in range(2000))
+
 # (label, argv without --out)
 COMMANDS = [
     ("verify", ("verify",)),
     ("sweep-two-large", ("sweep", "--strategy", "two") + LARGE_GRID),
     ("sweep-one-large", ("sweep", "--strategy", "one") + LARGE_GRID),
+    ("sweep-plane-heavy", ("sweep", "--strategy", "two", "--x", "0.3:0.3:1",
+                           "--theta", "0.2:0.2:1", "--phi", PLANE_HEAVY_PHIS, "--n", "1")),
     # Negative angles, each written after "=" as one argument.
     ("sweep-one-negative", ("sweep", "--strategy", "one", "--x", "0:1:11",
                             "--theta=-1:1:65", "--phi=-0.25,0.5", "--n", "1,2")),
