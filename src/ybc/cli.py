@@ -287,25 +287,18 @@ def _parse_list(text: str, name: str, convert: Callable[[str], object]) -> list:
 def _grid_axes(opts, copies: int) -> list:
     """The grid's (xs, thetas, phis, ns) from the text of the four grid options.
 
-    ValueError for a malformed option, a grid of more than ``MAX_ROWS`` rows
-    (``copies`` rows a point; counted before any axis is allocated) or an x
-    outside [0, 1].
+    ValueError for a malformed option or a grid of more than ``MAX_ROWS``
+    rows (``copies`` a point, counted before any axis is allocated); the
+    kernel's walk checks the values.
     """
     xs = _parse_range(opts["x"], "x")
     thetas = _parse_range(opts["theta"], "theta", scale=math.pi)
     phis = [phi * math.pi for phi in _parse_list(opts["phi"], "phi", float)]
-    if not all(math.isfinite(phi) for phi in phis):
-        raise ValueError("--phi: values must be finite")
     ns = _parse_list(opts["n"], "n", int)
-    if any(n < 1 for n in ns):
-        raise ValueError(f"--n: expects positive integers, got {opts['n']!r}")
     rows = copies * xs[2] * thetas[2] * len(phis) * len(ns)
     if rows > MAX_ROWS:
         raise ValueError(f"the grid has {rows} rows, more than the limit of {MAX_ROWS}")
-    xs, thetas = np.linspace(*xs), np.linspace(*thetas)
-    if not np.all((xs >= 0.0) & (xs <= 1.0)):
-        raise ValueError("--x values must lie in [0, 1]")
-    return [xs, thetas, phis, ns]
+    return [np.linspace(*xs), np.linspace(*thetas), phis, ns]
 
 
 class _RowError(Exception):
@@ -326,11 +319,11 @@ def _write_csv(command: str, path: str, header: str, chunks: Iterable[str]) -> b
     The text goes to a temp file beside ``path``, which is renamed over
     ``path`` once complete.  Any error while the rows are computed or
     written removes the temp file and leaves ``path`` as it was.  A
-    ValueError from computing the rows (a failed kernel check) is reported
-    on stderr as ``COMMAND: message``, any other error as ``cannot write``
-    with its type; the caller then exits 2.  A path that names no file
-    (empty, ending in a separator, or a directory) is refused before any
-    row is computed, since no temp file could be renamed over it.
+    ValueError from computing the rows (a kernel check) is reported on
+    stderr as ``COMMAND: message``, any other error as ``cannot write``
+    with its type (an OSError with its strerror); the caller exits 2.  A
+    path naming no file (empty, ending in a separator, or a directory) is
+    refused before any row is computed: no temp file could replace it.
     """
     directory, name = os.path.split(path)
     if not name or os.path.isdir(path):
@@ -351,7 +344,8 @@ def _write_csv(command: str, path: str, header: str, chunks: Iterable[str]) -> b
         print(f"{command}: {exc}", file=sys.stderr)
         return False
     except Exception as exc:
-        print(f"cannot write {path!r}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        print(f"cannot write {path!r}: {type(exc).__name__}: {reason}", file=sys.stderr)
         return False
     return True
 

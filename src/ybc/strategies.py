@@ -81,7 +81,7 @@ def _check_points(kind, x: np.ndarray, theta: np.ndarray, phis, ns) -> None:
     for phi in phis:
         _finite(phi, "phi")
     for n in ns:
-        _positive_int(n, "n_uses")
+        _positive_int(n, "N")
         if n > 2**53:
             raise ValueError(f"N must be at most 2**53, got {n}")
         if not math.isfinite(2.0 * n * largest):
@@ -320,11 +320,16 @@ def _alpha(x, sin_2nt):
     return 4.0 * (1.0 - 2.0 * x) * sin_2nt
 
 
+def _n_theta(theta, n: int):
+    """sin and cos of N theta and of 2 N theta, from the rounded products, for the formulas."""
+    n_theta, two_n_theta = n * theta, 2.0 * n * theta
+    return np.sin(n_theta), np.cos(n_theta), np.sin(two_n_theta), np.cos(two_n_theta)
+
+
 def _closed_form_l1(kind, x, theta, phi: float, n: int) -> np.ndarray:
     """``closed_form_coherence`` over broadcastable x and theta, without validation."""
     odd = n % 2 == 1
-    sin_nt, cos_nt = np.sin(n * theta), np.cos(n * theta)
-    sin_2nt, cos_2nt = np.sin(2.0 * n * theta), np.cos(2.0 * n * theta)
+    sin_nt, cos_nt, sin_2nt, cos_2nt = _n_theta(theta, n)
     eps = _eps(x)
     if kind == ONE_QUBIT:
         alpha = _alpha(x, sin_2nt)
@@ -386,9 +391,10 @@ def _elements(kind, x, theta, phi: float, n: int):
     """
     odd = n % 2 == 1
     eps = _eps(x)
+    sin_nt, cos_nt, sin_2nt, _ = _n_theta(theta, n)
     if kind == TWO_QUBIT:
-        s2, c2 = np.sin(n * theta) ** 2, np.cos(n * theta) ** 2
-        chain = (-1.0) ** n / (2.0 * math.sqrt(2.0)) * np.exp(1j * phi) * np.sin(2.0 * n * theta)
+        s2, c2 = sin_nt**2, cos_nt**2
+        chain = (-1.0) ** n / (2.0 * math.sqrt(2.0)) * np.exp(1j * phi) * sin_2nt
         bracket = (2.0 + 1j) * s2 - 1j if odd else (2.0 - 1j) * c2 + 1j
         root = np.sqrt(x * (1.0 - x))
         s11 = 0.5 * (1.0 - x) * (c2 if odd else s2)
@@ -402,10 +408,9 @@ def _elements(kind, x, theta, phi: float, n: int):
         s24 = -root * chain
         s34 = -x * chain
         return (s11, s22, s33, s44), (s12, s13, s14, s23, s24, s34)
-    base = np.cos(n * theta) if odd else np.sin(n * theta)
-    sin2nt = np.sin(2.0 * n * theta)
+    base = cos_nt if odd else sin_nt
     pole = np.abs(base) < POLE_WINDOW
-    divergent = pole & (np.abs(sin2nt) > 2.0 * POLE_WINDOW)
+    divergent = pole & (np.abs(sin_2nt) > 2.0 * POLE_WINDOW)
     if np.any(divergent):
         raise ValueError(
             f"sec/csc pole at theta={float(theta.flat[np.argmax(divergent)])!r}, N={n} "
@@ -413,8 +418,8 @@ def _elements(kind, x, theta, phi: float, n: int):
         )
     trig2 = base**2
     inv_sq = 1.0 / np.where(pole, 1.0, trig2)  # the pole entries are replaced below
-    alpha = _alpha(x, sin2nt)
-    s11 = 0.5 * (1.0 + alpha * inv_sq / 8.0 - eps * math.cos(phi) * sin2nt)
+    alpha = _alpha(x, sin_2nt)
+    s11 = 0.5 * (1.0 + alpha * inv_sq / 8.0 - eps * math.cos(phi) * sin_2nt)
     bracket = eps * (2.0 - (2.0 - 1j + np.exp(2j * phi)) * trig2)
     alpha_term = math.sqrt(2.0) * alpha * np.exp(1j * phi) / 4.0
     s12 = 0.5 * (bracket + alpha_term) if odd else 0.5 * (bracket - alpha_term)

@@ -1,4 +1,5 @@
 import collections
+import errno
 import importlib.util
 import math
 import os
@@ -378,18 +379,21 @@ class TestSweep:
             "--phi", "0", "--n", "1", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2 and list(tmp_path.iterdir()) == []
-        assert capsys.readouterr().err == "--x values must lie in [0, 1]\n"
+        assert capsys.readouterr().err == "sweep: x values must lie in [0, 1]\n"
 
-    def test_x_check_rejects_each_value_outside_the_unit_interval(self, monkeypatch):
+    def test_x_check_rejects_each_value_outside_the_unit_interval(self):
+        # The x axes that the flags build, checked by the kernel's grid check.
         grid = {"x": f"0:1:{cli.MAX_ROWS}", "theta": "0:0:1", "phi": "0", "n": "1"}
-        assert len(cli._grid_axes(grid, 1)[0]) == cli.MAX_ROWS
+        xs, thetas, phis, ns = cli._grid_axes(grid, 1)
+        assert len(xs) == cli.MAX_ROWS
+        strategies._check_points("one", xs, thetas, phis, ns)
         for x in ("-5e-324:1:3", f"0:1.0000000000000002:{cli.MAX_ROWS}"):
-            with pytest.raises(ValueError, match=r"^--x values must lie in \[0, 1\]$"):
-                cli._grid_axes({**grid, "x": x}, 1)
+            axes = cli._grid_axes({**grid, "x": x}, 1)
+            with pytest.raises(ValueError, match=r"^x values must lie in \[0, 1\]$"):
+                strategies._check_points("one", *axes)
         # No flag text builds a NaN x, so the axis is made to hold one.
-        monkeypatch.setattr(np, "linspace", lambda *args: np.array([0.5, np.nan]))
-        with pytest.raises(ValueError, match=r"^--x values must lie in \[0, 1\]$"):
-            cli._grid_axes(grid, 1)
+        with pytest.raises(ValueError, match=r"^x values must lie in \[0, 1\]$"):
+            strategies._check_points("one", np.array([0.5, np.nan]), thetas, phis, ns)
 
     def test_unwritable_output(self, capsys, tmp_path):
         code = cli.main([
@@ -398,6 +402,19 @@ class TestSweep:
         ])
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
+
+    def test_write_error_names_the_output_not_the_temp_file(self, capsys, tmp_path):
+        # The temp file's name holds the pid and random hex; the message
+        # names the output and the OSError's strerror, the same every run.
+        out = tmp_path / "missing" / "x.csv"
+        argv = ["sweep", *grid_argv(), "--out", str(out)]
+        errors = []
+        for _ in range(2):
+            assert cli.main(argv) == 2
+            errors.append(capsys.readouterr().err)
+        reason = os.strerror(errno.ENOENT)
+        assert errors == 2 * [f"cannot write {str(out)!r}: FileNotFoundError: {reason}\n"]
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_failure_mid_stream_leaves_destination(
@@ -524,10 +541,10 @@ class TestGridInput:
         [
             ("sweep", "x", "0:1", "--x expects A:B:N, got '0:1'"),
             ("sweep", "theta", "a:1:3", "--theta: could not convert string to float: 'a'"),
-            ("sweep", "phi", "nan", "--phi: values must be finite"),
-            ("compare", "phi", "0,inf", "--phi: values must be finite"),
-            ("sweep", "n", "0", "--n: expects positive integers, got '0'"),
-            ("compare", "n", "2,-1", "--n: expects positive integers, got '2,-1'"),
+            ("sweep", "phi", "nan", "sweep: phi must be finite, got nan"),
+            ("compare", "phi", "0,inf", "compare: phi must be finite, got inf"),
+            ("sweep", "n", "0", "sweep: N must be a positive integer, got 0"),
+            ("compare", "n", "2,-1", "compare: N must be a positive integer, got -1"),
             ("sweep", "strategy", "three", "--strategy must be one or two, got 'three'"),
             ("compare", "strategy", "three", "--strategy must be one, two or all, got 'three'"),
             # The walk meets this N after a good one.
@@ -544,6 +561,28 @@ class TestGridInput:
         assert cli.main([command, *grid_argv(**{flag: value}), "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", message + "\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("x", "0:2:3", "x values must lie in [0, 1]"),
+            ("phi", "nan", "phi must be finite, got nan"),
+            ("n", "2,0", "N must be a positive integer, got 0"),
+        ],
+        ids=["x", "phi", "n"],
+    )
+    def test_bad_grid_value_keeps_an_existing_output(
+        self, command, flag, value, message, capsys, tmp_path
+    ):
+        # The kernel's walk refuses the value: one COMMAND line, and the
+        # previous output and its directory are left as they were.
+        out = tmp_path / "x.csv"
+        out.write_text("previous contents\n")
+        assert cli.main([command, *grid_argv(**{flag: value}), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"{command}: {message}\n")
+        assert out.read_text() == "previous contents\n"
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_config_skips_comments_and_blank_lines(self, capsys, tmp_path):
         out, config = tmp_path / "x.csv", tmp_path / "sweep.cfg"
@@ -773,7 +812,7 @@ class TestCompare:
     def test_x_outside_unit_interval(self, capsys, tmp_path):
         assert cli.main(["compare", "--x", "0:2:3", "--out", str(tmp_path / "c.csv")]) == 2
         assert list(tmp_path.iterdir()) == []
-        assert capsys.readouterr().err == "--x values must lie in [0, 1]\n"
+        assert capsys.readouterr().err == "compare: x values must lie in [0, 1]\n"
 
     def test_bad_formula(self, capsys, tmp_path):
         assert cli.main([

@@ -114,12 +114,12 @@ class TestPrepare:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="kind"):
             batched_grid("three", [0.5], [0.0], 0.0, 1)
-        with pytest.raises(ValueError, match="n_uses"):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
             batched_grid(ONE_QUBIT, [0.5], [0.0], 0.0, 0)
 
     @pytest.mark.parametrize("n", [1.7, 2.0, True, "3", None])
     def test_spec_rejects_non_integral_uses(self, n):
-        with pytest.raises(ValueError, match="n_uses"):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
             batched_grid(ONE_QUBIT, [0.5], [0.0], 0.0, n)
 
     def test_spec_accepts_numpy_integer_uses(self):
@@ -323,17 +323,15 @@ class TestElementwiseOneQubit:
             strategies._elements(ONE_QUBIT, np.array([np.nan]), np.array([0.3]), 0.4, 1)
 
     def test_divergent_pole_raises(self, monkeypatch):
-        # sin(2 N theta) <= 2 |base| inside the pole window, so only a sine
-        # shifted off cos(N theta) reaches this guard.
-        class ShiftedSine:
-            def __getattr__(self, name):
-                return getattr(np, name)
+        # sin(2 N theta) <= 2 |base| inside the pole window, so only a
+        # companion shifted off cos(N theta) reaches this guard.
+        n_theta = strategies._n_theta
 
-            @staticmethod
-            def sin(a):
-                return np.sin(a) + 1e-6
+        def shifted(theta, n):
+            sin_nt, cos_nt, sin_2nt, cos_2nt = n_theta(theta, n)
+            return sin_nt, cos_nt, sin_2nt + 1e-6, cos_2nt
 
-        monkeypatch.setattr(strategies, "np", ShiftedSine())
+        monkeypatch.setattr(strategies, "_n_theta", shifted)
         with pytest.raises(ValueError, match=r"sec/csc pole at theta=1\.57.*, N=1 .*diverges here"):
             elementwise_reduced(ONE_QUBIT, 0.3, np.pi / 2, 0.4, 1)
 
@@ -422,7 +420,7 @@ class TestBatchedGrid:
             (ONE_QUBIT, [1.5], [0.1], 0.0, 1, r"\[0, 1\]"),
             (ONE_QUBIT, [np.nan], [0.1], 0.0, 1, r"\[0, 1\]"),
             (TWO_QUBIT, [0.5], [np.inf], 0.0, 1, "finite"),
-            (TWO_QUBIT, [0.5], [0.1], 0.0, 0, "n_uses"),
+            (TWO_QUBIT, [0.5], [0.1], 0.0, 0, "N must be a positive integer"),
             ("three", [0.5], [0.1], 0.0, 1, "kind"),
             (ONE_QUBIT, [0.5], [0.1], 0.0, 2**53 + 1, r"2\*\*53"),
             # 2 N theta overflows: past it the sines are NaN.
@@ -457,7 +455,7 @@ class TestBatchedGrid:
         "phis, ns, message",
         [
             ([0.0, np.nan], [1], "phi must be finite, got nan"),
-            ([0.0], [1, 0], "n_uses must be a positive integer, got 0"),
+            ([0.0], [1, 0], "N must be a positive integer, got 0"),
             ([0.0], [1, 2**53 + 1], r"N must be at most 2\*\*53, got 9007199254740993"),
         ],
     )
@@ -631,7 +629,7 @@ class TestClosedFormPlane:
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 sweep_closed(kind, np.array(bad_xs), thetas, 0.0, 1)
         for n in (0, -1, 1.7, 2.0, True):
-            with pytest.raises(ValueError, match="n_uses"):
+            with pytest.raises(ValueError, match="N must be a positive integer"):
                 sweep_closed(kind, xs, thetas, 0.0, n)
         for bad_thetas, phi in (([0.1, np.inf], 0.0), ([0.1, np.nan], 0.0), ([0.1], np.nan)):
             with pytest.raises(ValueError, match="finite"):
@@ -642,10 +640,43 @@ class TestClosedFormPlane:
             sweep_closed("three", [0.5], [0.1], 0.0, 1)
 
     def test_scalar_forms_reject_non_integral_uses(self):
-        with pytest.raises(ValueError, match="n_uses"):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
             closed_form_coherence(ONE_QUBIT, 0.5, 0.3, 0.0, 1.7)
-        with pytest.raises(ValueError, match="n_uses"):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
             closed_form_coherence(TWO_QUBIT, 0.5, 0.3, 0.0, True)
+
+
+class TestNTheta:
+    def test_every_formula_body_reads_the_helper(self, monkeypatch):
+        # Shifting the helper's sin(N theta) moves both closed forms, both
+        # element assemblies and the one-qubit pole mask: no body keeps its
+        # own sine of N theta.
+        x, theta, phi = 0.3, 0.7, 0.4
+        # The one-qubit assembly reads sin(N theta) at even N only.
+        cases = [(ONE_QUBIT, 1), (ONE_QUBIT, 2), (TWO_QUBIT, 1), (TWO_QUBIT, 2)]
+
+        def evaluate():
+            closed = [closed_form_coherence(kind, x, theta, phi, n) for kind, n in cases]
+            elements = [elementwise_reduced(kind, x, theta, phi, n)[0] for kind, n in cases[1:]]
+            # theta = pi/2 is a pole at N = 2, where the base is sin(N theta).
+            return closed, elements, elementwise_reduced(ONE_QUBIT, x, np.pi / 2, phi, 2)[0]
+
+        closed, elements, pole = evaluate()
+        root = math.sqrt(x * (1.0 - x))
+        assert max_abs_diff(pole, np.array([[1.0 - x, root], [root, x]])) <= 1e-12
+        n_theta = strategies._n_theta
+
+        def shifted(theta, n):
+            sin_nt, *rest = n_theta(theta, n)
+            return (sin_nt + 0.1, *rest)
+
+        monkeypatch.setattr(strategies, "_n_theta", shifted)
+        moved_closed, moved_elements, moved_pole = evaluate()
+        for before, after in zip(closed, moved_closed, strict=True):
+            assert abs(after - before) > 1e-3
+        for before, after in zip(elements, moved_elements, strict=True):
+            assert max_abs_diff(after, before) > 1e-3
+        assert max_abs_diff(moved_pole, pole) > 1e-3
 
 
 def pole_thetas(n):

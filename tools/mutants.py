@@ -83,27 +83,40 @@ MUTANTS = [
         "left, right = 2**site, 2 ** (n_sites - site - 2)",
         "right, left = 2**site, 2 ** (n_sites - site - 2)",
     ),
-    # The kernel still refuses a non-finite phi, but as "phi must be
-    # finite": only the CLI's message shows which rule fired.
+    # A non-finite phi then reaches the kernel, whose trace check raises
+    # with another message.
     Mutant(
-        "grid-axes-finite-phi-dropped",
-        "src/ybc/cli.py",
-        '    if not all(math.isfinite(phi) for phi in phis):\n'
-        '        raise ValueError("--phi: values must be finite")\n',
+        "check-points-phi-dropped",
+        "src/ybc/strategies.py",
+        '    for phi in phis:\n        _finite(phi, "phi")\n',
         "",
     ),
     Mutant(
-        "grid-axes-positive-n-dropped",
-        "src/ybc/cli.py",
-        "    if any(n < 1 for n in ns):\n"
-        "        raise ValueError(f\"--n: expects positive integers, got {opts['n']!r}\")\n",
+        "check-points-x-range-dropped",
+        "src/ybc/strategies.py",
+        "    if not np.all((x >= 0.0) & (x <= 1.0)):\n"
+        '        raise ValueError("x values must lie in [0, 1]")\n',
         "",
     ),
     Mutant(
         "check-points-first-n-only",
         "src/ybc/strategies.py",
-        "    for n in ns:\n        _positive_int(n, \"n_uses\")",
-        "    for n in ns[:1]:\n        _positive_int(n, \"n_uses\")",
+        "    for n in ns:\n        _positive_int(n, \"N\")",
+        "    for n in ns[:1]:\n        _positive_int(n, \"N\")",
+    ),
+    Mutant(
+        "n-theta-double-angle",
+        "src/ybc/strategies.py",
+        "n_theta, two_n_theta = n * theta, 2.0 * n * theta",
+        "n_theta, two_n_theta = n * theta, n * theta",
+    ),
+    # The same values as the helper's: only the pin of the helper's
+    # readers can see a body that keeps its own sine.
+    Mutant(
+        "elements-own-sine",
+        "src/ybc/strategies.py",
+        "s2, c2 = sin_nt**2, cos_nt**2",
+        "s2, c2 = np.sin(n * theta) ** 2, cos_nt**2",
     ),
     # Every plane's columns land in the previous plane's slot (the first
     # plane's in the last): a one-plane grid cannot see it.
