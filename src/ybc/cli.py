@@ -350,12 +350,19 @@ def _write_csv(command: str, path: str, header: str, chunks: Iterable[str]) -> b
     return True
 
 
-def _csv_rows(kind, xs, thetas, phis, ns, values: Iterable[np.ndarray]) -> Iterator[str]:
+def _row_prefixes(thetas, phis, ns) -> list[str]:
+    """The theta, phi and N fields of each (theta, phi, N) point, theta outer, N inner."""
+    keys = [f"{_fmt(float(phi))},{int(n)}" for phi in phis for n in ns]
+    return [f"{_fmt(float(t))},{key}" for t in thetas for key in keys]
+
+
+def _csv_rows(kind, xs, prefixes: list[str], values: Iterable[np.ndarray]) -> Iterator[str]:
     """CSV rows in grid order (x outer, then theta, phi, N), one chunk per x.
 
-    ``values`` yields one array per x in turn, which holds in C order the
-    value columns of the (theta, phi, N) points at that x, phi outer:
-    values[it, plane, column] or values[it, ip, j, column].
+    ``prefixes`` are the grid's ``_row_prefixes``.  ``values`` yields one
+    array per x in turn, which holds in C order the value columns of the
+    (theta, phi, N) points at that x, phi outer: values[it, plane, column]
+    or values[it, ip, j, column].
 
     The value columns repeat heavily (the two-qubit coherence does not
     depend on phi, and N folds into theta), so each chunk formats each
@@ -373,8 +380,6 @@ def _csv_rows(kind, xs, thetas, phis, ns, values: Iterable[np.ndarray]) -> Itera
     is dropped before the next is asked for, so that the walk can free a
     block before it computes the next one.
     """
-    keys = [f"{_fmt(float(phi))},{int(n)}" for phi in phis for n in ns]
-    prefixes = [f"{_fmt(float(t))},{key}" for t in thetas for key in keys]
     walk = iter(values)
     table = None
     for x in xs:
@@ -407,7 +412,8 @@ def _write_grid(command: str, out: str, header: str, kinds, axes, columns, summa
     ``axes`` are the grid's (xs, thetas, phis, ns).  ``columns`` gives the
     value columns of each block of ``strategies.grid_blocks``, and the
     leading ones that ``header`` names are written.  ``summary``, if given,
-    takes each whole block as it passes.
+    takes each whole block as it passes.  The row prefixes are formatted
+    once, for every kind.
     """
     width = len(header.split(",")) - 5  # after strategy,x,theta,phi,N
 
@@ -420,7 +426,8 @@ def _write_grid(command: str, out: str, header: str, kinds, axes, columns, summa
             # block is alive at a time.
             del block
 
-    chunks = (chunk for kind in kinds for chunk in _csv_rows(kind, *axes, rows(kind)))
+    prefixes = _row_prefixes(*axes[1:])
+    chunks = (chunk for kind in kinds for chunk in _csv_rows(kind, axes[0], prefixes, rows(kind)))
     return _write_csv(command, out, header, chunks)
 
 

@@ -15,11 +15,15 @@ computes these reduced states in closed form over (x, theta, phi, N) grids.
 S(phi)^2 = I, so R^N = cos(N a) I + i sin(N a) S with a = pi/2 - theta;
 the evolved state is cos(N a) psi + i sin(N a) S psi, with N a taken
 exactly (a quarter-turn table on N mod 4 and Dekker's two-product for
-N theta).  The l1 measure sums the off-diagonal moduli of the reduced
-state, and the entropy takes the closed-form eigenvalues of the 2x2
-ancilla Gram matrix, which the reduced state of a pure global state
-shares (Schmidt decomposition).  The tests pin the kernel against a
-40-digit mpmath evaluation of R^N on the input.
+N theta).  The reduced state and the ancilla Gram matrix are quadratic in
+the evolved state, so each is three per-theta terms of each (phi, N)
+plane (``_theta_terms``), built once for all planes in pieces of bounded
+size, as real products in the order of a complex einsum.  The l1 measure
+sums the off-diagonal moduli of the reduced state, and the entropy takes
+the closed-form eigenvalues of the 2x2 ancilla Gram matrix, which the
+reduced state of a pure global state shares (Schmidt decomposition).
+The tests pin the kernel against a 40-digit mpmath evaluation of R^N on
+the input.
 
 The module also evaluates the reference formulas of each kind: a
 closed-form coherence (``closed_form_coherence``) and an element-wise
@@ -95,39 +99,74 @@ def _split(a):
     return hi, a - hi
 
 
-def _power_coefficients(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+# The quarter-turn table of N a = N pi/2 - N theta on N mod 4: (cos(N a),
+# sin(N a)) is (cos, -sin), (sin, cos), (-cos, sin) or (-sin, -cos) of N
+# theta.  So odd N swaps the two, and these are the signs of the result.
+_QUARTER_TURN_SIGNS = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+
+def _power_coefficients(theta: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
     """cos(N a) and sin(N a), a = pi/2 - theta, so that R^N = cos(N a) I + i sin(N a) S.
 
-    N a = N pi/2 - N theta.  The N pi/2 part is exact as a quarter-turn
-    table on N mod 4.  N theta is taken exactly as p + e with Dekker's
+    Elementwise in theta and N, which broadcast against each other: N is
+    one int, or an int array that gives each plane its own N.  N a = N pi/2
+    - N theta.  The N pi/2 part is exact as a quarter-turn table on N mod 4,
+    a swap and two signs.  N theta is taken exactly as p + e with Dekker's
     two-product, and sin(N theta), cos(N theta) are the angle sums of p and
     e: rounding N theta to p alone would cost |e| <= ulp(p)/2, about 5e-7
     at N = 10^9.
     """
+    n = np.asarray(n)
     # Split theta's mantissa, so that no partial product overflows.
     mantissa, exponent = np.frexp(theta)
     theta_hi, theta_lo = (np.ldexp(part, exponent) for part in _split(mantissa))
-    n_hi, n_lo = _split(float(n))
+    n_hi, n_lo = _split(n.astype(float))
     p = n * theta
     e = ((n_hi * theta_hi - p) + n_hi * theta_lo + n_lo * theta_hi) + n_lo * theta_lo
     sin_p, cos_p, sin_e, cos_e = np.sin(p), np.cos(p), np.sin(e), np.cos(e)
     sin_nt = sin_p * cos_e + cos_p * sin_e
     cos_nt = cos_p * cos_e - sin_p * sin_e
-    quarter_turns = {
-        0: (cos_nt, -sin_nt),
-        1: (sin_nt, cos_nt),
-        2: (-cos_nt, sin_nt),
-        3: (-sin_nt, -cos_nt),
-    }
-    return quarter_turns[n % 4]
+    odd, signs = n % 2 == 1, _QUARTER_TURN_SIGNS[n % 4]
+    return (np.where(odd, sin_nt, cos_nt) * signs[..., 0],
+            np.where(odd, cos_nt, sin_nt) * signs[..., 1])
 
 
-def _support_columns(kind, phi: float) -> np.ndarray:
-    """The columns of S(phi), or of I (x) S(phi), at the input's two nonzero amplitudes."""
-    s = _s(phi)
-    if kind == TWO_QUBIT:
-        s = np.block([[s, np.zeros_like(s)], [np.zeros_like(s), s]])
-    return s[:, _INPUT_SUPPORT[kind]]
+def _support_factors(kind, phis: np.ndarray) -> list:
+    """The input's two support columns of S(phi), or of I (x) S(phi), for every phi.
+
+    Per column, per row, the real and the imaginary part of the entry as a
+    (plane, 1) array, or None where that part is zero at every phi.
+    """
+    s = _s(phis)
+    if kind == TWO_QUBIT:  # S placed twice on the diagonal
+        s, placed = np.zeros((len(phis), 8, 8), dtype=complex), s
+        s[:, :4, :4] = s[:, 4:, 4:] = placed
+    columns = s[:, :, _INPUT_SUPPORT[kind], None].transpose(2, 1, 0, 3)
+    return [[tuple(part if part.any() else None for part in (entry.real, entry.imag))
+             for entry in column] for column in columns]
+
+
+def _evolved_columns(kind, factors, cos_na, sin_na) -> list:
+    """The columns A and B of R^N at the input's support, entry by entry.
+
+    Column j is cos(N a) e_j + i sin(N a) S e_j, each entry a (real,
+    imaginary) pair of (plane, theta) arrays, None where zero.  These are
+    the parts of numpy's complex product (i sin(N a)) S_ij, whose real
+    factor is +/-0, plus cos(N a) on the diagonal; only a zero's sign may
+    differ, which no sum of ``_accumulate`` keeps.
+    """
+    columns = []
+    for j, column in zip(_INPUT_SUPPORT[kind], factors):
+        entries = []
+        for i, (s_re, s_im) in enumerate(column):
+            re = None if s_im is None else sin_na * s_im
+            if i == j:
+                re = cos_na if re is None else cos_na - re
+            elif re is not None:
+                re = -re
+            entries.append((re, None if s_re is None else sin_na * s_re))
+        columns.append(entries)
+    return columns
 
 
 def _pair_spectrum(g00, g11, g01_re, g01_im) -> np.ndarray:
@@ -146,11 +185,69 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
         return -np.where(p > 0, p * np.log2(p), 0.0).sum(axis=0)
 
 
-# The dimension of the reduced system state of each kind.
+# The real products of one term of each kind of kernel row, as einsum
+# forms them: indices into the (real, imaginary) pairs of p and of q, and
+# whether the second product is subtracted.  Re p conj(q) = Re conj(p) q =
+# pr qr + pi qi, Im p conj(q) = pi qr - pr qi, Im conj(p) q = pr qi - pi qr.
+_RE, _IM_SIGMA, _IM_GRAM = ((0, 0), (1, 1), False), ((1, 0), (0, 1), True), ((0, 1), (1, 0), True)
+
+
+def _term_rows(ds: int) -> list:
+    """The rows of ``_theta_terms``: (part, pairs (i, j) of column entries 2 s + a).
+
+    A row sums over its pairs, in order, the ``part`` of p_i conj(q_j) (of
+    the reduced state) or of conj(p_i) q_j (of the Gram matrix).
+    """
+    upper = [(s, r) for s in range(ds) for r in range(s + 1, ds)]  # np.triu_indices order
+    sigma = [(s, s, _RE) for s in range(ds)]
+    sigma += [(s, r, part) for part in (_RE, _IM_SIGMA) for s, r in upper]
+    gram = [(0, 0, _RE), (1, 1, _RE), (0, 1, _RE), (0, 1, _IM_GRAM)]
+    return ([(part, [(2 * s + a, 2 * r + a) for a in (0, 1)]) for s, r, part in sigma]
+            + [(part, [(2 * s + a, 2 * s + b) for s in range(ds)]) for a, b, part in gram])
+
+
+# The dimension of the reduced system state of each kind, and its term rows.
 _SYSTEM_DIM = {ONE_QUBIT: 2, TWO_QUBIT: 4}
+_TERM_ROWS = {kind: _term_rows(ds) for kind, ds in _SYSTEM_DIM.items()}
 
 
-def _theta_terms(kind, theta, phi, n):
+def _accumulate(total, part, pairs, p, q) -> None:
+    """total += the sum of ``part`` over ``pairs``, term by term as einsum adds them.
+
+    einsum sums each entry from 0.0, in index order, of complex products
+    that it takes as re = pr qr - pi qi, im = pr qi + pi qr.  A None factor
+    is zero, and so is each product that has one: dropping a zero term
+    changes at most the sign of a zero partial sum, which the next nonzero
+    term or the sum from 0.0 overwrites, so ``total`` (zeros on entry)
+    gets einsum's bits.
+    """
+    (u, v), (w, z), subtract = part
+    combine = np.subtract if subtract else np.add
+    for i, j in pairs:
+        first, second = (None if p[i][k] is None or q[j][m] is None else p[i][k] * q[j][m]
+                         for k, m in ((u, v), (w, z)))
+        if second is None:
+            if first is not None:
+                total += first
+        elif first is None:
+            combine(total, second, out=total)
+        else:
+            total += combine(first, second)
+
+
+# The most (plane, theta) points whose kernel terms ``_theta_terms`` builds
+# at once: a group of planes when the theta axis is short, a theta slice
+# when it is long.  On 2 vCPUs (the builder's median over 9 interleaved
+# in-process runs, one-qubit/two-qubit), 2**8, 2**9, 2**10 and 2**11 took
+# 0.7/0.8, 0.5/0.5, 0.5/0.5 and 0.5/0.5 ms on compare's default 8 planes
+# of 64 thetas, and 76/125, 49/75, 32/50 and 23/36 ms on one plane of
+# 100,000 thetas, with 76/146, 146/254, 286/478 and 566/950 KiB traced
+# beyond the terms.  2**9 is the smallest budget that builds each kind of
+# compare's default grid in one piece.
+_TERM_POINTS = 2**9
+
+
+def _theta_terms(kind, theta: np.ndarray, planes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The per-theta terms of the kernel: f(A, A), f(B, B) and f(A, B) + f(B, A).
 
     The reduced state of each strategy in closed form (see the module
@@ -164,30 +261,39 @@ def _theta_terms(kind, theta, phi, n):
         (1-x) f(A, A) + x f(B, B) + sqrt(x(1-x)) (f(A, B) + f(B, A)).
 
     So each of their entries is three per-theta terms, which
-    ``_weighted_measures`` weights per x.  Each term holds real rows along
-    a new first axis: of Tr_A p q^dagger the diagonal and the upper
-    entries' real and imaginary parts, then g00, g11, Re g01, Im g01 of
-    the Gram matrix p^dagger q.
+    ``_weighted_measures`` weights per x.  Each term holds real rows: of
+    Tr_A p q^dagger the diagonal and the upper entries' real and imaginary
+    parts, then g00, g11, Re g01, Im g01 of the Gram matrix p^dagger q.
+
+    ``theta`` has shape (1, theta) and ``planes`` are (phi, N) pairs.  The
+    terms are three arrays of shape (plane, row, 1, theta), filled in
+    pieces of at most ``_TERM_POINTS`` (plane, theta) points, each entry a
+    real product in the order of an einsum over the complex columns.  So a
+    piece's temporaries are real arrays of the piece's size, besides one
+    piece of term rows for f(B, A), and the bits do not depend on the
+    pieces.
     """
-    cos_na, sin_na = _power_coefficients(theta, int(n))
-    j0, j1 = _INPUT_SUPPORT[kind]
-    columns = (1j * sin_na)[..., None, None] * _support_columns(kind, float(phi))
-    columns[..., j0, 0] += cos_na
-    columns[..., j1, 1] += cos_na
-    ds = _SYSTEM_DIM[kind]
-    a, b = (columns[..., k].reshape(columns.shape[:-2] + (ds, 2)) for k in (0, 1))
-    span, (rows, cols) = np.arange(ds), np.triu_indices(ds, 1)
-
-    def terms(p, q):
-        sigma = np.einsum("...sa,...ra->sr...", p, q.conj())
-        gram = np.einsum("...sa,...sb->ab...", p.conj(), q)
-        upper, g01 = sigma[rows, cols], gram[0, 1:]
-        return np.concatenate(
-            (sigma[span, span].real, upper.real, upper.imag,
-             gram[[0, 1], [0, 1]].real, g01.real, g01.imag)
-        )
-
-    return terms(a, a), terms(b, b), terms(a, b) + terms(b, a)
+    phis = np.array([phi for phi, _ in planes], dtype=float)
+    ns = np.array([[n] for _, n in planes], dtype=np.int64)
+    rows, width = _TERM_ROWS[kind], theta.shape[-1]
+    terms = tuple(np.zeros((len(planes), len(rows), 1, width)) for _ in range(3))
+    group, span = max(1, _TERM_POINTS // width), min(width, _TERM_POINTS)
+    for first in range(0, len(planes), group):
+        in_group = slice(first, first + group)
+        factors = _support_factors(kind, phis[in_group])
+        for start in range(0, width, span):
+            in_piece = slice(start, start + span)
+            power = _power_coefficients(theta[:, in_piece], ns[in_group])
+            a, b = _evolved_columns(kind, factors, *power)
+            same_a, same_b, cross = (t[in_group, :, 0, in_piece] for t in terms)
+            # f(B, A), summed apart and then added, as the two einsum terms are.
+            swapped = np.zeros_like(cross)
+            sums = ((same_a, a, a), (same_b, b, b), (cross, a, b), (swapped, b, a))
+            for row, (part, pairs) in enumerate(rows):
+                for total, p, q in sums:
+                    _accumulate(total[:, row], part, pairs, p, q)
+            cross += swapped
+    return terms
 
 
 def _weighted_measures(kind, terms, x):
@@ -246,7 +352,8 @@ def grid_blocks(kind, xs, thetas, phis, ns, columns) -> Iterator[np.ndarray]:
     planes (one x row if a row holds more), so the working memory does not
     grow with the number of x values.  The walk keeps no reference to a
     block it has yielded, so a caller that drops each block before asking
-    for the next holds one block at a time.  Every value is elementwise in
+    for the next holds one block at a time, and none to the terms once it
+    has yielded the last block.  Every value is elementwise in
     x, so the blocks give the same bytes as one evaluation over the whole
     grid.  An empty axis raises ValueError.
     """
@@ -257,10 +364,14 @@ def grid_blocks(kind, xs, thetas, phis, ns, columns) -> Iterator[np.ndarray]:
     if 0 in (xs.size, theta.size, len(planes)):
         raise ValueError("the grid must not be empty")
     _check_points(kind, xs, theta, phis, ns)
-    terms = [_theta_terms(kind, theta, phi, n) for phi, n in planes]
+    # The last block takes the terms from the list, so that the walk no
+    # longer holds them while that block's rows are written.
+    terms = [_theta_terms(kind, theta, planes)]
     rows = max(1, _BLOCK_POINTS // max(1, theta.size * len(planes)))
-    for x in np.array_split(xs[:, None], max(1, math.ceil(xs.size / rows))):
-        yield _block(kind, terms, x, theta, planes, columns)
+    *head, last = np.array_split(xs[:, None], max(1, math.ceil(xs.size / rows)))
+    for x in head:
+        yield _block(kind, terms[0], x, theta, planes, columns)
+    yield _block(kind, terms.pop(), last, theta, planes, columns)
 
 
 def _block(kind, terms, x, theta, planes, columns) -> np.ndarray:
@@ -271,8 +382,8 @@ def _block(kind, terms, x, theta, planes, columns) -> np.ndarray:
     plane's columns, once the block has been yielded.
     """
     block = None
-    for plane, (plane_terms, (phi, n)) in enumerate(zip(terms, planes)):
-        values = columns(kind, plane_terms, x, theta, phi, n)
+    for plane, (phi, n) in enumerate(planes):
+        values = columns(kind, tuple(term[plane] for term in terms), x, theta, phi, n)
         if block is None:
             block = np.empty((x.size, theta.size, len(planes), len(values)))
         for column, value in enumerate(values):

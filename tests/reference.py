@@ -6,7 +6,9 @@ R(theta, phi)^N by repeated squaring, applied to the input (on the last
 two qubits for the two-qubit kind), then the ancilla, the last qubit,
 traced out.  ``batched_grid`` reads the kernel's (c_l1, c_r) on one
 (x, theta) plane, and ``kernel_spectrum`` and ``kernel_reduced_state``
-read the kernel's side of the spectrum and entry pins.
+read the kernel's side of the spectrum and entry pins.  ``einsum_terms``
+is the kernel's per-plane terms as complex matrices and einsum, which the
+kernel's real, batched builder must equal bit for bit.
 """
 
 from unittest import mock
@@ -14,8 +16,8 @@ from unittest import mock
 import mpmath
 import numpy as np
 
-from ybc import strategies
-from ybc.strategies import ONE_QUBIT
+from ybc import braid_ybe, strategies
+from ybc.strategies import ONE_QUBIT, TWO_QUBIT
 
 
 def batched_grid(kind, xs, thetas, phi, n):
@@ -91,11 +93,43 @@ def kernel_reduced_state(kind, x, theta, phi, n):
     Weights the kernel's per-theta terms at x as ``_weighted_measures``
     does, and sets the diagonal and upper entries they hold.
     """
-    same_a, same_b, cross = strategies._theta_terms(kind, np.array([float(theta)]), phi, n)
-    values = ((1.0 - x) * same_a + x * same_b + np.sqrt(x * (1.0 - x)) * cross)[:, 0]
+    terms = strategies._theta_terms(kind, np.array([[float(theta)]]), [(phi, n)])
+    same_a, same_b, cross = (term[0] for term in terms)
+    values = ((1.0 - x) * same_a + x * same_b + np.sqrt(x * (1.0 - x)) * cross)[:, 0, 0]
     ds = strategies._SYSTEM_DIM[kind]
     rows, cols = np.triu_indices(ds, 1)
     upper = values[ds : ds + rows.size] + 1j * values[ds + rows.size : ds + 2 * rows.size]
     sigma = np.diag(values[:ds]).astype(complex)
     sigma[rows, cols], sigma[cols, rows] = upper, upper.conj()
     return sigma
+
+
+def einsum_terms(kind, theta, phi, n):
+    """One plane's kernel terms, (same_a, same_b, cross), each of shape (row,) + theta.shape.
+
+    The columns A and B of R^N (or of I (x) R^N) as complex matrices, with
+    I (x) S from ``np.block``, and each term row from complex einsum.
+    """
+    cos_na, sin_na = strategies._power_coefficients(theta, int(n))
+    support = strategies._INPUT_SUPPORT[kind]
+    s = braid_ybe._s(float(phi))
+    if kind == TWO_QUBIT:
+        s = np.block([[s, np.zeros_like(s)], [np.zeros_like(s), s]])
+    j0, j1 = support
+    columns = (1j * sin_na)[..., None, None] * s[:, support]
+    columns[..., j0, 0] += cos_na
+    columns[..., j1, 1] += cos_na
+    ds = strategies._SYSTEM_DIM[kind]
+    a, b = (columns[..., k].reshape(columns.shape[:-2] + (ds, 2)) for k in (0, 1))
+    span, (rows, cols) = np.arange(ds), np.triu_indices(ds, 1)
+
+    def terms(p, q):
+        sigma = np.einsum("...sa,...ra->sr...", p, q.conj())
+        gram = np.einsum("...sa,...sb->ab...", p.conj(), q)
+        upper, g01 = sigma[rows, cols], gram[0, 1:]
+        return np.concatenate(
+            (sigma[span, span].real, upper.real, upper.imag,
+             gram[[0, 1], [0, 1]].real, g01.real, g01.imag)
+        )
+
+    return terms(a, a), terms(b, b), terms(a, b) + terms(b, a)

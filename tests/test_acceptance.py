@@ -174,9 +174,11 @@ def test_criterion_08_purity_and_composition():
     uses += [tuple(rng.integers(1, 10**9, 2)) for _ in range(10)]
     worst_comp = 0.0
     for j, k in uses:
-        cos_j, sin_j = strategies._power_coefficients(thetas, int(j))
-        cos_k, sin_k = strategies._power_coefficients(thetas, int(k))
-        cos_jk, sin_jk = strategies._power_coefficients(thetas, int(j + k))
+        # One call, one N per row, as the kernel evaluates the N of its planes.
+        uses_column = np.array([[j], [k], [j + k]], dtype=np.int64)
+        (cos_j, cos_k, cos_jk), (sin_j, sin_k, sin_jk) = strategies._power_coefficients(
+            thetas, uses_column
+        )
         worst_comp = max(
             worst_comp,
             float(np.abs(cos_jk - (cos_j * cos_k - sin_j * sin_k)).max()),

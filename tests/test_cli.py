@@ -636,8 +636,21 @@ class TestCsvRows:
     def test_signed_zeros_print_apart(self):
         # Keyed by float equality, 0.0 and -0.0 would share one printed field.
         values = np.array([0.0, -0.0, -0.0, 0.0]).reshape(1, 1, 2, 2)
-        (chunk,) = cli._csv_rows("two", [0.5], [0.0], [0.0], [1, 2], values)
+        prefixes = cli._row_prefixes([0.0], [0.0], [1, 2])
+        (chunk,) = cli._csv_rows("two", [0.5], prefixes, values)
         assert chunk == "two,0.5,0,0,1,0,-0\ntwo,0.5,0,0,2,-0,0\n"
+
+    def test_compare_formats_the_prefixes_once_for_both_kinds(self, tmp_path, monkeypatch):
+        calls = []
+        prefixes = cli._row_prefixes
+        monkeypatch.setattr(
+            cli, "_row_prefixes", lambda *axes: calls.append(axes) or prefixes(*axes)
+        )
+        out = tmp_path / "c.csv"
+        assert cli.main(["compare", "--x", "0:1:2", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        text = out.read_text()
+        assert text.count("\none,") == text.count("\ntwo,") == 2 * 64 * 8
 
 
 class TestBlockRelease:

@@ -138,7 +138,7 @@ def csv_grids(draw):
 @given(kind=POINTS["kind"], grid=csv_grids())
 def test_csv_rows_equal_per_field_rendering(kind, grid):
     (xs, thetas, phis, ns), values = grid
-    chunks = list(cli._csv_rows(kind, xs, thetas, phis, ns, values))
+    chunks = list(cli._csv_rows(kind, xs, cli._row_prefixes(thetas, phis, ns), values))
     assert len(chunks) == len(xs)  # one chunk per x value
     for chunk, x, chunk_values in zip(chunks, xs, values):
         want = [

@@ -2,6 +2,7 @@ import collections
 import functools
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,13 @@ from ybc.strategies import (
     elementwise_reduced,
 )
 
-from reference import batched_grid, kernel_reduced_state, kernel_spectrum, mpmath_reference
+from reference import (
+    batched_grid,
+    einsum_terms,
+    kernel_reduced_state,
+    kernel_spectrum,
+    mpmath_reference,
+)
 
 
 def streamed_peak(kind, axes, columns, header, summary=None):
@@ -42,7 +49,8 @@ def streamed_peak(kind, axes, columns, header, summary=None):
 
 
 def identity_power(theta, n):
-    return np.ones_like(theta), np.zeros_like(theta)
+    shape = np.broadcast_shapes(np.shape(theta), np.shape(n))
+    return np.ones(shape), np.zeros(shape)
 
 
 def input_reduced_state(kind, x):
@@ -398,7 +406,9 @@ class TestPhiIndependence:
 
 def one_kernel_call(kind, x, theta, phi, n):
     """The kernel over the broadcast of x and theta in one call, without blocks."""
-    return strategies._weighted_measures(kind, strategies._theta_terms(kind, theta, phi, n), x)
+    terms = strategies._theta_terms(kind, np.reshape(theta, (1, -1)), [(phi, n)])
+    terms = tuple(term[0].reshape((-1,) + np.shape(theta)) for term in terms)
+    return strategies._weighted_measures(kind, terms, x)
 
 
 class TestBatchedGrid:
@@ -596,6 +606,81 @@ class TestBatchedGrid:
             monkeypatch.setattr(owner, name, forbidden)
         batched_grid(kind, [0.0, 0.3, 1.0], [0.2, 1.9], 0.4, 10**9 + 1)
         compare_values(kind, (0.0, 0.3), (0.2, np.pi / 2), (0.0, 0.5), (1, 2, 7))
+
+
+def assert_terms_equal_einsum(kind, thetas, phis, ns):
+    """Every plane's terms from the batched builder are the einsum oracle's, bit for bit."""
+    theta = np.asarray(thetas, dtype=float)[None, :]
+    planes = [(phi, n) for phi in phis for n in ns]
+    built = strategies._theta_terms(kind, theta, planes)
+    for plane, (phi, n) in enumerate(planes):
+        for got, want in zip(built, einsum_terms(kind, theta, phi, n)):
+            assert got[plane].tobytes() == want.tobytes(), (kind, phi, n)
+
+
+# Negative, zero and large phi; every N mod 4 and one past 2**40.
+TERM_PHIS = (-2.7, -0.0, 0.0, 0.25, 1.1, math.pi, 1e6)
+TERM_NS = (*range(1, 9), 2**40 + 1)
+
+
+class TestThetaTerms:
+    """The kernel's batched, real term builder against the complex einsum oracle."""
+
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    def test_equals_einsum_oracle(self, kind):
+        thetas = np.concatenate(
+            (np.linspace(-7.0, 7.0, 61), [0.0, -0.0, math.pi / 2, math.pi, 1e-300, 1e5])
+        )
+        assert_terms_equal_einsum(kind, thetas, TERM_PHIS, TERM_NS)
+
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    @pytest.mark.parametrize("size", [3, 20], ids=["plane-groups", "theta-slices"])
+    def test_pieces_do_not_change_the_bits(self, kind, size, monkeypatch):
+        # 8 points a piece: 3 thetas take groups of 2 planes, the last one
+        # short; 20 thetas take slices of 8, 8 and 4, one plane at a time.
+        monkeypatch.setattr(strategies, "_TERM_POINTS", 8)
+        thetas = np.linspace(-1.3, 4.9, size)
+        assert_terms_equal_einsum(kind, thetas, (-0.4, 0.0, 0.7), (1, 2, 3))
+
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    def test_long_theta_axis_crosses_slices(self, kind):
+        # At the real budget: slices of 512 thetas, the last one short.
+        thetas = np.linspace(-3.0, 3.0, 2 * strategies._TERM_POINTS + 77)
+        assert_terms_equal_einsum(kind, thetas, (-1e6, 0.3), (2, 2**40 + 1))
+
+    def test_the_walk_frees_the_terms_before_yielding_the_last_block(self, monkeypatch):
+        build, refs = strategies._theta_terms, []
+
+        def recording(*args):
+            terms = build(*args)
+            refs.extend(weakref.ref(term) for term in terms)
+            return terms
+
+        monkeypatch.setattr(strategies, "_theta_terms", recording)
+        # Two x rows of 3 thetas over 2 planes a block: blocks of 2, 2 and 1 rows.
+        monkeypatch.setattr(strategies, "_BLOCK_POINTS", 2 * 3 * 2)
+        walk = strategies.grid_blocks(
+            TWO_QUBIT, np.linspace(0.0, 1.0, 5), [0.1, 0.2, 0.3], [0.0, 0.3], [1],
+            strategies.sweep_columns,
+        )
+        held = [all(ref() is not None for ref in refs) for _ in walk]
+        assert held == [True, True, False]
+
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    def test_working_memory_does_not_grow_with_thetas(self, kind):
+        # Beyond the three term arrays it returns, the builder holds one
+        # piece's temporaries, whatever the length of the theta axis.
+        def working_peak(size):
+            theta = np.linspace(-1.0, 2.0, size)[None, :]
+            tracemalloc.start()
+            try:
+                terms = strategies._theta_terms(kind, theta, [(0.25, 1)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - sum(term.nbytes for term in terms)
+
+        assert working_peak(100_000) <= working_peak(10_000) + 16 * 1024
 
 
 def sweep_closed(kind, xs, thetas, phi, n):

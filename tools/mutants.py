@@ -118,6 +118,22 @@ MUTANTS = [
         "s2, c2 = sin_nt**2, cos_nt**2",
         "s2, c2 = np.sin(n * theta) ** 2, cos_nt**2",
     ),
+    # cos(N a) keeps its sign at N mod 4 == 2: R^N is then no longer
+    # cos(N a) I + i sin(N a) S, and not a global phase away from it.
+    Mutant(
+        "terms-quarter-turn-sign",
+        "src/ybc/strategies.py",
+        "[-1.0, 1.0], [-1.0, -1.0]]",
+        "[1.0, 1.0], [-1.0, -1.0]]",
+    ),
+    # Each theta slice after the first starts one theta early, so the
+    # theta it shares with the slice before is summed twice.
+    Mutant(
+        "terms-piece-offset",
+        "src/ybc/strategies.py",
+        "for start in range(0, width, span):",
+        "for start in range(0, width, span - 1):",
+    ),
     # Every plane's columns land in the previous plane's slot (the first
     # plane's in the last): a one-plane grid cannot see it.
     Mutant(

@@ -33,6 +33,10 @@ COMPARE_BLOCKS_GRID = ("--x", "0:1:101", "--theta", "0:2:256", "--phi", "0,0.25"
 # slots, so a plane written into the wrong slot shows in the bytes.
 PLANE_HEAVY_PHIS = ",".join(f"{k / 1000:g}" for k in range(2000))
 
+# 250 phi values k/125 at four N, for both kinds: every quarter turn of N,
+# and many plane groups of the kernel's term builder.
+COMPARE_PLANE_HEAVY_PHIS = ",".join(f"{k / 125:g}" for k in range(250))
+
 # (label, argv without --out)
 COMMANDS = [
     ("verify", ("verify",)),
@@ -40,6 +44,9 @@ COMMANDS = [
     ("sweep-one-large", ("sweep", "--strategy", "one") + LARGE_GRID),
     ("sweep-plane-heavy", ("sweep", "--strategy", "two", "--x", "0.3:0.3:1",
                            "--theta", "0.2:0.2:1", "--phi", PLANE_HEAVY_PHIS, "--n", "1")),
+    # 20,000 thetas: the kernel's terms are built in many theta slices.
+    ("sweep-theta-heavy", ("sweep", "--strategy", "one", "--x", "0.3:0.7:3",
+                           "--theta=-1:2:20000", "--phi", "0.25,1.1", "--n", "1,2")),
     # Negative angles, each written after "=" as one argument.
     ("sweep-one-negative", ("sweep", "--strategy", "one", "--x", "0:1:11",
                             "--theta=-1:1:65", "--phi=-0.25,0.5", "--n", "1,2")),
@@ -49,6 +56,9 @@ COMMANDS = [
     # compare's default grid and formula spelled as flags: the same bytes as compare-all.
     ("compare-default-spelled", ("compare", "--formula", "all", "--x", "0:1:11",
                                  "--theta", "0:1.96875:64", "--phi", "0,0.25", "--n", "1,2,3,4")),
+    ("compare-plane-heavy", ("compare", "--formula", "all", "--x", "0.3:0.3:1",
+                             "--theta", "0.2:0.2:1", "--phi", COMPARE_PLANE_HEAVY_PHIS,
+                             "--n", "1,2,3,4")),
     # 206,848 rows: each kind's four (phi, N) planes take several x blocks.
     ("compare-blocks", ("compare", "--formula", "all") + COMPARE_BLOCKS_GRID),
     # The same grid with the element columns blanked to NaN in every block.
