@@ -322,12 +322,16 @@ def _write_csv(command: str, path: str, header: str, chunks: Iterable[str]) -> b
     ValueError from computing the rows (a kernel check) is reported on
     stderr as ``COMMAND: message``, any other error as ``cannot write``
     with its type (an OSError with its strerror); the caller exits 2.  A
-    path naming no file (empty, ending in a separator, or a directory) is
-    refused before any row is computed: no temp file could replace it.
+    path naming no file (empty, ending in a separator, or a directory), or
+    no regular file once symlinks are followed (a FIFO, socket or device),
+    is refused before any row is computed: the temp file cannot replace it.
     """
     directory, name = os.path.split(path)
     if not name or os.path.isdir(path):
         print(f"cannot write {path!r}: not a file path", file=sys.stderr)
+        return False
+    if os.path.exists(path) and not os.path.isfile(path):
+        print(f"cannot write {path!r}: not a regular file", file=sys.stderr)
         return False
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:

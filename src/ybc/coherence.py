@@ -1,8 +1,9 @@
 """Tolerances of the coherence measures.
 
 The l1 norm of coherence and the relative entropy of coherence (in bits)
-are computed by the simulation kernel, ``strategies._weighted_measures``,
-in the fixed computational basis; these are the tolerances it applies.
+are computed by the simulation kernel's measure stage,
+``strategies._measures``, in the fixed computational basis; these are the
+tolerances it applies.
 """
 
 # A reduced state whose trace is off 1 by more than this is an error.

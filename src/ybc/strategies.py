@@ -18,7 +18,12 @@ exactly (a quarter-turn table on N mod 4 and Dekker's two-product for
 N theta).  The reduced state and the ancilla Gram matrix are quadratic in
 the evolved state, so each is three per-theta terms of each (phi, N)
 plane (``_theta_terms``), built once for all planes in pieces of bounded
-size, as real products in the order of a complex einsum.  The l1 measure
+size, as real products in the order of a complex einsum.  Each x weights
+a row only by the terms that can reach it (``_runs``).  I (x) R never
+touches S1, so f(A, A) reaches the S1 = 0 diagonal, sigma_01 and the Gram
+rows, f(B, B) the S1 = 1 diagonal, sigma_23 and the Gram rows, and the
+cross term only sigma_02, 03, 12 and 13; one-qubit, the cross term misses
+only g00 and g11.  The l1 measure
 sums the off-diagonal moduli of the reduced state, and the entropy takes
 the closed-form eigenvalues of the 2x2 ancilla Gram matrix, which the
 reduced state of a pure global state shares (Schmidt decomposition).
@@ -39,7 +44,7 @@ documents it rather than patching the formula.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import cache, reduce
 from typing import Iterator, Literal, NamedTuple
 
 import numpy as np
@@ -296,23 +301,59 @@ def _theta_terms(kind, theta: np.ndarray, planes) -> tuple[np.ndarray, np.ndarra
     return terms
 
 
+# Built at first use: its numpy calls at import would raise the peak RSS of
+# commands that never weight a term, such as ``ybc verify``.
+@cache
+def _runs(kind) -> list:
+    """(rows, indices of the terms that reach them) per run of ``_TERM_ROWS[kind]``.
+
+    f(p, q) reaches a row if a pair (i, j) of it has p_i and q_j off the
+    zero pattern of A, B = cos e_j + i sin S e_j (S twice on the diagonal
+    for I (x) S).  A and B are orthogonal, so the cross term's g00 + g11 =
+    2 Re <A, B> = 0: if it reaches only one of the two, it reaches neither.
+    """
+    pattern, dim = (np.abs(_s(1.0)) > 0).tolist(), 2 * _SYSTEM_DIM[kind]
+    a, b = ([i == j or i // 4 == j // 4 and pattern[i % 4][j % 4] for i in range(dim)]
+            for j in _INPUT_SUPPORT[kind])
+    reach = [[any(p[i] and q[j] or q[i] and p[j] for i, j in pairs)
+              for p, q in ((a, a), (b, b), (a, b))] for _, pairs in _TERM_ROWS[kind]]
+    if reach[-4][2] != reach[-3][2]:
+        reach[-4][2] = reach[-3][2] = False
+    starts = [row for row in range(len(reach)) if row == 0 or reach[row] != reach[row - 1]]
+    return [(slice(start, stop), [k for k in range(3) if reach[start][k]])
+            for start, stop in zip(starts, starts[1:] + [len(reach)])]
+
+
 def _weighted_measures(kind, terms, x):
     """(c_l1, c_r) at x from the per-theta ``terms`` of ``_theta_terms``.
+
+    Each run of ``_runs(kind)`` is one product of the first term that
+    reaches it, plus each further one, in the order of ((1-x) f(A, A) +
+    x f(B, B)) + sqrt(x(1-x)) cross.  A skipped summand is an exact zero:
+    it could change only the sign of a zero, which ``_measures`` keeps in
+    no value.  Returns arrays in the broadcast shape of x and the terms'
+    trailing axes.
+    """
+    weights = (1.0 - x, x, np.sqrt(x * (1.0 - x)))
+    values = np.empty(np.broadcast_shapes(np.shape(x), terms[0].shape))
+    for rows, (first, *rest) in _runs(kind):
+        np.multiply(weights[first], terms[first][rows], out=values[rows])
+        for k in rest:
+            values[rows] += weights[k] * terms[k][rows]
+    return _measures(kind, values)
+
+
+def _measures(kind, values):
+    """(c_l1, c_r) of the weighted real rows ``values`` of a reduced state.
 
     A reduced state whose trace is off 1 by more than
     ``coherence.DEFAULT_TOL``, or that has an eigenvalue below
     ``-coherence.EIG_CLAMP``, raises ValueError; smaller negatives are
-    clamped to 0.  Returns arrays in the broadcast shape of x and the
-    terms' trailing axes.
+    clamped to 0.  No value keeps the sign of a zero entry: the l1 sum
+    squares it, and the entropies clip at 0 and take 0 log 0 = 0.
     """
     ds = _SYSTEM_DIM[kind]
     upper = ds * (ds - 1) // 2
-    same_a, same_b, cross = terms
-    # The real rows, weighted in place: one temporary of the (x, theta)
-    # shape at a time.
-    values = (1.0 - x) * same_a
-    values += x * same_b
-    values += np.sqrt(x * (1.0 - x)) * cross
     diag, upper_re, upper_im, gram = np.split(values, np.cumsum([ds, upper, upper]))
     trace_error = np.abs(diag.sum(axis=0) - 1.0)
     if not np.all(trace_error <= DEFAULT_TOL):

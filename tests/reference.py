@@ -6,9 +6,10 @@ R(theta, phi)^N by repeated squaring, applied to the input (on the last
 two qubits for the two-qubit kind), then the ancilla, the last qubit,
 traced out.  ``batched_grid`` reads the kernel's (c_l1, c_r) on one
 (x, theta) plane, and ``kernel_spectrum`` and ``kernel_reduced_state``
-read the kernel's side of the spectrum and entry pins.  ``einsum_terms``
-is the kernel's per-plane terms as complex matrices and einsum, which the
-kernel's real, batched builder must equal bit for bit.
+read the kernel's side of the spectrum and entry pins, the latter with
+every term weighted in every row (``three_term_weighting``).
+``einsum_terms`` is the kernel's per-plane terms as complex matrices and
+einsum, which the kernel's real, batched builder must equal bit for bit.
 """
 
 from unittest import mock
@@ -87,15 +88,24 @@ def kernel_spectrum(kind, x, theta, phi, n):
     return lam
 
 
+def three_term_weighting(terms, x):
+    """((1-x) f(A, A) + x f(B, B)) + sqrt(x(1-x)) cross: every term in every row.
+
+    ``strategies._weighted_measures`` skips the terms that cannot reach a
+    row, and must equal this wherever it is nonzero.
+    """
+    same_a, same_b, cross = terms
+    return (1.0 - x) * same_a + x * same_b + np.sqrt(x * (1.0 - x)) * cross
+
+
 def kernel_reduced_state(kind, x, theta, phi, n):
     """The reduced state that the kernel forms at one point, as a complex array.
 
-    Weights the kernel's per-theta terms at x as ``_weighted_measures``
-    does, and sets the diagonal and upper entries they hold.
+    Weights the kernel's per-theta terms at x by ``three_term_weighting``,
+    and sets the diagonal and upper entries they hold.
     """
     terms = strategies._theta_terms(kind, np.array([[float(theta)]]), [(phi, n)])
-    same_a, same_b, cross = (term[0] for term in terms)
-    values = ((1.0 - x) * same_a + x * same_b + np.sqrt(x * (1.0 - x)) * cross)[:, 0, 0]
+    values = three_term_weighting([term[0] for term in terms], x)[:, 0, 0]
     ds = strategies._SYSTEM_DIM[kind]
     rows, cols = np.triu_indices(ds, 1)
     upper = values[ds : ds + rows.size] + 1j * values[ds + rows.size : ds + 2 * rows.size]

@@ -3,6 +3,7 @@ import errno
 import importlib.util
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -606,30 +607,40 @@ class TestGridInput:
         ids=["sweep", "compare", "figure"],
     )
     @pytest.mark.parametrize(
-        "out, spelling",
+        "out, spelling, reason",
         [
-            ("target", ["--out", "target"]),
-            (".", ["--out", "."]),
-            ("grid.csv/", ["--out", "grid.csv/"]),
-            ("", ["--out="]),
-            ("", ["--config", "out.cfg"]),
+            ("target", ["--out", "target"], "not a file path"),
+            (".", ["--out", "."], "not a file path"),
+            ("grid.csv/", ["--out", "grid.csv/"], "not a file path"),
+            ("", ["--out="], "not a file path"),
+            ("", ["--config", "out.cfg"], "not a file path"),
+            ("pipe", ["--out", "pipe"], "not a regular file"),
+            ("link", ["--out", "link"], "not a regular file"),
         ],
-        ids=["existing-directory", "dot", "trailing-separator", "empty-flag", "empty-config"],
+        ids=[
+            "existing-directory", "dot", "trailing-separator", "empty-flag", "empty-config",
+            "fifo", "symlink-to-fifo",
+        ],
     )
     def test_output_path_naming_no_file_exits_two_before_any_row(
-        self, command, out, spelling, capsys, tmp_path, monkeypatch
+        self, command, out, spelling, reason, capsys, tmp_path, monkeypatch
     ):
-        # The path is refused before the kernel runs, and no temp file is
-        # left in the working directory or its parent.
+        # The path is refused before the kernel runs, no temp file is left
+        # in the working directory or its parent, and the FIFO and the
+        # symlink to it are not replaced.
         work = tmp_path / "work"
         (work / "target").mkdir(parents=True)
         (work / "out.cfg").write_text("out=\n")
+        os.mkfifo(work / "pipe")
+        (work / "link").symlink_to("pipe")
         monkeypatch.chdir(work)
         monkeypatch.setattr(strategies, "grid_blocks", None)
         before = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
         assert cli.main([*command, *spelling]) == 2
-        assert capsys.readouterr() == ("", f"cannot write {out!r}: not a file path\n")
+        assert capsys.readouterr() == ("", f"cannot write {out!r}: {reason}\n")
         assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == before
+        assert stat.S_ISFIFO(os.lstat("pipe").st_mode)
+        assert os.readlink("link") == "pipe"
 
 
 class TestCsvRows:

@@ -1,6 +1,6 @@
 """The coherence measures as the simulation kernel computes them.
 
-The kernel (``strategies._weighted_measures``) takes the l1 norm of
+The kernel's measure stage (``strategies._measures``) takes the l1 norm of
 coherence and the relative entropy of coherence S(dephased) - S(sigma),
 in bits, of a reduced state sigma = V V^dagger, where V[system, ancilla]
 holds the amplitudes of a pure system-ancilla state with a qubit
@@ -38,10 +38,7 @@ def kernel_terms(v):
 def kernel_measures(v):
     """(c_l1, c_r) of the kernel's measure stage on the state with amplitudes v."""
     kind = ONE_QUBIT if len(v) == 2 else TWO_QUBIT
-    term = kernel_terms(v)
-    zero = np.zeros_like(term)
-    # At x = 0 the kernel's weighted rows are the first term's, unchanged.
-    c_l1, c_r = strategies._weighted_measures(kind, (term, zero, zero), 0.0)
+    c_l1, c_r = strategies._measures(kind, kernel_terms(v))
     return c_l1.item(), c_r.item()
 
 

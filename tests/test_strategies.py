@@ -25,6 +25,7 @@ from reference import (
     kernel_reduced_state,
     kernel_spectrum,
     mpmath_reference,
+    three_term_weighting,
 )
 
 
@@ -681,6 +682,92 @@ class TestThetaTerms:
             return peak - sum(term.nbytes for term in terms)
 
         assert working_peak(100_000) <= working_peak(10_000) + 16 * 1024
+
+
+REACH_PHIS = (-2.7, -0.0, 0.0, math.pi / 4, math.pi / 2, math.pi, 1e6)
+REACH_THETAS = np.concatenate(
+    (np.linspace(-7.0, 7.0, 61), [0.0, -0.0, math.pi / 2, math.pi, 1e5, -1e5])
+)
+
+
+def reach_terms(kind):
+    """The kernel terms over every (phi, N) plane of the reach grid, rows first."""
+    planes = [(phi, n) for phi in REACH_PHIS for n in TERM_NS]
+    terms = strategies._theta_terms(kind, REACH_THETAS[None, :], planes)
+    return tuple(np.moveaxis(term, 1, 0) for term in terms)
+
+
+def reach_table(kind):
+    """Per kernel row, which of (f(A, A), f(B, B), cross) ``_weighted_measures`` weights in."""
+    table = []
+    for rows, reached in strategies._runs(kind):
+        table += [tuple(k in reached for k in range(3))] * (rows.stop - rows.start)
+    return table
+
+
+def row_names(kind):
+    """The names of the kernel rows, in ``_TERM_ROWS[kind]`` order."""
+    ds = strategies._SYSTEM_DIM[kind]
+    upper = [f"{s}{r}" for s in range(ds) for r in range(s + 1, ds)]
+    return ([f"s{s}{s}" for s in range(ds)] + [f"re_s{sr}" for sr in upper]
+            + [f"im_s{sr}" for sr in upper] + ["g00", "g11", "re_g01", "im_g01"])
+
+
+class TestTermReach:
+    """Which kernel rows each of the three terms can reach, and that skipping the rest is exact."""
+
+    GRAM = "g00 g11 re_g01 im_g01"
+    REACH = {
+        ONE_QUBIT: {
+            "A": "s00 s11 re_s01 im_s01 " + GRAM,
+            "B": "s00 s11 re_s01 im_s01 " + GRAM,
+            "cross": "s00 s11 re_s01 im_s01 re_g01 im_g01",
+        },
+        TWO_QUBIT: {
+            "A": "s00 s11 re_s01 im_s01 " + GRAM,
+            "B": "s22 s33 re_s23 im_s23 " + GRAM,
+            "cross": "re_s02 re_s03 re_s12 re_s13 im_s02 im_s03 im_s12 im_s13",
+        },
+    }
+
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    def test_table_lists_the_rows_of_each_term(self, kind):
+        names, table = row_names(kind), reach_table(kind)
+        listed = {
+            term: " ".join(name for name, reached in zip(names, table) if reached[k])
+            for k, term in enumerate(("A", "B", "cross"))
+        }
+        for term, rows in listed.items():
+            print(f"{kind}-qubit {term}: {rows}")
+        assert listed == self.REACH[kind]
+        assert sum(map(sum, table)) == {ONE_QUBIT: 22, TWO_QUBIT: 24}[kind]
+
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    def test_table_matches_the_term_builder(self, kind):
+        # An excluded (term, row) is exactly 0.0 at every point of the grid,
+        # and an included one is nonzero somewhere on it.
+        terms = reach_terms(kind)
+        built = [tuple(bool(np.any(term[row] != 0.0)) for term in terms)
+                 for row in range(len(strategies._TERM_ROWS[kind]))]
+        assert built == reach_table(kind)
+
+    @pytest.mark.parametrize("kind", [ONE_QUBIT, TWO_QUBIT])
+    def test_skipping_the_unreached_terms_keeps_the_bytes(self, kind, monkeypatch):
+        terms = reach_terms(kind)
+        x = np.array([0.0, 1e-300, 0.3, 0.5, 1.0])[:, None]
+        reference = three_term_weighting(terms, x)
+        measures, weighted = strategies._measures, []
+
+        def recording(kind, values):
+            weighted.append(values)
+            return measures(kind, values)
+
+        monkeypatch.setattr(strategies, "_measures", recording)
+        got = strategies._weighted_measures(kind, terms, x)
+        for value, expected in zip(got, measures(kind, reference)):
+            assert value.tobytes() == expected.tobytes()
+        # Equal as floats: only the sign of a zero may differ.
+        assert np.array_equal(weighted[0], reference)
 
 
 def sweep_closed(kind, xs, thetas, phi, n):

@@ -5,12 +5,13 @@ Usage: python3 tools/mutants.py
 Each entry of ``MUTANTS`` is one exact-string edit of a file under ``src``.
 For each, the tool copies this checkout's ``src``, ``tests``, ``tools`` and
 ``pyproject.toml`` to a temporary directory, applies the edit there and runs
-the tier-1 tests with ``-x`` and acceptance criterion 10, which fails by
-design, deselected.  It
-prints one line per mutant: killed, with the first failing test, or alive.
-An unmutated copy runs first and must pass, or no verdict would mean
-anything.  An equivalent mutant computes the same values as the code, so it
-is expected to stay alive.
+the tier-1 tests with ``-x`` and two tests deselected: acceptance
+criterion 10, which fails by design, and the check that every edit of
+``MUTANTS`` matches its source once, which a mutated copy fails by
+construction.  It prints one line per mutant: killed, with the first
+failing test, or alive.  An unmutated copy runs first and must pass, or no
+verdict would mean anything.  An equivalent mutant computes the same values
+as the code, so it is expected to stay alive.
 
 Exits 0 when every non-equivalent mutant is killed, 1 when one stays alive,
 and 2 when the unmutated copy fails or an edit does not match the source
@@ -31,7 +32,10 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "tools", "pyproject.toml")
-DESELECTED = "tests/test_acceptance.py::test_criterion_10_figure_four_qualitative"
+DESELECTED = (
+    "tests/test_acceptance.py::test_criterion_10_figure_four_qualitative",
+    "tests/test_tools.py::test_every_mutant_edit_matches_its_source_once",
+)
 
 
 class Mutant(NamedTuple):
@@ -134,6 +138,30 @@ MUTANTS = [
         "for start in range(0, width, span):",
         "for start in range(0, width, span - 1):",
     ),
+    # A run led by the cross term weights f(A, A) instead: the two-qubit
+    # cross-only runs take A's rows, which are zero there.
+    Mutant(
+        "weights-cross-run-with-a",
+        "src/ybc/strategies.py",
+        "terms[first][rows]",
+        "terms[first % 2][rows]",
+    ),
+    # Each run drops its second term: f(B, B) leaves the two-qubit Gram
+    # rows, and every one-qubit row.
+    Mutant(
+        "weights-gram-without-b",
+        "src/ybc/strategies.py",
+        "for k in rest:",
+        "for k in rest[1:]:",
+    ),
+    # The one-qubit cross term is weighted into g00, where it is an exact
+    # zero: the same values, so only the pin of the reach table sees it.
+    Mutant(
+        "reach-cross-g00-admitted",
+        "src/ybc/strategies.py",
+        "    if reach[-4][2] != reach[-3][2]:\n        reach[-4][2] = reach[-3][2] = False\n",
+        "",
+    ),
     # Every plane's columns land in the previous plane's slot (the first
     # plane's in the last): a one-plane grid cannot see it.
     Mutant(
@@ -163,8 +191,10 @@ def run_tier1(directory: Path) -> tuple[bool, str, float]:
     env = {**os.environ, "PYTHONPATH": "src"}
     argv = [
         sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
-        "--continue-on-collection-errors", "--deselect", DESELECTED,
+        "--continue-on-collection-errors",
     ]
+    for test in DESELECTED:
+        argv += ["--deselect", test]
     start = time.perf_counter()
     done = subprocess.run(argv, cwd=directory, env=env, capture_output=True, text=True)
     seconds = time.perf_counter() - start
