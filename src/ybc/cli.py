@@ -316,9 +316,11 @@ def _computed(chunks: Iterable[str]) -> Iterator[str]:
 def _write_csv(command: str, path: str, header: str, chunks: Iterable[str]) -> bool:
     """Stream the header and row chunks to ``path`` atomically.
 
-    The text goes to a temp file beside ``path``, which is renamed over
-    ``path`` once complete.  Any error while the rows are computed or
-    written removes the temp file and leaves ``path`` as it was.  A
+    The text goes to a temp file beside the file that ``path`` names once
+    symlinks are followed, and is renamed over that file once complete: a
+    symlink stays a link, and its target (created if missing) takes the
+    CSV.  Any error while the rows are computed or written removes the
+    temp file and leaves ``path`` as it was.  A
     ValueError from computing the rows (a kernel check) is reported on
     stderr as ``COMMAND: message``, any other error as ``cannot write``
     with its type (an OSError with its strerror); the caller exits 2.  A
@@ -326,13 +328,14 @@ def _write_csv(command: str, path: str, header: str, chunks: Iterable[str]) -> b
     no regular file once symlinks are followed (a FIFO, socket or device),
     is refused before any row is computed: the temp file cannot replace it.
     """
-    directory, name = os.path.split(path)
-    if not name or os.path.isdir(path):
+    if not os.path.basename(path) or os.path.isdir(path):
         print(f"cannot write {path!r}: not a file path", file=sys.stderr)
         return False
     if os.path.exists(path) and not os.path.isfile(path):
         print(f"cannot write {path!r}: not a regular file", file=sys.stderr)
         return False
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         try:
@@ -340,7 +343,7 @@ def _write_csv(command: str, path: str, header: str, chunks: Iterable[str]) -> b
                 fh.write(header + "\n")
                 for chunk in _computed(chunks):
                     fh.write(chunk)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         finally:
             if os.path.lexists(tmp):
                 os.unlink(tmp)
@@ -360,6 +363,53 @@ def _row_prefixes(thetas, phis, ns) -> list[str]:
     return [f"{_fmt(float(t))},{key}" for t in thetas for key in keys]
 
 
+def _format(bits: np.ndarray) -> np.ndarray:
+    """The ``,%.12g`` field of each int64 bit pattern, as an object array with one empty last."""
+    return np.array(((",%.12g\0" * bits.size) % tuple(bits.view(np.float64).tolist())).split("\0"),
+                    dtype=object)
+
+
+def _fields(values: np.ndarray) -> np.ndarray:
+    """The ``,%.12g`` field of every double of ``values`` in C order, as an object array.
+
+    One sort of int64 keys, each a bit pattern whose low ``low`` bits are
+    replaced by its position, groups the doubles that share sign, exponent
+    and top mantissa bits (so 0.0 and -0.0 stay apart).  Each group is an
+    interval of consecutive doubles, and the position comes back out of
+    the low bits.  Python's ``%.12g`` rounds correctly (Gay's dtoa,
+    ``sys.float_repr_style == "short"``), so it is monotone: when a group's
+    smallest and largest bit pattern print alike, every double between
+    them prints the same.  So only the two ends of a group go through
+    ``%``, and a group whose ends differ is formatted one distinct pattern
+    at a time.  When the ends could outnumber the doubles, the doubles are
+    formatted in order.
+    """
+    bits = values.view(np.int64).ravel()
+    n = bits.size
+    low = (n - 1).bit_length()
+    keys = np.sort(bits >> low << low | np.arange(n))
+    high = keys >> low
+    starts = np.flatnonzero(np.concatenate(([True], high[1:] != high[:-1])))
+    if 2 * starts.size > n:
+        return _format(bits)[:-1]
+    position = keys & ((1 << low) - 1)
+    where = np.empty(n, dtype=np.intp)
+    where[position] = np.repeat(np.arange(starts.size), np.diff(starts, append=n))
+    ordered = bits[position]
+    lo, hi = np.minimum.reduceat(ordered, starts), np.maximum.reduceat(ordered, starts)
+    split = np.flatnonzero(lo != hi)
+    texts = _format(np.concatenate((lo, hi[split])))
+    mixed = np.zeros(starts.size, dtype=bool)
+    mixed[split] = texts[split] != texts[starts.size:-1]
+    if mixed.any():
+        members = np.flatnonzero(mixed[where])
+        distinct = np.sort(bits[members])
+        distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+        where[members] = texts.size + np.searchsorted(distinct, bits[members])
+        texts = np.concatenate((texts, _format(distinct)))
+    return texts[where]
+
+
 def _csv_rows(kind, xs, prefixes: list[str], values: Iterable[np.ndarray]) -> Iterator[str]:
     """CSV rows in grid order (x outer, then theta, phi, N), one chunk per x.
 
@@ -368,17 +418,15 @@ def _csv_rows(kind, xs, prefixes: list[str], values: Iterable[np.ndarray]) -> It
     (theta, phi, N) points at that x, phi outer: values[it, plane, column]
     or values[it, ip, j, column].
 
-    The value columns repeat heavily (the two-qubit coherence does not
-    depend on phi, and N folds into theta), so each chunk formats each
-    distinct double once.  The doubles are told apart by their bit
-    pattern, which keeps 0.0 and -0.0 apart where float equality would
-    merge them.  The distinct values go through one ``%`` call, each
-    formatted with its leading comma, and are placed into a table of
-    cells built once for all chunks: per row a head (the newline that ends
-    the previous row, then strategy and x), the prefix (theta, phi, N) and
-    the fields, and after the last row one closing newline.  The first
-    row's head has no newline.  The table is joined once per chunk.  Every
-    field is still ``%.12g`` of its own double, the same bytes as ``_fmt``.
+    The value columns repeat heavily, up to the last bits (the two-qubit
+    coherence does not depend on phi, and N folds into theta), so each
+    chunk's fields come from ``_fields``, which formats few doubles.  They
+    are placed into a table of cells built once for all chunks: per row a
+    head (the newline that ends the previous row, then strategy and x), the
+    prefix (theta, phi, N) and the fields, and after the last row one
+    closing newline.  The first row's head has no newline.  The table is
+    joined once per chunk.  Every field is still ``%.12g`` of its own
+    double, the same bytes as ``_fmt``.
 
     The walk must yield exactly one array per x, or ValueError.  Each array
     is dropped before the next is asked for, so that the walk can free a
@@ -396,15 +444,12 @@ def _csv_rows(kind, xs, prefixes: list[str], values: Iterable[np.ndarray]) -> It
             cells = table[:-1].reshape(len(prefixes), width + 2)
             cells[:, 1] = prefixes
             table[-1] = "\n"
-        bits, inverse = np.unique(row.view(np.int64).ravel(), return_inverse=True)
+        fields = _fields(row)
         del row
-        text = (",%.12g\0" * bits.size) % tuple(bits.view(np.float64).tolist())
-        # The split leaves an empty last field, which no index reaches.
-        fields = np.array(text.split("\0"), dtype=object)
         head = f"{kind},{_fmt(float(x))},"
         cells[:, 0] = "\n" + head
         table[0] = head
-        cells[:, 2:] = fields[inverse].reshape(len(prefixes), width)
+        cells[:, 2:] = fields.reshape(len(prefixes), width)
         yield "".join(table.tolist())
     if next(walk, None) is not None:
         raise ValueError(f"the kernel walk yielded more than the grid's {len(xs)} x rows")

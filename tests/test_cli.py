@@ -1,6 +1,8 @@
 import collections
+import contextlib
 import errno
 import importlib.util
+import io
 import math
 import os
 import stat
@@ -642,6 +644,40 @@ class TestGridInput:
         assert stat.S_ISFIFO(os.lstat("pipe").st_mode)
         assert os.readlink("link") == "pipe"
 
+    @pytest.mark.parametrize(
+        "command", [["sweep", *grid_argv()], ["compare"], ["figure", "2a"]],
+        ids=["sweep", "compare", "figure"],
+    )
+    @pytest.mark.parametrize(
+        "link_to, target",
+        [
+            ("real.csv", "work/real.csv"),
+            ("missing.csv", "work/missing.csv"),
+            ("../elsewhere/real.csv", "elsewhere/real.csv"),
+        ],
+        ids=["to-regular-file", "dangling", "into-another-directory"],
+    )
+    def test_symlink_output_is_written_through(
+        self, command, link_to, target, tmp_path, monkeypatch
+    ):
+        # The CSV goes to the file that the link names: the link stays a
+        # link with its text, and no temp file is left in either directory.
+        for name in ("work", "elsewhere"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "real.csv").write_text("old\n")
+        monkeypatch.chdir(tmp_path / "work")
+        os.symlink(link_to, "link.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*command, "--out", "plain.csv"]) == 0
+            assert cli.main([*command, "--out", "link.csv"]) == 0
+        assert os.readlink("link.csv") == link_to
+        assert (tmp_path / target).read_bytes() == Path("plain.csv").read_bytes()
+        unchanged = {"work/real.csv", "elsewhere/real.csv"} - {target}
+        assert all((tmp_path / name).read_text() == "old\n" for name in unchanged)
+        left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+        assert left == sorted({"work", "elsewhere", "work/link.csv", "work/plain.csv",
+                               "work/real.csv", "elsewhere/real.csv", target})
+
 
 class TestCsvRows:
     def test_signed_zeros_print_apart(self):
@@ -650,6 +686,39 @@ class TestCsvRows:
         prefixes = cli._row_prefixes([0.0], [0.0], [1, 2])
         (chunk,) = cli._csv_rows("two", [0.5], prefixes, values)
         assert chunk == "two,0.5,0,0,1,0,-0\ntwo,0.5,0,0,2,-0,0\n"
+
+    def test_float_repr_is_correctly_rounded(self):
+        # A group's two ends stand for the doubles between them only
+        # because %.12g rounds correctly, and is therefore monotone.
+        assert sys.float_repr_style == "short"
+
+    @staticmethod
+    def value_fields(bits):
+        """The value fields of each row of a 64-row chunk of the 4,096 doubles ``bits``."""
+        values = bits.view(np.float64).reshape(1, 16, 4, 64)
+        (chunk,) = cli._csv_rows("two", [0.5], cli._row_prefixes(range(16), [0.0], range(4)),
+                                 values)
+        return [line.split(",")[5:] for line in chunk.splitlines()]
+
+    def test_doubles_that_print_alike_format_two_doubles(self, monkeypatch):
+        # 4,096 consecutive doubles from 0.5 up form one group whose ends
+        # both print 0.5, so only those two go through %.
+        formatted, format_bits = [], cli._format
+        monkeypatch.setattr(cli, "_format", lambda bits: formatted.append(bits.size)
+                            or format_bits(bits))
+        rows = self.value_fields(np.array(0.5).view(np.int64) + np.arange(4096))
+        assert sum(formatted) <= 2
+        assert rows == [["0.5"] * 64] * 64
+
+    def test_doubles_across_a_rounding_boundary_print_both_strings_in_place(self):
+        # 4,096 consecutive doubles, in one group, around the 12-digit
+        # rounding tie 0.1234567890125, in a scrambled order.
+        tie = int(np.array(0.1234567890125).view(np.int64))
+        bits = np.random.default_rng(0).permutation((tie >> 12 << 12) + np.arange(4096))
+        rows = self.value_fields(bits)
+        want = [f"{v:.12g}" for v in bits.view(np.float64).tolist()]
+        assert sum(rows, []) == want
+        assert set(want) == {"0.123456789012", "0.123456789013"}
 
     def test_compare_formats_the_prefixes_once_for_both_kinds(self, tmp_path, monkeypatch):
         calls = []

@@ -12,8 +12,12 @@ angle pi/2 - N (pi/2 - theta), since R = exp(i (pi/2 - theta) S) with
 S^2 = I; and each reference evaluator, called at one point, returns
 exactly the entry of a plane that contains that point.
 
-Last, the CSV row emitter, which formats each distinct double of a chunk
-once, prints the same bytes as ``_fmt`` on every field.
+Last, the CSV row emitter prints the same bytes as ``_fmt`` on every
+field.  It groups a chunk's doubles into intervals of consecutive bit
+patterns and formats only each group's two ends where they print alike,
+so it is also fed runs of consecutive doubles across 12-digit rounding
+ties, powers of ten, binade edges, signed zeros and subnormals, and inf
+with the NaN payloads above it.
 """
 
 import itertools
@@ -149,3 +153,42 @@ def test_csv_rows_equal_per_field_rendering(kind, grid):
             for (phi, n), row in zip(itertools.product(phis, ns), plane_rows)
         ]
         assert chunk == "".join(want)
+
+
+# Doubles next to which consecutive doubles print differently: a 12-digit
+# rounding tie, the tie below 1, a binade edge, the smallest normal, the
+# largest finite double, 0.0 (subnormals above it) and inf (NaN payloads).
+CLUSTER_CENTRES = [
+    0.1234567890125, 0.9999999999995, 0.5, 2.2250738585072014e-308, 1.7976931348623157e308,
+    *SPECIAL_FLOATS,
+]
+
+
+def bit_pattern(v: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", v))[0]
+
+
+@st.composite
+def clustered_doubles(draw):
+    """1-4 runs of 1-64 consecutive bit patterns of either sign, shuffled.
+
+    Each run starts within 200 patterns of a centre, one of
+    ``CLUSTER_CENTRES`` or any double.  Magnitudes are clipped to the
+    patterns of 0.0 and of the last NaN.  Up to 16 of the patterns repeat.
+    """
+    patterns = []
+    for _ in range(draw(st.integers(1, 4))):
+        centre = draw(st.sampled_from(CLUSTER_CENTRES) | st.floats())
+        start = bit_pattern(abs(centre)) + draw(st.integers(-200, 200))
+        sign = draw(st.sampled_from([0, -(2**63)]))
+        patterns += [
+            sign + min(max(start + k, 0), 2**63 - 1) for k in range(draw(st.integers(1, 64)))
+        ]
+    patterns += draw(st.lists(st.sampled_from(patterns), max_size=16))
+    return np.array(draw(st.permutations(patterns)), dtype=np.int64).view(np.float64)
+
+
+@PROFILE
+@given(values=clustered_doubles())
+def test_fields_of_clustered_doubles_equal_per_field_rendering(values):
+    assert cli._fields(values).tolist() == ["," + cli._fmt(v) for v in values.tolist()]

@@ -170,6 +170,22 @@ MUTANTS = [
         "block[:, :, plane, column] = value",
         "block[:, :, plane - 1, column] = value",
     ),
+    # A group whose ends print differently prints its smallest end for
+    # every double: only a group across a 12-digit rounding tie sees it.
+    Mutant(
+        "fields-mixed-group-trusted",
+        "src/ybc/cli.py",
+        "mixed[split] = texts[split] != texts[starts.size:-1]",
+        "mixed[split] = False",
+    ),
+    # The key's position field is one bit short: the top bit of a position
+    # lands in the bit pattern, and two positions read back alike.
+    Mutant(
+        "fields-position-one-bit-short",
+        "src/ybc/cli.py",
+        "low = (n - 1).bit_length()",
+        "low = max((n - 1).bit_length() - 1, 0)",
+    ),
     # The bytes stay the same; only the block's lifetime changes.
     Mutant(
         "previous-block-kept-by-rows",
